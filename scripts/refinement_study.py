@@ -9,13 +9,7 @@ import numpy as np
 
 from sdflow.flow import FlowState
 from sdflow.generators import make_icosphere
-from sdflow.geometry import (
-    cotan_laplacian,
-    curvature_field,
-    dirichlet_energy,
-    integrate,
-    lumped_mass,
-)
+from sdflow.geometry import dirichlet_energy, integrate
 from sdflow.monitors import stationarity_residual
 
 
@@ -30,11 +24,10 @@ def main():
           "int|Ao|^2    dirichlet(H)   residual_raw")
     for s in range(args.min_subdiv, args.max_subdiv + 1):
         mesh = make_icosphere(args.radius, s)
-        mass = lumped_mass(mesh)
-        lap = cotan_laplacian(mesh)
-        cf = curvature_field(mesh, mass, lap)
+        state = FlowState(mesh)
+        mass, lap, cf = state.mass, state.lap, state.curvature
         gb = abs(integrate(cf.K, mass) - 4 * math.pi) / (4 * math.pi)
-        raw, _ = stationarity_residual(FlowState(mesh))
+        raw, _ = stationarity_residual(state)
         print(
             f"{s:3d} {mesh.num_vertices:6d}   "
             f"{cf.H.mean() * args.radius / 2:.8f}   "

@@ -23,7 +23,6 @@ import json
 
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
-from .generators import make_dumbbell, make_ellipsoid, make_icosphere, make_perturbed_sphere
 from .mesh import MeshError, save_off, validate
 from .monitors import AREA, AREA_RATE, TRACEFREE_L2, TRACEFREE_RATE, WILLMORE
 
@@ -45,25 +44,22 @@ def _parse_mode(text: str):
     return int(bits[0]), int(bits[1]), float(bits[2])
 
 
+# `gen` flags whose RunConfig field has another name
+_GEN_FIELDS = {"bulb": "bulb_radius", "neck": "neck_radius", "len": "neck_length", "mode": "modes"}
+
+
 def cmd_gen(args) -> int:
+    fields = {
+        _GEN_FIELDS.get(key, key): value
+        for key, value in vars(args).items()
+        if key not in ("command", "generator", "output")
+    }
     try:
-        if args.generator == "icosphere":
-            mesh = make_icosphere(args.radius, args.subdiv)
-        elif args.generator == "perturbed_sphere":
-            modes = [_parse_mode(m) for m in args.mode]
-            mesh = make_perturbed_sphere(
-                args.radius, modes, seed=args.seed, subdivisions=args.subdiv
-            )
-        elif args.generator == "ellipsoid":
-            mesh = make_ellipsoid(args.rx, args.ry, args.rz, args.subdiv)
-        elif args.generator == "dumbbell":
-            mesh = make_dumbbell(
-                args.bulb, args.neck, args.len, n_phi=args.n_phi, n_rings=args.n_rings
-            )
-        else:
-            return _fail(f"unknown generator {args.generator!r}")
+        if "modes" in fields:
+            fields["modes"] = tuple(_parse_mode(m) for m in fields["modes"])
+        mesh = runio.RunConfig(kind=args.generator, **fields).build_initial()
         save_off(mesh, args.output)
-    except (ValueError, MeshError) as exc:
+    except (ValueError, MeshError, runio.ConfigError) as exc:
         return _fail(str(exc))
     report = validate(mesh)
     print(f"{args.output}: V={mesh.num_vertices} F={mesh.num_faces} {report.summary()}")

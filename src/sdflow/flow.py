@@ -10,6 +10,12 @@ Two steppers:
 
 Both scale exactly under the parabolic rescaling x -> lambda x,
 dt -> lambda^4 dt.
+
+Each FlowState makes one FaceGeometry pass; mass, L and curvature derive
+from it.  A step is rejected when a vertex goes non-finite, a face
+degenerates or a face normal reverses; each retry halves dt, and three
+rejects in a row stop the run.  Volume correction solves the exact cubic
+V(x + s nu) = V0 by Newton's method.
 """
 
 from __future__ import annotations
@@ -22,18 +28,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .mesh import (
-    DEGENERATE_AREA_FACTOR,
-    TriangleMesh,
-    edge_lengths,
-    face_areas_normals,
-)
+from .mesh import TriangleMesh, face_geometry
 from .geometry import (
     cotan_laplacian,
     curvature_field,
     enclosed_volume,
-    enclosed_volume_of,
     lumped_mass,
+    vertex_normals_and_projected_areas,
+    volume_cubic,
 )
 from . import monitors
 
@@ -56,10 +58,12 @@ SINGULARITY_STOPS = frozenset({QUALITY_FLOOR, CURVATURE_CEILING})
 
 @dataclass(frozen=True)
 class FlowState:
-    """Mesh plus simulation clock; operators are built lazily and cached.
+    """Mesh plus simulation clock; the face geometry and everything derived
+    from it are built lazily and cached.
 
     States are immutable, so a cache always matches the vertex positions
-    it was built from.
+    it was built from.  The cache lives here, not on the mesh, so the
+    meshes a trajectory keeps as snapshots stay small.
     """
 
     mesh: TriangleMesh
@@ -67,16 +71,20 @@ class FlowState:
     step: int = 0
 
     @cached_property
+    def geometry(self):
+        return face_geometry(self.mesh)
+
+    @cached_property
     def mass(self):
-        return lumped_mass(self.mesh)
+        return lumped_mass(self.geometry)
 
     @cached_property
     def lap(self):
-        return cotan_laplacian(self.mesh)
+        return cotan_laplacian(self.geometry)
 
     @cached_property
     def curvature(self):
-        return curvature_field(self.mesh, self.mass, self.lap)
+        return curvature_field(self.geometry, self.mass, self.lap)
 
     def advanced(self, mesh: TriangleMesh, dt: float) -> "FlowState":
         return FlowState(mesh=mesh, t=self.t + dt, step=self.step + 1)
@@ -139,19 +147,20 @@ def choose_dt(state: FlowState, config: SolverConfig) -> float:
     order) or sigma * h_min^2 (semi-implicit)."""
     if config.dt_policy == FIXED:
         return config.dt
-    h_min = float(edge_lengths(state.mesh).min())
+    h_min = state.geometry.h_min
     if config.scheme == EXPLICIT:
         return config.cfl_sigma * h_min**4
     return config.cfl_sigma * h_min**2
 
 
-def _mesh_ok(vertices: np.ndarray, mesh: TriangleMesh) -> bool:
-    if not np.isfinite(vertices).all():
-        return False
-    trial = mesh.with_vertices(vertices)
-    areas, _ = face_areas_normals(trial)
-    hmax = float(edge_lengths(trial).max())
-    return bool((areas > DEGENERATE_AREA_FACTOR * hmax**2).all())
+def _broken(trial: FlowState, parent: FlowState) -> bool:
+    """A trial state is broken when a vertex is non-finite, a face is
+    degenerate, or a face normal reverses against the parent state's."""
+    if not np.isfinite(trial.mesh.vertices).all():
+        return True
+    fg = trial.geometry
+    turned = np.einsum("ij,ij->i", fg.normals, parent.geometry.normals)
+    return fg.degenerate or bool((turned <= 0).any())
 
 
 def _rejected(dt: float) -> StepOutcome:
@@ -166,8 +175,8 @@ def step_explicit(state: FlowState, dt: float):
         raise ValueError("dt must be positive")
     curv = state.curvature
     disp = (dt * curv.lapH)[:, None] * curv.normal
-    new_vertices = state.mesh.vertices + disp
-    if not _mesh_ok(new_vertices, state.mesh):
+    trial = state.advanced(state.mesh.with_vertices(state.mesh.vertices + disp), dt)
+    if _broken(trial, state):
         return state, _rejected(dt)
     outcome = StepOutcome(
         accepted=True,
@@ -176,7 +185,7 @@ def step_explicit(state: FlowState, dt: float):
         linear_iters=0,
         reason=OK,
     )
-    return state.advanced(state.mesh.with_vertices(new_vertices), dt), outcome
+    return trial, outcome
 
 
 def step_semi_implicit(
@@ -215,7 +224,8 @@ def step_semi_implicit(
         if info != 0:
             return state, _rejected(dt)
         new_vertices[:, k] = sol
-    if not _mesh_ok(new_vertices, state.mesh):
+    trial = state.advanced(state.mesh.with_vertices(new_vertices), dt)
+    if _broken(trial, state):
         return state, _rejected(dt)
     disp = new_vertices - x_old
     outcome = StepOutcome(
@@ -225,64 +235,42 @@ def step_semi_implicit(
         linear_iters=iters,
         reason=OK,
     )
-    return state.advanced(state.mesh.with_vertices(new_vertices), dt), outcome
+    return trial, outcome
 
 
 def correct_volume(state: FlowState, target_volume: float) -> FlowState:
-    """Offset vertices along their normals by one scalar restoring the
-    enclosed volume, found by bisection to 1e-12 relative."""
-    v0 = enclosed_volume(state.mesh)
-    if abs(v0 - target_volume) > 0.1 * abs(target_volume):
+    """Offset vertices along their normals by one scalar s restoring the
+    enclosed volume to 1e-12 relative.  V(x + s nu) is exactly a cubic in s,
+    so Newton's method runs on its coefficients; its first iterate is the
+    linear guess (target - V) / V'(0)."""
+    nu, _ = vertex_normals_and_projected_areas(state.geometry)
+    c0, c1, c2, c3 = volume_cubic(state.mesh, nu)
+    if abs(c0 - target_volume) > 0.1 * abs(target_volume):
         raise monitors.NumericsError(
-            f"volume drifted beyond 10% at step {state.step}: {v0} vs {target_volume}"
+            f"volume drifted beyond 10% at step {state.step}: {c0} vs {target_volume}"
         )
     tol = 1e-12 * abs(target_volume)
-    if abs(v0 - target_volume) <= tol:
-        return state
-    nu = state.curvature.normal
-    x = state.mesh.vertices
-    faces = state.mesh.faces
-
-    def vol_at(s):
-        return enclosed_volume_of(x + s * nu, faces)
-
-    # volume increases along outward normals; bracket around the linear guess
-    area = state.mass.total_area
-    guess = (target_volume - v0) / area
-    span = 2.0 * abs(guess) + 1e-30
-    lo, hi = -span, span
-    expansions = 0
-    while (vol_at(lo) - target_volume) * (vol_at(hi) - target_volume) > 0:
-        span *= 2.0
-        lo, hi = -span, span
-        expansions += 1
-        if expansions > 60:
-            raise monitors.NumericsError(
-                f"volume correction bracket failure at step {state.step}"
-            )
     s = 0.0
-    for _ in range(200):
-        s = 0.5 * (lo + hi)
-        v = vol_at(s)
-        if abs(v - target_volume) <= tol:
+    for _ in range(50):
+        residual = ((c3 * s + c2) * s + c1) * s + c0 - target_volume
+        if abs(residual) <= tol:
             break
-        if (v - target_volume) * (vol_at(lo) - target_volume) < 0:
-            hi = s
-        else:
-            lo = s
+        s -= residual / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+    else:
+        raise monitors.NumericsError(f"volume correction did not converge at step {state.step}")
+    if s == 0.0:
+        return state
     return FlowState(
-        mesh=state.mesh.with_vertices(x + s * nu), t=state.t, step=state.step
+        mesh=state.mesh.with_vertices(state.mesh.vertices + s * nu), t=state.t, step=state.step
     )
 
 
 def _curvature_scale_trigger(state: FlowState) -> float:
     """max over vertices of sqrt(|A|^2) times the longest incident edge."""
-    mesh = state.mesh
-    he = mesh.half_edges
-    lens = np.linalg.norm(mesh.vertices[he[:, 0]] - mesh.vertices[he[:, 1]], axis=1)
-    local_h = np.zeros(mesh.num_vertices)
-    np.maximum.at(local_h, he[:, 0], lens)
-    np.maximum.at(local_h, he[:, 1], lens)
+    lens = np.sqrt(state.geometry.sq_lengths)  # edges ab, bc, ca
+    # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
+    local_h = np.zeros(state.mesh.num_vertices)
+    np.maximum.at(local_h, state.mesh.faces.T, np.maximum(lens, np.roll(lens, 1, axis=0)))
     return float((np.sqrt(state.curvature.A_sq) * local_h).max())
 
 
@@ -302,7 +290,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         if state.step >= config.max_steps:
             stop = MAX_STEPS
             break
-        dt = choose_dt(state, config)
+        dt = choose_dt(state, config) * 0.5**rejects
         if config.scheme == EXPLICIT:
             state_new, outcome = step_explicit(state, dt)
         else:

@@ -5,6 +5,9 @@ Conventions (all tested):
   * L is the positive semidefinite Dirichlet-form matrix, so u' L u
     discretizes the integral of |grad u|^2
   * the discrete Laplace-Beltrami of a field u is -M^{-1} L u
+
+The operators derive from a state's one per-face pass, a mesh.FaceGeometry.
+volume_cubic gives enclosed_volume(x + s nu), exactly a cubic in s.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh, face_areas_normals, face_corner_vertices, MeshError
-from .mesh import DEGENERATE_AREA_FACTOR, edge_lengths
+from .mesh import FaceGeometry, MeshError, TriangleMesh, face_corner_vertices
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class LaplaceOperator:
     """Cotangent stiffness matrix (symmetric PSD, zero row sums)."""
 
     matrix: sparse.csr_matrix
-    mesh: TriangleMesh
 
 
 @dataclass(frozen=True)
@@ -46,26 +47,12 @@ class CurvatureField:
     lapH: np.ndarray
 
 
-def _checked_face_geometry(mesh: TriangleMesh):
-    areas, normals = face_areas_normals(mesh)
-    hmax = edge_lengths(mesh).max()
-    if (areas < DEGENERATE_AREA_FACTOR * hmax**2).any():
+def _require_nondegenerate(fg: FaceGeometry) -> None:
+    if fg.degenerate:
         raise MeshError("degenerate face encountered")
-    return areas, normals
 
 
-def _corner_cotangents(mesh: TriangleMesh):
-    va, vb, vc = face_corner_vertices(mesh)
-
-    def cot_at(p, q, r):
-        u, v = q - p, r - p
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        return np.einsum("ij,ij->i", u, v) / cr
-
-    return cot_at(va, vb, vc), cot_at(vb, vc, va), cot_at(vc, va, vb)
-
-
-def lumped_mass(mesh: TriangleMesh) -> LumpedMass:
+def lumped_mass(fg: FaceGeometry) -> LumpedMass:
     """Mixed Voronoi vertex areas.
 
     Non-obtuse triangles contribute their circumcentric (Voronoi) corner
@@ -74,12 +61,10 @@ def lumped_mass(mesh: TriangleMesh) -> LumpedMass:
     is positive.  Pointwise curvature quotients built on these areas stay
     consistent at irregular-valence vertices, which barycentric thirds do not.
     """
-    areas, _ = _checked_face_geometry(mesh)
-    va, vb, vc = face_corner_vertices(mesh)
-    cot_a, cot_b, cot_c = _corner_cotangents(mesh)
-    l_bc = np.sum((vb - vc) ** 2, axis=1)
-    l_ca = np.sum((vc - va) ** 2, axis=1)
-    l_ab = np.sum((va - vb) ** 2, axis=1)
+    _require_nondegenerate(fg)
+    areas = fg.areas
+    cot_a, cot_b, cot_c = fg.cot
+    l_ab, l_bc, l_ca = fg.sq_lengths
     w_a = (l_ab * cot_c + l_ca * cot_b) / 8.0
     w_b = (l_ab * cot_c + l_bc * cot_a) / 8.0
     w_c = (l_ca * cot_b + l_bc * cot_a) / 8.0
@@ -87,33 +72,32 @@ def lumped_mass(mesh: TriangleMesh) -> LumpedMass:
     w_a = np.where(obtuse, np.where(cot_a < 0, areas / 2, areas / 4), w_a)
     w_b = np.where(obtuse, np.where(cot_b < 0, areas / 2, areas / 4), w_b)
     w_c = np.where(obtuse, np.where(cot_c < 0, areas / 2, areas / 4), w_c)
-    m = np.zeros(mesh.num_vertices)
-    np.add.at(m, mesh.faces[:, 0], w_a)
-    np.add.at(m, mesh.faces[:, 1], w_b)
-    np.add.at(m, mesh.faces[:, 2], w_c)
+    m = np.zeros(fg.mesh.num_vertices)
+    np.add.at(m, fg.mesh.faces[:, 0], w_a)
+    np.add.at(m, fg.mesh.faces[:, 1], w_b)
+    np.add.at(m, fg.mesh.faces[:, 2], w_c)
     return LumpedMass(m=m, total_area=float(np.sum(areas)))
 
 
-def cotan_laplacian(mesh: TriangleMesh) -> LaplaceOperator:
+def cotan_laplacian(fg: FaceGeometry) -> LaplaceOperator:
     """Off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum."""
-    _checked_face_geometry(mesh)
-    n = mesh.num_vertices
-    # cot_a is the cotangent at corner a, opposite edge (b, c), and so on
-    cot_a, cot_b, cot_c = _corner_cotangents(mesh)
-    f = mesh.faces
+    _require_nondegenerate(fg)
+    n = fg.mesh.num_vertices
+    # cot[0] is the cotangent at corner a, opposite edge (b, c), and so on
+    f = fg.mesh.faces
     rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    w = 0.5 * np.concatenate([cot_a, cot_b, cot_c])
+    w = 0.5 * fg.cot.ravel()
     off = sparse.coo_matrix(
         (np.concatenate([-w, -w]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
         shape=(n, n),
     ).tocsr()
     diag = -np.asarray(off.sum(axis=1)).ravel()
     lap = (off + sparse.diags(diag)).tocsr()
-    return LaplaceOperator(matrix=lap, mesh=mesh)
+    return LaplaceOperator(matrix=lap)
 
 
-def vertex_normals_and_projected_areas(mesh: TriangleMesh):
+def vertex_normals_and_projected_areas(fg: FaceGeometry):
     """Unit vertex normals and the projected dual areas |sum A_f n_f| / 3.
 
     The normal is the area-weighted average of incident face outward
@@ -122,46 +106,31 @@ def vertex_normals_and_projected_areas(mesh: TriangleMesh):
     weight under which sum_i m~_i (lap H)_i vanishes identically (the
     discrete divergence theorem behind volume conservation).
     """
-    areas, fn = face_areas_normals(mesh)
-    acc = np.zeros((mesh.num_vertices, 3))
-    w = fn * areas[:, None]
+    acc = np.zeros((fg.mesh.num_vertices, 3))
+    w = fg.normals * fg.areas[:, None]
     for k in range(3):
-        np.add.at(acc, mesh.faces[:, k], w)
+        np.add.at(acc, fg.mesh.faces[:, k], w)
     nrm = np.linalg.norm(acc, axis=1)
     if (nrm == 0).any():
         raise MeshError("vertex with vanishing normal")
     return acc / nrm[:, None], nrm / 3.0
 
 
-def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Area-weighted average of incident face outward normals, normalized."""
-    return vertex_normals_and_projected_areas(mesh)[0]
-
-
-def angle_defects(mesh: TriangleMesh) -> np.ndarray:
+def angle_defects(fg: FaceGeometry) -> np.ndarray:
     """2*pi minus the sum of incident triangle angles, per vertex."""
-    va, vb, vc = face_corner_vertices(mesh)
-
-    def angle_at(p, q, r):
-        u, v = q - p, r - p
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        dot = np.einsum("ij,ij->i", u, v)
-        return np.arctan2(cr, dot)
-
-    defect = np.full(mesh.num_vertices, 2.0 * np.pi)
-    np.subtract.at(defect, mesh.faces[:, 0], angle_at(va, vb, vc))
-    np.subtract.at(defect, mesh.faces[:, 1], angle_at(vb, vc, va))
-    np.subtract.at(defect, mesh.faces[:, 2], angle_at(vc, va, vb))
+    defect = np.full(fg.mesh.num_vertices, 2.0 * np.pi)
+    for k in range(3):
+        np.subtract.at(defect, fg.mesh.faces[:, k], fg.angles[k])
     return defect
 
 
 def curvature_field(
-    mesh: TriangleMesh, mass: LumpedMass, lap: LaplaceOperator
+    fg: FaceGeometry, mass: LumpedMass, lap: LaplaceOperator
 ) -> CurvatureField:
-    nu, m_proj = vertex_normals_and_projected_areas(mesh)
-    mean_curv_vec = (lap.matrix @ mesh.vertices) / mass.m[:, None]
+    nu, m_proj = vertex_normals_and_projected_areas(fg)
+    mean_curv_vec = (lap.matrix @ fg.mesh.vertices) / mass.m[:, None]
     H = np.einsum("ij,ij->i", mean_curv_vec, nu)
-    K = angle_defects(mesh) / mass.m
+    K = angle_defects(fg) / mass.m
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
     # at zero so the tracefree energy stays a nonnegative Lyapunov candidate,
     # and |A|^2 is rebuilt from the clamped value to keep Ao_sq = A_sq - H^2/2
@@ -197,6 +166,23 @@ def enclosed_volume(mesh: TriangleMesh) -> float:
     return float(np.sum(np.einsum("ij,ij->i", va, np.cross(vb, vc))) / 6.0)
 
 
-def enclosed_volume_of(vertices: np.ndarray, faces: np.ndarray) -> float:
-    va, vb, vc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    return float(np.sum(np.einsum("ij,ij->i", va, np.cross(vb, vc))) / 6.0)
+def volume_cubic(mesh: TriangleMesh, nu: np.ndarray):
+    """Coefficients (c0, c1, c2, c3) of the exact cubic
+    enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3, from one pass
+    over the faces; c0 is the enclosed volume itself."""
+    va, vb, vc = face_corner_vertices(mesh)
+    f = mesh.faces
+    na, nb, nc = nu[f[:, 0]], nu[f[:, 1]], nu[f[:, 2]]
+
+    def dot(p, q):
+        return np.einsum("ij,ij->i", p, q)
+
+    x_bc, x_ca, x_ab = np.cross(vb, vc), np.cross(vc, va), np.cross(va, vb)
+    n_bc, n_ca, n_ab = np.cross(nb, nc), np.cross(nc, na), np.cross(na, nb)
+    terms = (
+        dot(va, x_bc),
+        dot(na, x_bc) + dot(nb, x_ca) + dot(nc, x_ab),
+        dot(va, n_bc) + dot(vb, n_ca) + dot(vc, n_ab),
+        dot(na, n_bc),
+    )
+    return tuple(float(np.sum(t) / 6.0) for t in terms)

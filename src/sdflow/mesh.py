@@ -80,14 +80,6 @@ class MeshReport:
     max_edge_length: float
     aspect_quality: float
 
-    @property
-    def is_valid(self) -> bool:
-        return (
-            self.is_closed
-            and self.is_oriented
-            and self.min_face_area > DEGENERATE_AREA_FACTOR * self.max_edge_length**2
-        )
-
     def summary(self) -> str:
         return (
             f"closed={self.is_closed} oriented={self.is_oriented} "
@@ -104,34 +96,69 @@ def face_corner_vertices(mesh: TriangleMesh):
     return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
 
-def face_areas_normals(mesh: TriangleMesh):
-    """Per-face area and unit outward normal (for CCW-from-outside faces)."""
+@dataclass(frozen=True)
+class FaceGeometry:
+    """Per-face geometry of one vertex state, from a single pass.
+
+    Rows of the (3, F) arrays belong to the corners a, b, c of every face,
+    or to its edges ab, bc, ca.  Each corner's cotangent and angle come from
+    that corner's own cross product and dot product; area and unit normal
+    come from corner a's cross product.
+    """
+
+    mesh: TriangleMesh
+    areas: np.ndarray  # (F,)
+    normals: np.ndarray  # (F, 3) unit outward
+    cot: np.ndarray  # (3, F) cotangent at corners a, b, c
+    angles: np.ndarray  # (3, F) interior angle at corners a, b, c
+    sq_lengths: np.ndarray  # (3, F) squared length of edges ab, bc, ca
+
+    @property
+    def h_min(self) -> float:
+        """Shortest edge; every edge lies on a face, so this equals the
+        minimum over the unique edges exactly (h_max likewise)."""
+        return float(np.sqrt(self.sq_lengths.min()))
+
+    @property
+    def h_max(self) -> float:
+        return float(np.sqrt(self.sq_lengths.max()))
+
+    @property
+    def qualities(self) -> np.ndarray:
+        """4*sqrt(3)*area / sum of squared edge lengths; 1 for equilateral."""
+        l2 = self.sq_lengths[0] + self.sq_lengths[1] + self.sq_lengths[2]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = 4.0 * np.sqrt(3.0) * self.areas / l2
+        return np.where(l2 > 0, q, 0.0)
+
+    @property
+    def degenerate(self) -> bool:
+        """Some face area falls below DEGENERATE_AREA_FACTOR * h_max^2.
+        Non-finite geometry compares false and is left to the caller."""
+        return bool((self.areas < DEGENERATE_AREA_FACTOR * self.h_max**2).any())
+
+
+def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
+    """Areas, normals, corner cotangents and angles, squared edge lengths."""
     a, b, c = face_corner_vertices(mesh)
-    cr = np.cross(b - a, c - a)
-    nrm = np.linalg.norm(cr, axis=1)
-    areas = 0.5 * nrm
+    ab, bc, ca = b - a, c - b, a - c
+    # the two edge vectors leaving corners a, b, c; negation is exact, so
+    # -ca equals c - a bit for bit
+    pairs = ((ab, -ca), (bc, -ab), (ca, -bc))
+    crosses = [np.cross(u, v) for u, v in pairs]
+    nrm = np.array([np.linalg.norm(cr, axis=1) for cr in crosses])
+    dot = np.array([np.einsum("ij,ij->i", u, v) for u, v in pairs])
     with np.errstate(invalid="ignore", divide="ignore"):
-        normals = cr / nrm[:, None]
-    return areas, normals
-
-
-def edge_lengths(mesh: TriangleMesh) -> np.ndarray:
-    e = mesh.edges
-    return np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-
-
-def face_qualities(mesh: TriangleMesh) -> np.ndarray:
-    """4*sqrt(3)*area / sum of squared edge lengths; 1 for equilateral."""
-    a, b, c = face_corner_vertices(mesh)
-    l2 = (
-        np.sum((b - a) ** 2, axis=1)
-        + np.sum((c - b) ** 2, axis=1)
-        + np.sum((a - c) ** 2, axis=1)
+        normals = crosses[0] / nrm[0][:, None]
+        cot = dot / nrm
+    return FaceGeometry(
+        mesh=mesh,
+        areas=0.5 * nrm[0],
+        normals=normals,
+        cot=cot,
+        angles=np.arctan2(nrm, dot),
+        sq_lengths=np.array([np.sum(e**2, axis=1) for e in (ab, bc, ca)]),
     )
-    areas, _ = face_areas_normals(mesh)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = 4.0 * np.sqrt(3.0) * areas / l2
-    return np.where(l2 > 0, q, 0.0)
 
 
 def validate(mesh: TriangleMesh) -> MeshReport:
@@ -152,25 +179,18 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     n_e = len(und)
     chi = mesh.num_vertices - n_e + mesh.num_faces
     genus = (2 - chi) // 2 if (is_closed and is_oriented) else -1
-    areas, _ = face_areas_normals(mesh)
-    el = edge_lengths(mesh)
-    q = face_qualities(mesh)
+    fg = face_geometry(mesh)
+    empty = mesh.num_faces == 0
     return MeshReport(
         is_closed=is_closed,
         is_oriented=is_oriented,
         euler_characteristic=int(chi),
         genus=int(genus),
-        min_face_area=float(areas.min()) if len(areas) else 0.0,
-        min_edge_length=float(el.min()) if len(el) else 0.0,
-        max_edge_length=float(el.max()) if len(el) else 0.0,
-        aspect_quality=float(q.min()) if len(q) else 0.0,
+        min_face_area=0.0 if empty else float(fg.areas.min()),
+        min_edge_length=0.0 if empty else fg.h_min,
+        max_edge_length=0.0 if empty else fg.h_max,
+        aspect_quality=0.0 if empty else float(fg.qualities.min()),
     )
-
-
-def has_degenerate_faces(mesh: TriangleMesh) -> bool:
-    areas, _ = face_areas_normals(mesh)
-    hmax = edge_lengths(mesh).max()
-    return bool((areas < DEGENERATE_AREA_FACTOR * hmax**2).any())
 
 
 def rescale(mesh: TriangleMesh, center, factor: float) -> TriangleMesh:

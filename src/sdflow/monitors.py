@@ -16,7 +16,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import dirichlet_energy, enclosed_volume, integrate
-from .mesh import edge_lengths, face_qualities
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -125,8 +124,8 @@ def diagnostics(state, radii=(), eps0: float = EIGHT_PI) -> DiagnosticsRecord:
         grad_h,
         lap_h,
         float(np.sqrt(curv.A_sq.max())),
-        float(edge_lengths(state.mesh).min()),
-        float(face_qualities(state.mesh).min()),
+        state.geometry.h_min,
+        float(state.geometry.qualities.min()),
     ]
     eta = []
     centers = []

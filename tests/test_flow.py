@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from sdflow.flow import (
     step_semi_implicit,
 )
 from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
-from sdflow.geometry import CurvatureField, enclosed_volume
-from sdflow.mesh import edge_lengths, rescale
+from sdflow.geometry import CurvatureField, enclosed_volume, volume_cubic
+from sdflow.mesh import face_geometry, rescale
 from sdflow.monitors import NumericsError
 
 
@@ -32,7 +33,7 @@ def test_choose_dt_fixed_passthrough():
 
 def test_choose_dt_cfl_arithmetic():
     mesh = make_icosphere(1.0, 1)
-    h = edge_lengths(mesh).min()
+    h = face_geometry(mesh).h_min
     mesh = rescale(mesh, (0, 0, 0), 0.1 / h)  # h_min becomes 0.1
     state = FlowState(mesh)
     cfg = SolverConfig(scheme=EXPLICIT, dt_policy=CFL, cfl_sigma=0.01)
@@ -85,7 +86,7 @@ def test_explicit_zero_velocity_is_identity():
 
 def test_explicit_volume_drift_second_order():
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)])
-    dt = 0.005 * edge_lengths(mesh).min() ** 4
+    dt = 0.005 * face_geometry(mesh).h_min ** 4
     state = FlowState(mesh)
     v0 = enclosed_volume(mesh)
     s1, _ = step_explicit(state, dt)
@@ -148,7 +149,7 @@ def test_semi_implicit_preserves_axial_symmetry():
     n_phi = 24
     mesh = make_dumbbell(1.0, 0.3, 1.0, n_phi=n_phi, n_rings=40)
     state = FlowState(mesh)
-    dt = 0.1 * edge_lengths(mesh).min() ** 2
+    dt = 0.1 * face_geometry(mesh).h_min ** 2
     for _ in range(10):
         state, outcome = step_semi_implicit(state, dt)
         assert outcome.accepted
@@ -175,6 +176,21 @@ def test_rejected_step_keeps_state():
     assert np.array_equal(state.mesh.vertices, mesh.vertices)
 
 
+def test_inverted_face_rejects_step():
+    # vertex 0 of a unit icosphere moves 1.5 inward along its normal, through
+    # the centre: its fan of faces turns inside out without degenerating
+    state = FlowState(make_icosphere(1.0, 1))
+    curv = state.curvature
+    lapH = np.zeros_like(curv.lapH)
+    lapH[0] = -1.5e3
+    state.__dict__["curvature"] = replace(curv, lapH=lapH)
+    trial = state.mesh.vertices + (1e-3 * lapH)[:, None] * curv.normal
+    assert not face_geometry(state.mesh.with_vertices(trial)).degenerate
+    new_state, outcome = step_explicit(state, 1e-3)
+    assert not outcome.accepted
+    assert new_state is state
+
+
 def test_correct_volume_noop_at_target():
     state = FlowState(make_icosphere(1.0, 2))
     target = enclosed_volume(state.mesh)
@@ -198,6 +214,46 @@ def test_correct_volume_rejects_large_drift():
     state = FlowState(base.with_vertices(base.vertices * 1.2))
     with pytest.raises(NumericsError):
         correct_volume(state, enclosed_volume(base))
+
+
+def _volume_cases():
+    dumbbell = make_dumbbell(1.0, 0.3, 1.0, n_phi=24, n_rings=40)
+    sphere = make_perturbed_sphere(1.0, [(2, 0, 0.2), (3, 1, 0.1)], seed=4, subdivisions=3)
+    return [
+        pytest.param(dumbbell, dumbbell.with_vertices(dumbbell.vertices * 1.02), id="dumbbell"),
+        pytest.param(sphere, sphere.with_vertices(sphere.vertices * 0.98), id="shrunk_sphere"),
+    ]
+
+
+VOLUME_CASES = _volume_cases()
+
+
+@pytest.mark.parametrize("base,moved", VOLUME_CASES)
+def test_correct_volume_reaches_target_nonspherical(base, moved):
+    target = enclosed_volume(base)
+    assert abs(enclosed_volume(moved) - target) > 0.03 * target
+    fixed = correct_volume(FlowState(moved), target)
+    assert abs(enclosed_volume(fixed.mesh) - target) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("base,moved", VOLUME_CASES)
+def test_volume_cubic_is_exact(base, moved):
+    rng = np.random.default_rng(1)
+    for nu in (FlowState(base).curvature.normal, rng.standard_normal(base.vertices.shape)):
+        c0, c1, c2, c3 = volume_cubic(base, nu)
+        assert c0 == enclosed_volume(base)
+        for s in (-0.1, -0.02, 0.005, 0.05, 0.2):
+            exact = enclosed_volume(base.with_vertices(base.vertices + s * nu))
+            cubic = c0 + c1 * s + c2 * s**2 + c3 * s**3
+            assert abs(cubic - exact) <= 1e-12 * abs(exact)
+
+
+def test_correct_volume_nonfinite_raises():
+    base = make_icosphere(1.0, 2)
+    bad = base.vertices.copy()
+    bad[0] = np.nan
+    with pytest.raises(NumericsError, match="converge"):
+        correct_volume(FlowState(base.with_vertices(bad)), enclosed_volume(base))
 
 
 def test_run_determinism_bitwise():
@@ -268,6 +324,8 @@ def test_run_abort_after_rejection_cascade(monkeypatch):
     traj = flow_mod.run(make_icosphere(1.0, 1), cfg)
     assert traj.stop_reason == DIVERGED
     assert len(calls) == 3
+    # a deterministic stepper cannot succeed on an identical retry
+    assert calls == [1e-6, 5e-7, 2.5e-7]
     assert len(traj.records) == 1  # only the initial record
 
 

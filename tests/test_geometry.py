@@ -19,7 +19,7 @@ from sdflow.geometry import (
     integrate,
     lumped_mass,
 )
-from sdflow.mesh import MeshError, TriangleMesh, rescale, validate
+from sdflow.mesh import MeshError, TriangleMesh, face_geometry, rescale, validate
 
 
 def regular_tetrahedron(edge):
@@ -86,7 +86,7 @@ def make_slab(n=10, thickness=0.1):
 def test_lumped_mass_regular_tetrahedron():
     edge = 1.3
     mesh = regular_tetrahedron(edge)
-    mass = lumped_mass(mesh)
+    mass = lumped_mass(face_geometry(mesh))
     area = math.sqrt(3.0) * edge**2
     assert np.allclose(mass.m, area / 4.0, rtol=1e-12)
     assert mass.total_area == pytest.approx(area, rel=1e-12)
@@ -102,24 +102,24 @@ def test_lumped_mass_regular_tetrahedron():
     ],
 )
 def test_mass_partitions_area(mesh_fn):
-    mass = lumped_mass(mesh_fn())
+    mass = lumped_mass(face_geometry(mesh_fn()))
     assert (mass.m > 0).all()
     assert np.sum(mass.m) == pytest.approx(mass.total_area, rel=1e-12)
 
 
 def test_icosphere_area_near_sphere():
-    mass = lumped_mass(make_icosphere(1.0, 4))
+    mass = lumped_mass(face_geometry(make_icosphere(1.0, 4)))
     assert mass.total_area == pytest.approx(4 * math.pi, rel=5e-3)
 
 
 def test_laplacian_kills_constants():
-    lap = cotan_laplacian(make_icosphere(1.0, 3))
+    lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 3)))
     u = np.full(lap.matrix.shape[0], 3.7)
     assert np.abs(lap.matrix @ u).max() < 1e-10
 
 
 def test_laplacian_psd_random_vectors():
-    lap = cotan_laplacian(make_icosphere(1.0, 3))
+    lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 3)))
     rng = np.random.default_rng(0)
     for _ in range(100):
         u = rng.standard_normal(lap.matrix.shape[0])
@@ -132,7 +132,7 @@ def test_laplacian_psd_zero_rowsum_random_meshes(seed):
     mesh = make_perturbed_sphere(
         1.0, [(l, seed % (l + 1), 0.35)], seed=seed, subdivisions=1
     )
-    lap = cotan_laplacian(mesh).matrix
+    lap = cotan_laplacian(face_geometry(mesh)).matrix
     asym = (lap - lap.T).tocoo()
     assert np.abs(asym.data).max() if asym.nnz else 0.0 < 1e-12
     assert np.abs(np.asarray(lap.sum(axis=1))).max() < 1e-11
@@ -143,7 +143,7 @@ def test_laplacian_psd_zero_rowsum_random_meshes(seed):
 def test_laplacian_linear_functions_harmonic_on_flat_patch():
     slab = make_slab(n=10, thickness=0.05)
     assert validate(slab).is_closed
-    lap = cotan_laplacian(slab).matrix
+    lap = cotan_laplacian(face_geometry(slab)).matrix
     u = slab.vertices[:, 0]
     residual = lap @ u
     n = 10
@@ -155,13 +155,14 @@ def test_laplacian_rejects_degenerate_faces():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1e-16, 0], [0.5, 0.5, 1]])
     mesh = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [0, 3, 1]])
     with pytest.raises(MeshError, match="degenerate"):
-        cotan_laplacian(mesh)
+        cotan_laplacian(face_geometry(mesh))
 
 
 def sphere_curvature(subdiv, radius=1.0):
     mesh = make_icosphere(radius, subdiv)
-    mass = lumped_mass(mesh)
-    return mesh, mass, curvature_field(mesh, mass, cotan_laplacian(mesh))
+    fg = face_geometry(mesh)
+    mass = lumped_mass(fg)
+    return mesh, mass, curvature_field(fg, mass, cotan_laplacian(fg))
 
 
 def test_sphere_mean_curvature():
@@ -196,23 +197,25 @@ def test_curvature_exact_scaling():
 )
 def test_gauss_bonnet_exact(mesh_fn, chi):
     mesh = mesh_fn()
-    mass = lumped_mass(mesh)
-    cf = curvature_field(mesh, mass, cotan_laplacian(mesh))
+    fg = face_geometry(mesh)
+    mass = lumped_mass(fg)
+    cf = curvature_field(fg, mass, cotan_laplacian(fg))
     total = integrate(cf.K, mass)
     assert abs(total - 2 * math.pi * chi) <= 1e-9 * max(abs(total), 1.0)
 
 
 def test_pointwise_tracefree_identity():
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=3)
-    mass = lumped_mass(mesh)
-    cf = curvature_field(mesh, mass, cotan_laplacian(mesh))
+    fg = face_geometry(mesh)
+    mass = lumped_mass(fg)
+    cf = curvature_field(fg, mass, cotan_laplacian(fg))
     assert np.abs(cf.Ao_sq - (cf.A_sq - 0.5 * cf.H**2)).max() < 1e-14
     assert (cf.Ao_sq >= 0).all()
 
 
 def test_integrate_constant_and_identity():
     mesh = make_icosphere(1.0, 3)
-    mass = lumped_mass(mesh)
+    mass = lumped_mass(face_geometry(mesh))
     assert integrate(np.ones(mesh.num_vertices), mass) == pytest.approx(
         mass.total_area, rel=1e-14
     )
@@ -227,7 +230,7 @@ def test_integrate_total_curvature_sphere():
 
 def test_dirichlet_energy_properties():
     mesh = make_icosphere(1.0, 3)
-    lap = cotan_laplacian(mesh)
+    lap = cotan_laplacian(face_geometry(mesh))
     u = mesh.vertices[:, 2] ** 2
     const = np.full(mesh.num_vertices, 2.2)
     assert abs(dirichlet_energy(const, lap)) < 1e-12
@@ -241,7 +244,7 @@ def test_dirichlet_energy_of_H_decreases_under_refinement():
     values = []
     for s in (2, 3, 4, 5):
         mesh, mass, cf = sphere_curvature(s)
-        values.append(dirichlet_energy(cf.H, cotan_laplacian(mesh)))
+        values.append(dirichlet_energy(cf.H, cotan_laplacian(face_geometry(mesh))))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -267,10 +270,11 @@ def test_scaling_covariance_suite():
     mesh = make_perturbed_sphere(1.0, [(2, 1, 0.15)], subdivisions=3)
     lam = 2.0
     scaled = rescale(mesh, (0, 0, 0), lam)
-    m1, m2 = lumped_mass(mesh), lumped_mass(scaled)
-    l1, l2 = cotan_laplacian(mesh), cotan_laplacian(scaled)
-    c1 = curvature_field(mesh, m1, l1)
-    c2 = curvature_field(scaled, m2, l2)
+    fg1, fg2 = face_geometry(mesh), face_geometry(scaled)
+    m1, m2 = lumped_mass(fg1), lumped_mass(fg2)
+    l1, l2 = cotan_laplacian(fg1), cotan_laplacian(fg2)
+    c1 = curvature_field(fg1, m1, l1)
+    c2 = curvature_field(fg2, m2, l2)
     rel = lambda a, b: abs(a - b) / max(abs(a), 1e-300)
     assert rel(m2.total_area, lam**2 * m1.total_area) < 1e-10
     assert rel(enclosed_volume(scaled), lam**3 * enclosed_volume(mesh)) < 1e-10
@@ -284,6 +288,7 @@ def test_scaling_covariance_suite():
 @given(amp=st.floats(0.01, 0.4), seed=st.integers(0, 10**6))
 def test_gauss_bonnet_property(amp, seed):
     mesh = make_perturbed_sphere(1.0, [(2, 1, amp)], seed=seed, subdivisions=1)
-    mass = lumped_mass(mesh)
-    cf = curvature_field(mesh, mass, cotan_laplacian(mesh))
+    fg = face_geometry(mesh)
+    mass = lumped_mass(fg)
+    cf = curvature_field(fg, mass, cotan_laplacian(fg))
     assert integrate(cf.K, mass) == pytest.approx(4 * math.pi, rel=1e-9)

@@ -6,7 +6,7 @@ from sdflow.mesh import (
     MeshError,
     TriangleMesh,
     dumps_off,
-    has_degenerate_faces,
+    face_geometry,
     load_mesh,
     loads_obj,
     rescale,
@@ -143,5 +143,5 @@ def test_rescale_rejects_nonpositive_factor():
 def test_degenerate_face_detection():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1e-15, 0], [0.5, 1.0, 1.0]])
     mesh = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [0, 3, 1]])
-    assert has_degenerate_faces(mesh)
-    assert not has_degenerate_faces(make_icosphere(1.0, 1))
+    assert face_geometry(mesh).degenerate
+    assert not face_geometry(make_icosphere(1.0, 1)).degenerate

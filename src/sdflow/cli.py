@@ -24,7 +24,7 @@ import json
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
 from .mesh import MeshError, save_off, validate
-from .monitors import AREA, AREA_RATE, TRACEFREE_L2, TRACEFREE_RATE, WILLMORE
+from .monitors import AREA_RATE
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,23 +83,24 @@ def _summarize(cfg: runio.RunConfig, trajectory: flow.Trajectory) -> str:
         f"li_yau_ok_all: {all(r.li_yau_ok for r in recs)}",
         f"smallness_ok_all: {all(r.smallness_ok for r in recs)}",
     ]
-    if len(recs) >= 2:
-        for quantity in (AREA, TRACEFREE_L2, WILLMORE):
-            audit = monitors.audit_monotone(recs, quantity)
+    report = monitors.audit_report(recs)
+    for quantity, audit in report["monotonicity"].items():
+        # a run of one record has no step to audit
+        if "unavailable" not in audit:
             lines.append(
-                f"audit_{quantity}: {'pass' if audit.passed else 'fail'}"
-                f" violations={len(audit.violations)}"
+                f"audit_{quantity}: {'pass' if audit['passed'] else 'fail'}"
+                f" violations={audit['violations']}"
             )
-    try:
-        fit = monitors.fit_decay(recs)
+    fit = report["decay_fit"]
+    if "unavailable" in fit:
+        lines.append(f"decay_fit: unavailable ({fit['unavailable']})")
+    else:
         lines.append(
-            f"decay_fit: lambda={fit.lambda_fit:.17g} r_squared={fit.r_squared:.6f}"
-            f" samples={fit.samples} window=[{fit.t0:.6g},{fit.t1:.6g}]"
+            f"decay_fit: lambda={fit['lambda']:.17g} r_squared={fit['r_squared']:.6f}"
+            f" samples={fit['samples']} window=[{fit['t0']:.6g},{fit['t1']:.6g}]"
         )
-    except ValueError as exc:
-        lines.append(f"decay_fit: unavailable ({exc})")
-    if trajectory.stop_reason in flow.SINGULARITY_STOPS and cfg.radii:
-        events = blowup_mod.detect(trajectory, sorted(cfg.radii, reverse=True), cfg.eps1)
+    if trajectory.stop_reason in flow.SINGULARITY_STOPS and cfg.monitor_radii:
+        events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
         for ev in events:
             if ev.triggered:
                 lines.append(
@@ -120,10 +121,9 @@ def cmd_run(args) -> int:
     out_dir = args.out or cfg.out_dir
     try:
         mesh = cfg.build_initial()
-        solver_cfg = cfg.solver_config()
     except (ValueError, MeshError, runio.ConfigError) as exc:
         return _fail(str(exc))
-    trajectory = flow.run(mesh, solver_cfg)
+    trajectory = flow.run(mesh, cfg)
     summary = _summarize(cfg, trajectory)
     runio.write_run_dir(out_dir, cfg, trajectory, summary)
     print(summary, end="")
@@ -153,49 +153,19 @@ def cmd_analyze(args) -> int:
     except (OSError, runio.ConfigError, MeshError) as exc:
         return _fail(str(exc))
     recs = trajectory.records
-    out = {"records": len(recs), "stop_reason": trajectory.stop_reason}
-    audits = {}
-    for quantity in (AREA, TRACEFREE_L2, WILLMORE):
-        audit = monitors.audit_monotone(recs, quantity)
-        entry = {
-            "passed": audit.passed,
-            "violations": len(audit.violations),
-            "max_violation": audit.max_violation,
-        }
-        if audit.violations:
-            entry["first_violating_step"] = audit.violations[0][0]
-        audits[quantity] = entry
-    out["monotonicity"] = audits
-    dissipation = {}
-    for which in (AREA_RATE, TRACEFREE_RATE):
-        try:
-            rep = monitors.audit_dissipation(recs[10:], which)
-            dissipation[which] = {
-                "passed": rep.passed,
-                "median_rel_error": rep.median_rel_error,
-                "violations": rep.violations,
-                "best_constant": rep.best_constant,
-                "samples": rep.samples,
-            }
-        except ValueError as exc:
-            dissipation[which] = {"unavailable": str(exc)}
-    out["dissipation"] = dissipation
-    try:
-        fit = monitors.fit_decay(recs, window=window)
-        out["decay_fit"] = {
-            "lambda": fit.lambda_fit,
-            "r_squared": fit.r_squared,
-            "samples": fit.samples,
-            "t0": fit.t0,
-            "t1": fit.t1,
-        }
-    except ValueError as exc:
-        out["decay_fit"] = {"unavailable": str(exc)}
+    out = {
+        "records": len(recs),
+        "stop_reason": trajectory.stop_reason,
+        **monitors.audit_report(recs, window=window),
+    }
     if args.json:
         print(json.dumps(out, indent=2, default=float))
     else:
         print(f"records: {out['records']}  stop_reason: {out['stop_reason']}")
-        for quantity, entry in audits.items():
+        for quantity, entry in out["monotonicity"].items():
+            if "unavailable" in entry:
+                print(f"monotone[{quantity}]: unavailable ({entry['unavailable']})")
+                continue
             status = "pass" if entry.get("passed") else "FAIL"
             extra = (
                 f" first_violation_step={entry['first_violating_step']}"
@@ -203,7 +173,7 @@ def cmd_analyze(args) -> int:
                 else ""
             )
             print(f"monotone[{quantity}]: {status} violations={entry['violations']}{extra}")
-        for which, entry in dissipation.items():
+        for which, entry in out["dissipation"].items():
             if "unavailable" in entry:
                 print(f"dissipation[{which}]: unavailable ({entry['unavailable']})")
             elif which == AREA_RATE:
@@ -235,8 +205,8 @@ def cmd_blowup(args) -> int:
         return _fail(str(exc))
     if args.radii:
         radii = sorted((float(tok) for tok in args.radii.split(",")), reverse=True)
-    elif cfg is not None and cfg.radii:
-        radii = sorted(cfg.radii, reverse=True)
+    elif cfg is not None and cfg.monitor_radii:
+        radii = sorted(cfg.monitor_radii, reverse=True)
     else:
         return _fail("no radii given and none recorded in the run config")
     eps1 = args.eps1 if args.eps1 is not None else (cfg.eps1 if cfg else None)

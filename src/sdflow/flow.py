@@ -16,6 +16,10 @@ from it.  A step is rejected when a vertex goes non-finite, a face
 degenerates or a face normal reverses; each retry halves dt, and three
 rejects in a row stop the run.  Volume correction solves the exact cubic
 V(x + s nu) = V0 by Newton's method.
+
+SolverConfig holds the solver and monitor settings.  The run config
+(runio.RunConfig) extends it with the initial data and the output settings,
+so `run` takes either, and a Trajectory keeps the config it was run with.
 """
 
 from __future__ import annotations
@@ -121,7 +125,12 @@ class SolverConfig:
             raise ValueError("linear_tol must lie in (0, 1e-4]")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        object.__setattr__(self, "monitor_radii", tuple(float(r) for r in self.monitor_radii))
+        radii = tuple(float(r) for r in self.monitor_radii)
+        if not all(r > 0 for r in radii):
+            raise ValueError("monitor radii must be positive")
+        if len(set(radii)) != len(radii):
+            raise ValueError("monitor radii must be distinct")
+        object.__setattr__(self, "monitor_radii", radii)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,6 @@ class Trajectory:
     snapshots: dict
     stop_reason: str
     config: SolverConfig | None = None
-    initial_volume: float = 0.0
 
 
 def choose_dt(state: FlowState, config: SolverConfig) -> float:
@@ -328,5 +336,4 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         snapshots=snapshots,
         stop_reason=stop,
         config=config,
-        initial_volume=target_volume,
     )

@@ -290,12 +290,12 @@ def load_mesh(data, fmt: str) -> TriangleMesh:
 
 
 def dumps_off(mesh: TriangleMesh) -> str:
-    out = ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
-    for x, y, z in mesh.vertices:
-        out.append(f"{x:.17g} {y:.17g} {z:.17g}")
-    for i, j, k in mesh.faces:
-        out.append(f"3 {i} {j} {k}")
-    return "\n".join(out) + "\n"
+    nv, nf = mesh.num_vertices, mesh.num_faces
+    return (
+        f"OFF\n{nv} {nf} 0\n"
+        + ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+        + ("3 %d %d %d\n" * nf) % tuple(mesh.faces.ravel().tolist())
+    )
 
 
 def save_off(mesh: TriangleMesh, path) -> None:

@@ -304,3 +304,55 @@ def fit_decay(records, window=None, min_samples: int = 10) -> DecayFit:
         r_squared=r_sq,
         samples=len(ts),
     )
+
+
+def audit_report(records, window=None) -> dict:
+    """Every trajectory audit in one dict, the layout `sdflow analyze --json`
+    prints: monotonicity of area, tracefree and Willmore energy, both
+    dissipation audits on records[10:] (past the start-up transient), and
+    the decay fit over `window` (see fit_decay).  An audit these records
+    cannot support is {"unavailable": reason}."""
+    records = list(records)
+
+    def monotone(quantity):
+        audit = audit_monotone(records, quantity)
+        entry = {
+            "passed": audit.passed,
+            "violations": len(audit.violations),
+            "max_violation": audit.max_violation,
+        }
+        if audit.violations:
+            entry["first_violating_step"] = audit.violations[0][0]
+        return entry
+
+    def dissipation(which):
+        rep = audit_dissipation(records[10:], which)
+        return {
+            "passed": rep.passed,
+            "median_rel_error": rep.median_rel_error,
+            "violations": rep.violations,
+            "best_constant": rep.best_constant,
+            "samples": rep.samples,
+        }
+
+    def decay_fit():
+        fit = fit_decay(records, window=window)
+        return {
+            "lambda": fit.lambda_fit,
+            "r_squared": fit.r_squared,
+            "samples": fit.samples,
+            "t0": fit.t0,
+            "t1": fit.t1,
+        }
+
+    def attempt(audit, *args):
+        try:
+            return audit(*args)
+        except ValueError as exc:
+            return {"unavailable": str(exc)}
+
+    return {
+        "monotonicity": {q: attempt(monotone, q) for q in (AREA, TRACEFREE_L2, WILLMORE)},
+        "dissipation": {w: attempt(dissipation, w) for w in (AREA_RATE, TRACEFREE_RATE)},
+        "decay_fit": attempt(decay_fit),
+    }

@@ -2,8 +2,11 @@
 
 A run config is flat `key = value` text with section prefixes (initial.,
 solver., monitor., output.).  It round-trips losslessly and unknown keys
-are rejected.  A run directory holds config.cfg, diagnostics.csv,
-snapshots step_%08d.off, and summary.txt.
+are rejected.  RunConfig extends flow.SolverConfig, so parsing also
+validates every solver and monitor value.  The diagnostics CSV columns are
+the DiagnosticsRecord fields in declaration order, with eta written as one
+column per monitor radius.  A run directory holds config.cfg,
+diagnostics.csv, snapshots step_%08d.off, and summary.txt.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from typing import get_type_hints
 
-from . import flow
 from .flow import SolverConfig, Trajectory
 from .generators import (
     make_dumbbell,
@@ -29,23 +32,6 @@ CSV_NAME = "diagnostics.csv"
 CONFIG_NAME = "config.cfg"
 SUMMARY_NAME = "summary.txt"
 
-CSV_FIXED_COLUMNS = (
-    "step",
-    "t",
-    "area",
-    "volume",
-    "willmore",
-    "tracefree_l2",
-    "gradH_l2",
-    "lapH_l2",
-    "max_abs_A",
-    "h_min",
-    "quality",
-    "sphericity",
-    "li_yau_ok",
-    "smallness_ok",
-)
-
 GENERATORS = ("icosphere", "perturbed_sphere", "ellipsoid", "dumbbell", "mesh")
 
 
@@ -54,7 +40,11 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(SolverConfig):
+    """A run as its config file states it: the solver and monitor settings
+    it inherits, plus the initial data, the event threshold and the output
+    directory."""
+
     # initial data
     kind: str = "icosphere"
     radius: float = 1.0
@@ -70,45 +60,10 @@ class RunConfig:
     n_phi: int = 48
     n_rings: int = 96
     mesh_path: str = ""
-    # solver
-    scheme: str = flow.SEMI_IMPLICIT
-    dt_policy: str = flow.CFL
-    dt: float = 1e-4
-    cfl_sigma: float = 0.1
-    t_end: float = 1.0
-    max_steps: int = 1000000
-    volume_correction: bool = False
-    linear_tol: float = 1e-10
-    linear_max_iter: int = 0
-    snapshot_every: int = 100
-    stop_sphericity: float = 1.0
-    quality_floor: float = 0.02
-    curvature_ceiling: float = 2.0
     # monitors
-    radii: tuple = ()
-    eps0: float = 8.0 * math.pi
     eps1: float = 8.0 * math.pi / 100.0
     # output
     out_dir: str = "run_out"
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            scheme=self.scheme,
-            dt_policy=self.dt_policy,
-            dt=self.dt,
-            cfl_sigma=self.cfl_sigma,
-            t_end=self.t_end,
-            max_steps=self.max_steps,
-            volume_correction=self.volume_correction,
-            linear_tol=self.linear_tol,
-            linear_max_iter=self.linear_max_iter,
-            snapshot_every=self.snapshot_every,
-            monitor_radii=self.radii,
-            eps0=self.eps0,
-            stop_sphericity=self.stop_sphericity,
-            quality_floor=self.quality_floor,
-            curvature_ceiling=self.curvature_ceiling,
-        )
 
     def build_initial(self) -> TriangleMesh:
         if self.kind == "icosphere":
@@ -207,7 +162,7 @@ _KEY_TABLE = {
     "solver.stop_sphericity": ("stop_sphericity", repr, float),
     "solver.quality_floor": ("quality_floor", repr, float),
     "solver.curvature_ceiling": ("curvature_ceiling", repr, float),
-    "monitor.radii": ("radii", _fmt_radii, _parse_radii),
+    "monitor.radii": ("monitor_radii", _fmt_radii, _parse_radii),
     "monitor.eps0": ("eps0", repr, float),
     "monitor.eps1": ("eps1", repr, float),
     "output.dir": ("out_dir", str, str),
@@ -241,7 +196,10 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = from_text(val)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg = RunConfig(**values)
+    try:
+        cfg = RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.kind not in GENERATORS:
         raise ConfigError(f"unknown generator: {cfg.kind}")
     return cfg
@@ -257,28 +215,27 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+_TO_TEXT = {bool: lambda b: "1" if b else "0", int: str, float: lambda x: f"{x:.17g}"}
+_FROM_TEXT = {bool: lambda s: s == "1", int: int, float: float}
+
+# every DiagnosticsRecord field but the eta pairs, as (name, type); eta
+# becomes one eta_r<i> column per monitor radius, and the centers are not
+# written
+_CSV_FIELDS = tuple(
+    (name, kind)
+    for name, kind in get_type_hints(DiagnosticsRecord).items()
+    if name not in ("eta", "eta_centers")
+)
+CSV_FIXED_COLUMNS = tuple(name for name, _ in _CSV_FIELDS)
+
+
 def csv_header(n_radii: int) -> str:
     extra = [f"eta_r{i+1}" for i in range(n_radii)]
     return ",".join(CSV_FIXED_COLUMNS + tuple(extra))
 
 
 def record_to_csv_row(rec: DiagnosticsRecord) -> str:
-    vals = [
-        str(rec.step),
-        f"{rec.t:.17g}",
-        f"{rec.area:.17g}",
-        f"{rec.volume:.17g}",
-        f"{rec.willmore:.17g}",
-        f"{rec.tracefree_l2:.17g}",
-        f"{rec.gradH_l2:.17g}",
-        f"{rec.lapH_l2:.17g}",
-        f"{rec.max_abs_A:.17g}",
-        f"{rec.h_min:.17g}",
-        f"{rec.quality:.17g}",
-        f"{rec.sphericity:.17g}",
-        "1" if rec.li_yau_ok else "0",
-        "1" if rec.smallness_ok else "0",
-    ]
+    vals = [_TO_TEXT[kind](getattr(rec, name)) for name, kind in _CSV_FIELDS]
     vals.extend(f"{val:.17g}" for (_, val) in rec.eta)
     return ",".join(vals)
 
@@ -299,6 +256,8 @@ def read_diagnostics_csv(path, radii=()) -> list:
     header = lines[0].split(",")
     if tuple(header[: len(CSV_FIXED_COLUMNS)]) != CSV_FIXED_COLUMNS:
         raise ConfigError("diagnostics CSV header does not match the frozen schema")
+    if len(lines) == 1:
+        raise ConfigError("diagnostics CSV has no records")
     n_eta = len(header) - len(CSV_FIXED_COLUMNS)
     if n_eta and len(radii) != n_eta:
         raise ConfigError(
@@ -309,30 +268,9 @@ def read_diagnostics_csv(path, radii=()) -> list:
         toks = ln.split(",")
         if len(toks) != len(header):
             raise ConfigError("malformed diagnostics CSV row")
-        base = len(CSV_FIXED_COLUMNS)
-        eta = tuple(
-            (float(radii[i]), float(toks[base + i])) for i in range(n_eta)
-        )
-        records.append(
-            DiagnosticsRecord(
-                step=int(toks[0]),
-                t=float(toks[1]),
-                area=float(toks[2]),
-                volume=float(toks[3]),
-                willmore=float(toks[4]),
-                tracefree_l2=float(toks[5]),
-                gradH_l2=float(toks[6]),
-                lapH_l2=float(toks[7]),
-                max_abs_A=float(toks[8]),
-                h_min=float(toks[9]),
-                quality=float(toks[10]),
-                sphericity=float(toks[11]),
-                li_yau_ok=toks[12] == "1",
-                smallness_ok=toks[13] == "1",
-                eta=eta,
-                eta_centers=None,
-            )
-        )
+        values = {name: _FROM_TEXT[kind](tok) for (name, kind), tok in zip(_CSV_FIELDS, toks)}
+        eta = tuple(zip(map(float, radii), map(float, toks[len(CSV_FIXED_COLUMNS) :])))
+        records.append(DiagnosticsRecord(**values, eta=eta))
     return records
 
 
@@ -362,7 +300,7 @@ def load_run_dir(run_dir) -> tuple:
     if not os.path.exists(csv_path):
         raise ConfigError(f"missing {CSV_NAME} in {run_dir}")
     cfg = load_config(cfg_path) if os.path.exists(cfg_path) else None
-    radii = cfg.radii if cfg is not None else ()
+    radii = cfg.monitor_radii if cfg is not None else ()
     records = read_diagnostics_csv(csv_path, radii=radii)
     snapshots = {}
     pattern = re.compile(r"^step_(\d{8})\.off$")
@@ -382,6 +320,6 @@ def load_run_dir(run_dir) -> tuple:
         records=records,
         snapshots=snapshots,
         stop_reason=stop_reason,
-        config=cfg.solver_config() if cfg is not None else None,
+        config=cfg,
     )
     return cfg, trajectory

@@ -94,6 +94,14 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_run_nonpositive_radius_exit_2(tmp_path, capsys):
+    template = SPHERE_CFG.replace("monitor.radii = 0.1", "monitor.radii = -0.5")
+    cfg_path, out_dir = run_config(tmp_path, template, "negative_radius")
+    assert main(["run", str(cfg_path)]) == 2
+    assert "bad config: monitor radii must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def dumbbell_cli_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("dumbbell_cli")
@@ -156,6 +164,19 @@ def test_analyze_missing_csv_exit_2(tmp_path, capsys):
     assert "diagnostics.csv" in capsys.readouterr().err
 
 
+def test_analyze_single_record_run(tmp_path, capsys):
+    template = SPHERE_CFG.replace("solver.max_steps = 40", "solver.max_steps = 0")
+    cfg_path, out_dir = run_config(tmp_path, template, "no_steps")
+    assert main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out_dir)]) == 0
+    assert "monotone[area]: unavailable (need at least two records)" in capsys.readouterr().out
+    assert main(["analyze", str(out_dir), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["records"] == 1
+    assert payload["monotonicity"]["willmore"] == {"unavailable": "need at least two records"}
+
+
 def synthetic_csv(tmp_path, tracefree, areas=None, dt=0.05):
     recs = []
     n = len(tracefree)
@@ -172,6 +193,12 @@ def synthetic_csv(tmp_path, tracefree, areas=None, dt=0.05):
         )
     write_diagnostics_csv(recs, tmp_path / "diagnostics.csv")
     return tmp_path
+
+
+def test_analyze_header_only_csv_exit_2(tmp_path, capsys):
+    run_dir = synthetic_csv(tmp_path, [])
+    assert main(["analyze", str(run_dir)]) == 2
+    assert "no records" in capsys.readouterr().err
 
 
 def test_analyze_synthetic_exponential_lambda(tmp_path, capsys):

@@ -60,6 +60,19 @@ def test_off_roundtrip_exact():
     assert np.array_equal(back.faces, mesh.faces)
 
 
+def test_dumps_off_exact_bytes():
+    # signed zero, a tiny normal number and a value that needs all 17 digits
+    mesh = TriangleMesh(
+        [[-0.0, 0.0, 0.0], [1.0, 1e-300, 0.0], [0.0, 1.0, 0.0], [0.1, 0.0, 1.0]],
+        [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]],
+    )
+    assert dumps_off(mesh) == (
+        "OFF\n4 4 0\n"
+        "-0 0 0\n1 1e-300 0\n0 1 0\n0.10000000000000001 0 1\n"
+        "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+    )
+
+
 def test_load_obj_with_attribute_indices():
     obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/2 3/3/3\n"
     mesh = loads_obj(obj)

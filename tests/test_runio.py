@@ -33,7 +33,7 @@ def test_config_roundtrip_custom():
         dt=1.2345678901234567e-7,
         t_end=0.375,
         volume_correction=True,
-        radii=(0.4, 0.2),
+        monitor_radii=(0.4, 0.2),
         eps1=0.01,
         out_dir="some/dir",
     )
@@ -59,6 +59,12 @@ def test_config_rejects_bad_value():
         parse_config("initial.kind = klein_bottle\n")
 
 
+@pytest.mark.parametrize("radii", ["0.2,0.2", "0.4,-0.5", "0", "nan"])
+def test_config_rejects_bad_monitor_radii(radii):
+    with pytest.raises(ConfigError, match="monitor radii must be"):
+        parse_config(f"monitor.radii = {radii}\n")
+
+
 def test_config_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\ninitial.kind = icosphere  # trailing\n")
     assert cfg.kind == "icosphere"
@@ -66,9 +72,8 @@ def test_config_comments_and_blank_lines():
 
 def test_config_builds_solver_config():
     cfg = parse_config("solver.scheme = explicit\nsolver.cfl_sigma = 0.25\n")
-    solver = cfg.solver_config()
-    assert solver.scheme == "explicit"
-    assert solver.cfl_sigma == 0.25
+    assert cfg.scheme == "explicit"
+    assert cfg.cfl_sigma == 0.25
 
 
 def test_config_build_initial_dispatch():

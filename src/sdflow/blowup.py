@@ -59,7 +59,8 @@ def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
 def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
     """One event per radius: the first record with eta(r) > eps1, carrying
     that record's argmax center (recomputed from the nearest snapshot when
-    the trajectory was loaded without centers)."""
+    the trajectory was loaded without centers; events that share a snapshot
+    share its FlowState)."""
     radii = [float(r) for r in radii_descending]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -67,6 +68,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
         raise ValueError("empty trajectory")
+    states = {}  # snapshot step -> its FlowState, shared by the events
     events = []
     for r in radii:
         event = ConcentrationEvent(r=r, triggered=False)
@@ -81,8 +83,9 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
                     snap = _nearest_snapshot_at_or_before(trajectory, rec.step)
                     if snap is None:
                         raise ValueError("no snapshot at or before the event")
-                    _, c = concentration(FlowState(trajectory.snapshots[snap]), r)
-                    center = tuple(c)
+                    if snap not in states:
+                        states[snap] = FlowState(trajectory.snapshots[snap])
+                    center = tuple(concentration(states[snap], r)[1])
                 event = ConcentrationEvent(
                     r=r,
                     triggered=True,

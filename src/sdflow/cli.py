@@ -49,10 +49,11 @@ _GEN_FIELDS = {"bulb": "bulb_radius", "neck": "neck_radius", "len": "neck_length
 
 
 def cmd_gen(args) -> int:
+    # only the flags given; RunConfig holds every default
     fields = {
         _GEN_FIELDS.get(key, key): value
         for key, value in vars(args).items()
-        if key not in ("command", "generator", "output")
+        if key not in ("command", "generator", "output") and value is not None
     }
     try:
         if "modes" in fields:
@@ -149,8 +150,8 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        _, trajectory = runio.load_run_dir(args.run_dir)
-    except (OSError, runio.ConfigError, MeshError) as exc:
+        _, trajectory = runio.load_run_records(args.run_dir)
+    except (OSError, runio.ConfigError) as exc:
         return _fail(str(exc))
     recs = trajectory.records
     out = {
@@ -252,27 +253,27 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an initial mesh and write OFF")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     g_ico = gen_sub.add_parser("icosphere")
-    g_ico.add_argument("--radius", type=float, default=1.0)
-    g_ico.add_argument("--subdiv", type=int, default=4)
+    g_ico.add_argument("--radius", type=float)
+    g_ico.add_argument("--subdiv", type=int)
     g_pert = gen_sub.add_parser("perturbed_sphere")
-    g_pert.add_argument("--radius", type=float, default=1.0)
-    g_pert.add_argument("--subdiv", type=int, default=4)
+    g_pert.add_argument("--radius", type=float)
+    g_pert.add_argument("--subdiv", type=int)
     g_pert.add_argument(
-        "--mode", action="append", default=[], metavar="l,m,amp",
+        "--mode", action="append", metavar="l,m,amp",
         help="spherical harmonic mode, repeatable",
     )
-    g_pert.add_argument("--seed", type=int, default=None)
+    g_pert.add_argument("--seed", type=int)
     g_ell = gen_sub.add_parser("ellipsoid")
-    g_ell.add_argument("--rx", type=float, default=1.0)
-    g_ell.add_argument("--ry", type=float, default=1.0)
-    g_ell.add_argument("--rz", type=float, default=1.0)
-    g_ell.add_argument("--subdiv", type=int, default=4)
+    g_ell.add_argument("--rx", type=float)
+    g_ell.add_argument("--ry", type=float)
+    g_ell.add_argument("--rz", type=float)
+    g_ell.add_argument("--subdiv", type=int)
     g_dumb = gen_sub.add_parser("dumbbell")
-    g_dumb.add_argument("--bulb", type=float, default=1.0)
-    g_dumb.add_argument("--neck", type=float, default=0.15)
-    g_dumb.add_argument("--len", type=float, default=2.0)
-    g_dumb.add_argument("--n-phi", type=int, default=48)
-    g_dumb.add_argument("--n-rings", type=int, default=96)
+    g_dumb.add_argument("--bulb", type=float)
+    g_dumb.add_argument("--neck", type=float)
+    g_dumb.add_argument("--len", type=float)
+    g_dumb.add_argument("--n-phi", type=int)
+    g_dumb.add_argument("--n-rings", type=int)
     for sp in (g_ico, g_pert, g_ell, g_dumb):
         sp.add_argument("-o", "--output", required=True)
 

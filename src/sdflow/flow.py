@@ -177,23 +177,30 @@ def _rejected(dt: float) -> StepOutcome:
     )
 
 
+def _accept(state: FlowState, new_vertices: np.ndarray, dt: float, linear_iters: int = 0):
+    """The trial state at new_vertices and its outcome, or the unchanged
+    state and a rejection when the trial is broken."""
+    trial = state.advanced(state.mesh.with_vertices(new_vertices), dt)
+    if _broken(trial, state):
+        return state, _rejected(dt)
+    disp = new_vertices - state.mesh.vertices
+    outcome = StepOutcome(
+        accepted=True,
+        dt_used=dt,
+        displacement_max=float(np.sqrt(np.sum(disp**2, axis=1)).max()),
+        linear_iters=linear_iters,
+        reason=OK,
+    )
+    return trial, outcome
+
+
 def step_explicit(state: FlowState, dt: float):
     """x_i <- x_i + dt * (lap H)_i * nu_i; purely normal velocity."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     curv = state.curvature
     disp = (dt * curv.lapH)[:, None] * curv.normal
-    trial = state.advanced(state.mesh.with_vertices(state.mesh.vertices + disp), dt)
-    if _broken(trial, state):
-        return state, _rejected(dt)
-    outcome = StepOutcome(
-        accepted=True,
-        dt_used=dt,
-        displacement_max=float(np.sqrt(np.sum(disp**2, axis=1)).max()),
-        linear_iters=0,
-        reason=OK,
-    )
-    return trial, outcome
+    return _accept(state, state.mesh.vertices + disp, dt)
 
 
 def step_semi_implicit(
@@ -204,7 +211,7 @@ def step_semi_implicit(
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass.m
-    L = state.lap.matrix
+    L = state.lap
     n = len(m)
     A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
     precond = sparse.diags(1.0 / A.diagonal())
@@ -232,18 +239,7 @@ def step_semi_implicit(
         if info != 0:
             return state, _rejected(dt)
         new_vertices[:, k] = sol
-    trial = state.advanced(state.mesh.with_vertices(new_vertices), dt)
-    if _broken(trial, state):
-        return state, _rejected(dt)
-    disp = new_vertices - x_old
-    outcome = StepOutcome(
-        accepted=True,
-        dt_used=dt,
-        displacement_max=float(np.sqrt(np.sum(disp**2, axis=1)).max()),
-        linear_iters=iters,
-        reason=OK,
-    )
-    return trial, outcome
+    return _accept(state, new_vertices, dt, iters)
 
 
 def correct_volume(state: FlowState, target_volume: float) -> FlowState:

@@ -6,7 +6,10 @@ Conventions (all tested):
     discretizes the integral of |grad u|^2
   * the discrete Laplace-Beltrami of a field u is -M^{-1} L u
 
-The operators derive from a state's one per-face pass, a mesh.FaceGeometry.
+The operators derive from a state's one per-face pass, a mesh.FaceGeometry,
+as (3, F) per-corner arrays; mesh.corner_sum moves them onto the vertices
+in corner order a, b, c, so every sum rounds as a fixed sequence of
+np.add.at passes would.  cotan_laplacian returns the CSR matrix L itself.
 volume_cubic gives enclosed_volume(x + s nu), exactly a cubic in s.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import FaceGeometry, MeshError, TriangleMesh, face_corner_vertices
+from .mesh import FaceGeometry, MeshError, TriangleMesh, corner_sum, face_corner_vertices
 
 
 @dataclass(frozen=True)
@@ -26,13 +29,6 @@ class LumpedMass:
 
     m: np.ndarray
     total_area: float
-
-
-@dataclass(frozen=True)
-class LaplaceOperator:
-    """Cotangent stiffness matrix (symmetric PSD, zero row sums)."""
-
-    matrix: sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -62,39 +58,28 @@ def lumped_mass(fg: FaceGeometry) -> LumpedMass:
     consistent at irregular-valence vertices, which barycentric thirds do not.
     """
     _require_nondegenerate(fg)
-    areas = fg.areas
-    cot_a, cot_b, cot_c = fg.cot
-    l_ab, l_bc, l_ca = fg.sq_lengths
-    w_a = (l_ab * cot_c + l_ca * cot_b) / 8.0
-    w_b = (l_ab * cot_c + l_bc * cot_a) / 8.0
-    w_c = (l_ca * cot_b + l_bc * cot_a) / 8.0
-    obtuse = (cot_a < 0) | (cot_b < 0) | (cot_c < 0)
-    w_a = np.where(obtuse, np.where(cot_a < 0, areas / 2, areas / 4), w_a)
-    w_b = np.where(obtuse, np.where(cot_b < 0, areas / 2, areas / 4), w_b)
-    w_c = np.where(obtuse, np.where(cot_c < 0, areas / 2, areas / 4), w_c)
-    m = np.zeros(fg.mesh.num_vertices)
-    np.add.at(m, fg.mesh.faces[:, 0], w_a)
-    np.add.at(m, fg.mesh.faces[:, 1], w_b)
-    np.add.at(m, fg.mesh.faces[:, 2], w_c)
-    return LumpedMass(m=m, total_area=float(np.sum(areas)))
+    areas, cot = fg.areas, fg.cot
+    # squared length of edges ab, bc, ca times the cotangent opposite it;
+    # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
+    t = fg.sq_lengths * np.roll(cot, 1, axis=0)
+    w = (t + np.roll(t, 1, axis=0)) / 8.0
+    w = np.where((cot < 0).any(axis=0), np.where(cot < 0, areas / 2, areas / 4), w)
+    return LumpedMass(m=corner_sum(fg.mesh, w), total_area=float(np.sum(areas)))
 
 
-def cotan_laplacian(fg: FaceGeometry) -> LaplaceOperator:
-    """Off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum."""
+def cotan_laplacian(fg: FaceGeometry) -> sparse.csr_matrix:
+    """Cotangent stiffness matrix L (symmetric PSD, zero row sums):
+    off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum."""
     _require_nondegenerate(fg)
     n = fg.mesh.num_vertices
-    # cot[0] is the cotangent at corner a, opposite edge (b, c), and so on
-    f = fg.mesh.faces
-    rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-    cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    w = 0.5 * fg.cot.ravel()
-    off = sparse.coo_matrix(
-        (np.concatenate([-w, -w]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    ).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    lap = (off + sparse.diags(diag)).tocsr()
-    return LaplaceOperator(matrix=lap)
+    # the edge (b, c) opposite each corner a, with the corner's cotangent
+    f = fg.mesh.faces.T
+    b, c = np.roll(f, -1, axis=0).ravel(), np.roll(f, 1, axis=0).ravel()
+    w = -0.5 * fg.cot.ravel()
+    off = sparse.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([b, c]), np.concatenate([c, b]))), shape=(n, n)
+    )
+    return off - sparse.diags(np.ravel(off.sum(axis=1)))
 
 
 def vertex_normals_and_projected_areas(fg: FaceGeometry):
@@ -106,10 +91,8 @@ def vertex_normals_and_projected_areas(fg: FaceGeometry):
     weight under which sum_i m~_i (lap H)_i vanishes identically (the
     discrete divergence theorem behind volume conservation).
     """
-    acc = np.zeros((fg.mesh.num_vertices, 3))
     w = fg.normals * fg.areas[:, None]
-    for k in range(3):
-        np.add.at(acc, fg.mesh.faces[:, k], w)
+    acc = corner_sum(fg.mesh, np.broadcast_to(w, (3,) + w.shape))
     nrm = np.linalg.norm(acc, axis=1)
     if (nrm == 0).any():
         raise MeshError("vertex with vanishing normal")
@@ -118,17 +101,16 @@ def vertex_normals_and_projected_areas(fg: FaceGeometry):
 
 def angle_defects(fg: FaceGeometry) -> np.ndarray:
     """2*pi minus the sum of incident triangle angles, per vertex."""
+    # subtracting from 2*pi one angle at a time rounds differently from
+    # subtracting the angle sum, so this stays a scatter, not a corner_sum
     defect = np.full(fg.mesh.num_vertices, 2.0 * np.pi)
-    for k in range(3):
-        np.subtract.at(defect, fg.mesh.faces[:, k], fg.angles[k])
+    np.subtract.at(defect, fg.mesh.faces.T.ravel(), fg.angles.ravel())
     return defect
 
 
-def curvature_field(
-    fg: FaceGeometry, mass: LumpedMass, lap: LaplaceOperator
-) -> CurvatureField:
+def curvature_field(fg: FaceGeometry, mass: LumpedMass, lap: sparse.csr_matrix) -> CurvatureField:
     nu, m_proj = vertex_normals_and_projected_areas(fg)
-    mean_curv_vec = (lap.matrix @ fg.mesh.vertices) / mass.m[:, None]
+    mean_curv_vec = (lap @ fg.mesh.vertices) / mass.m[:, None]
     H = np.einsum("ij,ij->i", mean_curv_vec, nu)
     K = angle_defects(fg) / mass.m
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
@@ -140,7 +122,7 @@ def curvature_field(
     # lap H is divided by the projected dual area, not the Voronoi one:
     # the flow velocity then satisfies sum_i m~_i (lap H)_i = 0 exactly,
     # so volume drift under the explicit stepper is second order in dt
-    lapH = -(lap.matrix @ H) / m_proj
+    lapH = -(lap @ H) / m_proj
     return CurvatureField(normal=nu, H=H, K=K, A_sq=A_sq, Ao_sq=Ao_sq, lapH=lapH)
 
 
@@ -152,12 +134,12 @@ def integrate(field: np.ndarray, mass: LumpedMass) -> float:
     return float(np.sum(field * mass.m))
 
 
-def dirichlet_energy(field: np.ndarray, lap: LaplaceOperator) -> float:
+def dirichlet_energy(field: np.ndarray, lap: sparse.csr_matrix) -> float:
     """u' L u, the discrete integral of |grad u|^2; nonnegative."""
     field = np.asarray(field)
-    if field.shape[0] != lap.matrix.shape[0]:
+    if field.shape[0] != lap.shape[0]:
         raise ValueError("field length must match vertex count")
-    return float(field @ (lap.matrix @ field))
+    return float(field @ (lap @ field))
 
 
 def enclosed_volume(mesh: TriangleMesh) -> float:

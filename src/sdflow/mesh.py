@@ -96,6 +96,16 @@ def face_corner_vertices(mesh: TriangleMesh):
     return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
 
+def corner_sum(mesh: TriangleMesh, values) -> np.ndarray:
+    """Sum a (3, F) or (3, F, k) per-corner array onto the vertices, the
+    scatter counterpart of face_corner_vertices.  Each vertex adds its
+    corners a, then b, then c, in face order, as three np.add.at passes do."""
+    idx = mesh.faces.T.ravel()
+    columns = np.reshape(values, (idx.size, -1)).T
+    sums = [np.bincount(idx, col, mesh.num_vertices) for col in columns]
+    return sums[0] if np.ndim(values) == 2 else np.column_stack(sums)
+
+
 @dataclass(frozen=True)
 class FaceGeometry:
     """Per-face geometry of one vertex state, from a single pass.

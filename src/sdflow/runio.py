@@ -292,9 +292,10 @@ def write_run_dir(out_dir, cfg: RunConfig, trajectory: Trajectory, summary: str)
         fh.write(summary)
 
 
-def load_run_dir(run_dir) -> tuple:
-    """Reload (config, trajectory) from a run directory; snapshot meshes are
-    read back from their OFF files and records carry no eta centers."""
+def load_run_records(run_dir) -> tuple:
+    """Reload (config, trajectory) from a run directory without its
+    snapshots: the config, the diagnostics records (with no eta centers)
+    and the stop reason from summary.txt."""
     cfg_path = os.path.join(run_dir, CONFIG_NAME)
     csv_path = os.path.join(run_dir, CSV_NAME)
     if not os.path.exists(csv_path):
@@ -302,12 +303,6 @@ def load_run_dir(run_dir) -> tuple:
     cfg = load_config(cfg_path) if os.path.exists(cfg_path) else None
     radii = cfg.monitor_radii if cfg is not None else ()
     records = read_diagnostics_csv(csv_path, radii=radii)
-    snapshots = {}
-    pattern = re.compile(r"^step_(\d{8})\.off$")
-    for name in os.listdir(run_dir):
-        match = pattern.match(name)
-        if match:
-            snapshots[int(match.group(1))] = load_mesh_path(os.path.join(run_dir, name))
     stop_reason = None
     summary_path = os.path.join(run_dir, SUMMARY_NAME)
     if os.path.exists(summary_path):
@@ -316,10 +311,20 @@ def load_run_dir(run_dir) -> tuple:
                 if line.startswith("stop_reason:"):
                     stop_reason = line.split(":", 1)[1].strip()
                     break
-    trajectory = Trajectory(
+    return cfg, Trajectory(
         records=records,
-        snapshots=snapshots,
+        snapshots={},
         stop_reason=stop_reason,
         config=cfg,
     )
+
+
+def load_run_dir(run_dir) -> tuple:
+    """load_run_records plus the snapshot meshes, read from their OFF files."""
+    cfg, trajectory = load_run_records(run_dir)
+    pattern = re.compile(r"^step_(\d{8})\.off$")
+    for name in os.listdir(run_dir):
+        match = pattern.match(name)
+        if match:
+            trajectory.snapshots[int(match.group(1))] = load_mesh_path(os.path.join(run_dir, name))
     return cfg, trajectory

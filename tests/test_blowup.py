@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sdflow import blowup
 from sdflow.blowup import detect, frame_metadata_text, rescale_frame
+from sdflow.flow import Trajectory
 from sdflow.monitors import EIGHT_PI
 
 EPS1 = EIGHT_PI / 100.0
@@ -48,6 +52,23 @@ def test_detect_dumbbell_neck_center(dumbbell_run):
     assert ev.triggered
     assert abs(ev.center[0]) < 0.3  # within 2*neck_radius of the midpoint
     assert ev.t <= dumbbell_run.records[-1].t
+
+
+def test_detect_without_centers_builds_one_state_per_snapshot(dumbbell_run, monkeypatch):
+    # as loaded from a run directory: the records carry no eta centers
+    loaded = Trajectory(
+        records=[dataclasses.replace(r, eta_centers=None) for r in dumbbell_run.records],
+        snapshots=dumbbell_run.snapshots,
+        stop_reason=dumbbell_run.stop_reason,
+    )
+    built = []
+    state_cls = blowup.FlowState
+    monkeypatch.setattr(blowup, "FlowState", lambda mesh: built.append(mesh) or state_cls(mesh))
+    radii = [0.4, 0.2, 0.1]
+    events = detect(loaded, radii, EPS1)
+    assert [ev.record_step for ev in events] == [0, 0, 0]
+    assert len(built) == 1
+    assert [ev.center for ev in events] == [ev.center for ev in detect(dumbbell_run, radii, EPS1)]
 
 
 def test_rescale_frame_identity(sphere_run):

@@ -159,6 +159,17 @@ def test_analyze_human_and_json(tmp_path, capsys):
     assert payload["monotonicity"]["area"]["passed"] is True
 
 
+def test_analyze_does_not_read_snapshots(tmp_path, capsys):
+    cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG, "garbled")
+    assert main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out_dir), "--json"]) == 0
+    clean = capsys.readouterr().out
+    (out_dir / "step_00000000.off").write_text("OFF\nnot a mesh\n")
+    assert main(["analyze", str(out_dir), "--json"]) == 0
+    assert capsys.readouterr().out == clean
+
+
 def test_analyze_missing_csv_exit_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path)]) == 2
     assert "diagnostics.csv" in capsys.readouterr().err

@@ -103,7 +103,7 @@ def test_semi_implicit_consistency_order():
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=3)
     state = FlowState(mesh)
     m = state.mass.m[:, None]
-    L = state.lap.matrix
+    L = state.lap
 
     def euler_bilaplacian(dt):
         mean_curv_vec = (L @ state.mesh.vertices) / m

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from sdflow.generators import (
     make_dumbbell,
@@ -12,12 +13,14 @@ from sdflow.generators import (
     make_torus,
 )
 from sdflow.geometry import (
+    angle_defects,
     cotan_laplacian,
     curvature_field,
     dirichlet_energy,
     enclosed_volume,
     integrate,
     lumped_mass,
+    vertex_normals_and_projected_areas,
 )
 from sdflow.mesh import MeshError, TriangleMesh, face_geometry, rescale, validate
 
@@ -114,16 +117,16 @@ def test_icosphere_area_near_sphere():
 
 def test_laplacian_kills_constants():
     lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 3)))
-    u = np.full(lap.matrix.shape[0], 3.7)
-    assert np.abs(lap.matrix @ u).max() < 1e-10
+    u = np.full(lap.shape[0], 3.7)
+    assert np.abs(lap @ u).max() < 1e-10
 
 
 def test_laplacian_psd_random_vectors():
     lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 3)))
     rng = np.random.default_rng(0)
     for _ in range(100):
-        u = rng.standard_normal(lap.matrix.shape[0])
-        assert u @ (lap.matrix @ u) >= -1e-10
+        u = rng.standard_normal(lap.shape[0])
+        assert u @ (lap @ u) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -132,7 +135,7 @@ def test_laplacian_psd_zero_rowsum_random_meshes(seed):
     mesh = make_perturbed_sphere(
         1.0, [(l, seed % (l + 1), 0.35)], seed=seed, subdivisions=1
     )
-    lap = cotan_laplacian(face_geometry(mesh)).matrix
+    lap = cotan_laplacian(face_geometry(mesh))
     asym = (lap - lap.T).tocoo()
     assert np.abs(asym.data).max() if asym.nnz else 0.0 < 1e-12
     assert np.abs(np.asarray(lap.sum(axis=1))).max() < 1e-11
@@ -143,12 +146,79 @@ def test_laplacian_psd_zero_rowsum_random_meshes(seed):
 def test_laplacian_linear_functions_harmonic_on_flat_patch():
     slab = make_slab(n=10, thickness=0.05)
     assert validate(slab).is_closed
-    lap = cotan_laplacian(face_geometry(slab)).matrix
+    lap = cotan_laplacian(face_geometry(slab))
     u = slab.vertices[:, 0]
     residual = lap @ u
     n = 10
     interior = [i * (n + 1) + j for i in range(2, n - 1) for j in range(2, n - 1)]
     assert np.abs(residual[interior]).max() < 1e-10
+
+
+def reference_operators(fg):
+    """Mass, vertex normals, projected areas, angle defects and L in their
+    plain forms: one np.add.at / np.subtract.at pass per corner, and L built
+    as off + diags(-row sums) after a COO -> CSR conversion."""
+    f, n, areas = fg.mesh.faces, fg.mesh.num_vertices, fg.areas
+    cot_a, cot_b, cot_c = fg.cot
+    l_ab, l_bc, l_ca = fg.sq_lengths
+    w_a = (l_ab * cot_c + l_ca * cot_b) / 8.0
+    w_b = (l_ab * cot_c + l_bc * cot_a) / 8.0
+    w_c = (l_ca * cot_b + l_bc * cot_a) / 8.0
+    obtuse = (cot_a < 0) | (cot_b < 0) | (cot_c < 0)
+    w_a = np.where(obtuse, np.where(cot_a < 0, areas / 2, areas / 4), w_a)
+    w_b = np.where(obtuse, np.where(cot_b < 0, areas / 2, areas / 4), w_b)
+    w_c = np.where(obtuse, np.where(cot_c < 0, areas / 2, areas / 4), w_c)
+    m = np.zeros(n)
+    np.add.at(m, f[:, 0], w_a)
+    np.add.at(m, f[:, 1], w_b)
+    np.add.at(m, f[:, 2], w_c)
+    acc = np.zeros((n, 3))
+    for k in range(3):
+        np.add.at(acc, f[:, k], fg.normals * areas[:, None])
+    nrm = np.linalg.norm(acc, axis=1)
+    defect = np.full(n, 2.0 * np.pi)
+    for k in range(3):
+        np.subtract.at(defect, f[:, k], fg.angles[k])
+    rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+    cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
+    w = 0.5 * fg.cot.ravel()
+    off = sparse.coo_matrix(
+        (np.concatenate([-w, -w]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    ).tocsr()
+    lap = (off + sparse.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    return m, acc / nrm[:, None], nrm / 3.0, defect, lap
+
+
+def open_slab():
+    """The top sheet of make_slab alone: a mesh with boundary."""
+    slab, sheet = make_slab(n=10), 11**2
+    return TriangleMesh(slab.vertices[:sheet], slab.faces[slab.faces.max(axis=1) < sheet])
+
+
+@pytest.mark.parametrize(
+    "mesh_fn",
+    [
+        lambda: make_icosphere(1.0, 3),
+        lambda: make_perturbed_sphere(1.0, [(2, 1, 0.2), (3, 0, 0.1)], seed=5, subdivisions=3),
+        lambda: make_dumbbell(1.0, 0.15, 2.0),
+        make_slab,
+        open_slab,
+    ],
+    ids=["icosphere_s3", "perturbed_sphere", "dumbbell", "slab", "open_slab"],
+)
+def test_operators_match_per_corner_reference_bitwise(mesh_fn):
+    fg = face_geometry(mesh_fn())
+    m, normals, projected, defect, lap = reference_operators(fg)
+    assert np.array_equal(lumped_mass(fg).m, m)
+    got_normals, got_projected = vertex_normals_and_projected_areas(fg)
+    assert np.array_equal(got_normals, normals)
+    assert np.array_equal(got_projected, projected)
+    assert np.array_equal(angle_defects(fg), defect)
+    got = cotan_laplacian(fg)
+    assert got.format == "csr" and got.shape == lap.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
 
 
 def test_laplacian_rejects_degenerate_faces():

@@ -5,6 +5,7 @@ from sdflow.generators import make_icosphere, make_perturbed_sphere, make_torus
 from sdflow.mesh import (
     MeshError,
     TriangleMesh,
+    corner_sum,
     dumps_off,
     face_geometry,
     load_mesh,
@@ -158,3 +159,15 @@ def test_degenerate_face_detection():
     mesh = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [0, 3, 1]])
     assert face_geometry(mesh).degenerate
     assert not face_geometry(make_icosphere(1.0, 1)).degenerate
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_corner_sum_equals_three_add_at_passes(shape):
+    mesh = make_perturbed_sphere(1.0, [(2, 1, 0.2)], seed=1, subdivisions=2)
+    values = np.random.default_rng(0).standard_normal((3, mesh.num_faces) + shape)
+    expected = np.zeros((mesh.num_vertices,) + shape)
+    for k in range(3):
+        np.add.at(expected, mesh.faces[:, k], values[k])
+    got = corner_sum(mesh, values)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)

@@ -101,8 +101,9 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
 
 def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFrame:
     """Zoom the nearest snapshot at or before the event time about the
-    concentration center; frame diagnostics (eta(1), stationarity residual,
-    curvature mass in the unit ball) are attached."""
+    concentration center; frame diagnostics (the record without eta, the
+    stationarity residual, the curvature mass in the unit ball) are
+    attached."""
     if not event.triggered:
         raise ValueError("cannot rescale an untriggered event")
     snap_step = _nearest_snapshot_at_or_before(trajectory, event.record_step)
@@ -119,7 +120,7 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
         trajectory.snapshots[snap_step], np.asarray(event.center), space_factor
     )
     state = FlowState(frame_mesh)
-    rec = diagnostics(state, radii=(1.0,))
+    rec = diagnostics(state)
     raw, normalized = stationarity_residual(state)
     inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
     ball = float(np.sum((state.curvature.A_sq * state.mass.m)[inside]))

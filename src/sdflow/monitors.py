@@ -79,26 +79,57 @@ class DecayFit:
 
 def concentration(state, r: float, tree: cKDTree | None = None):
     """eta(r): the largest curvature mass sum_{|x_i - x| <= r} |A|^2_i m_i
-    over balls centered at vertex positions.  Returns (eta, center)."""
+    over balls centered at vertex positions.  Returns (eta, center), the
+    center being the lowest-index vertex whose ball attains eta.
+
+    A ball's sum is np.sum over its sorted member indices, and only the
+    balls that can win are summed, so eta and the center are bit for bit
+    those of a loop over every ball.  One query_pairs at a slightly larger
+    radius gives an upper bound U_i on every ball (the weights are >= 0 and
+    the larger radius only adds members).  Summing n nonnegative terms in
+    any order errs by at most gamma_n = n u / (1 - n u) times the sum
+    (u = eps / 2), in np.sum and in np.bincount alike, so a ball with
+    U_i (1 + Gamma) < S_a cannot reach the maximum, for S_a the exact sum
+    at argmax U and Gamma = 4 (n_max + 1) eps, n_max the largest ball.  The
+    survivors are summed exactly in ascending vertex order, and the first
+    strict maximum wins.  A non-finite weight gives a non-finite eta.
+    """
     if not r > 0:
         raise ValueError("radius must be positive")
     pts = state.mesh.vertices
     w = state.curvature.A_sq * state.mass.m
+    if not np.isfinite(w).all():
+        return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
     if r >= float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))):
         return float(np.sum(w)), pts[0].copy()
     if tree is None:
         tree = cKDTree(pts)
-    best = -1.0
+    n = len(pts)
+    i, j = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+    upper = w + np.bincount(i, w[j], n) + np.bincount(j, w[i], n)
+    n_max = np.bincount(np.concatenate([i, j]), minlength=n).max() + 1  # largest ball
+    gamma = 4 * (n_max + 1) * np.finfo(float).eps
+
+    def ball_sums(centers):
+        # sorted ball indices keep sums permutation-stable, so a covering
+        # ball reproduces integrate(|A|^2) bit for bit
+        balls = tree.query_ball_point(pts[centers], r, return_sorted=True)
+        return [float(np.sum(w[idx])) for idx in balls]
+
+    (s_a,) = ball_sums([np.argmax(upper)])
+    candidates = np.flatnonzero(upper * (1.0 + gamma) >= s_a)
+    # balls holding every vertex have one index list and so one sum; after
+    # the first of them, none can beat the running best
+    full = tree.query_ball_point(pts[candidates], r, return_length=True) == n
+    candidates = np.union1d(candidates[~full], candidates[full][:1])
+    best = -math.inf  # stays non-finite if no ball survives
     best_i = 0
-    # sorted ball indices keep sums permutation-stable, so a covering ball
-    # reproduces integrate(|A|^2) bit for bit
-    for i, idx in enumerate(tree.query_ball_point(pts, r, return_sorted=True)):
-        s = float(np.sum(w[idx]))
+    for k, s in zip(candidates, ball_sums(candidates)):
         if s > best:
             best = s
-            best_i = i
+            best_i = k
     return best, pts[best_i].copy()
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sdflow import blowup
+from sdflow import blowup, monitors
 from sdflow.blowup import detect, frame_metadata_text, rescale_frame
 from sdflow.flow import Trajectory
 from sdflow.monitors import EIGHT_PI
@@ -99,6 +99,25 @@ def test_rescale_frame_dumbbell(dumbbell_run):
     assert frame.diagnostics.max_abs_A == pytest.approx(
         src.max_abs_A * ev.r, rel=1e-10
     )
+
+
+def test_rescale_frame_runs_no_concentration(dumbbell_run, monkeypatch):
+    ev = detect(dumbbell_run, [0.2], EPS1)[0]
+    with monkeypatch.context() as m:
+        # the frame as it was built with an eta(1) in its diagnostics
+        m.setattr(
+            blowup, "diagnostics", lambda state, radii=(): monitors.diagnostics(state, radii=(1.0,))
+        )
+        text_with_eta = frame_metadata_text(rescale_frame(dumbbell_run, ev))
+    calls = []
+    concentration = monitors.concentration
+    monkeypatch.setattr(
+        monitors, "concentration", lambda *a, **k: calls.append(a) or concentration(*a, **k)
+    )
+    frame = rescale_frame(dumbbell_run, ev)
+    assert calls == []
+    assert frame.diagnostics.eta == ()
+    assert frame_metadata_text(frame) == text_with_eta
 
 
 def test_rescale_frame_requires_trigger(sphere_run):

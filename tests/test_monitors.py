@@ -1,12 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from sdflow.flow import FlowState
-from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
+from sdflow.flow import FlowState, step_explicit
+from sdflow.generators import (
+    make_dumbbell,
+    make_ellipsoid,
+    make_icosphere,
+    make_perturbed_sphere,
+)
 from sdflow.mesh import rescale
 from sdflow.monitors import (
     AREA,
@@ -110,6 +117,109 @@ def test_concentration_center_on_dumbbell_neck():
     _, center = concentration(state, 0.1)
     assert abs(center[0]) < 1.0  # within neck_length/2 of the axis midpoint
     assert np.hypot(center[1], center[2]) < 0.3
+
+
+def bbox_diagonal(state):
+    pts = state.mesh.vertices
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
+def reference_concentration(state, r):
+    """The per-ball loop that concentration replaced: every vertex ball
+    summed over its sorted indices, the first strict maximum kept."""
+    pts = state.mesh.vertices
+    w = state.curvature.A_sq * state.mass.m
+    if r >= bbox_diagonal(state):
+        return float(np.sum(w)), pts[0].copy()
+    best = -1.0
+    best_i = 0
+    for i, idx in enumerate(cKDTree(pts).query_ball_point(pts, r, return_sorted=True)):
+        s = float(np.sum(w[idx]))
+        if s > best:
+            best = s
+            best_i = i
+    return best, pts[best_i].copy()
+
+
+def assert_concentration_bitwise(state, r):
+    eta, center = concentration(state, r)
+    ref_eta, ref_center = reference_concentration(state, r)
+    assert eta == ref_eta, r
+    assert np.array_equal(center, ref_center), r
+
+
+def default_dumbbell():
+    return FlowState(make_dumbbell(1.0, 0.15, 2.0))
+
+
+def stepped_dumbbell():
+    state = default_dumbbell()
+    for _ in range(3):
+        state, outcome = step_explicit(state, 0.005 * state.geometry.h_min**4)
+        assert outcome.accepted
+    return state
+
+
+def blowup_frame_state():
+    # the default dumbbell zoomed by 1/0.1 about its eta(0.1) center
+    state = default_dumbbell()
+    _, center = reference_concentration(state, 0.1)
+    return FlowState(rescale(state.mesh, center, 10.0))
+
+
+def perturbed_sphere(seed):
+    return FlowState(
+        make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.1)], seed=seed, subdivisions=3)
+    )
+
+
+def ellipsoid():
+    return FlowState(make_ellipsoid(1.0, 0.7, 0.4, subdivisions=3))
+
+
+@pytest.mark.parametrize(
+    "state_fn,radii_fn",
+    [
+        # 96-fold near-tied balls: an argmax over upper bounds flips the center
+        pytest.param(default_dumbbell, lambda s: (0.4, 0.2, 0.1), id="dumbbell"),
+        pytest.param(stepped_dumbbell, lambda s: (0.4, 0.2, 0.1), id="dumbbell_stepped"),
+        *[
+            pytest.param(
+                functools.partial(perturbed_sphere, seed),
+                lambda s: (0.6, 0.3, 0.15),
+                id=f"perturbed_sphere_seed{seed}",
+            )
+            for seed in range(5)
+        ],
+        pytest.param(ellipsoid, lambda s: (0.8, 0.3), id="ellipsoid"),
+        pytest.param(ellipsoid, lambda s: (0.5 * s.geometry.h_min,), id="singleton_balls"),
+        pytest.param(
+            ellipsoid,
+            lambda s: (bbox_diagonal(s) * (1.0 - 1e-9),),
+            id="just_under_bbox_diagonal",
+        ),
+        pytest.param(blowup_frame_state, lambda s: (1.0,), id="blowup_frame"),
+    ],
+)
+def test_concentration_matches_per_ball_reference_bitwise(state_fn, radii_fn):
+    state = state_fn()
+    for r in radii_fn(state):
+        assert_concentration_bitwise(state, r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.02, 2.5), st.floats(0.0, 0.3))
+def test_concentration_matches_per_ball_reference_property(r, amp):
+    mesh = make_perturbed_sphere(1.0, [(2, 0, amp), (3, 2, 0.5 * amp)], subdivisions=3)
+    assert_concentration_bitwise(FlowState(mesh), r)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 50.0])
+def test_concentration_nan_weight_is_nonfinite(r):
+    state = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=2))
+    state.curvature.A_sq[7] = np.nan
+    eta, _ = concentration(state, r)
+    assert not np.isfinite(eta)
 
 
 def test_audit_monotone_passes_on_decay():

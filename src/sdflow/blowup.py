@@ -64,7 +64,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
     radii = [float(r) for r in radii_descending]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    if eps1 < 0:
+    if not eps1 >= 0:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
         raise ValueError("empty trajectory")

@@ -1,5 +1,8 @@
 """Command-line front end: gen, run, analyze, blowup.
 
+The `gen` flags and `blowup --radii/--eps1` set run-config values, so they
+go through the config file's parsers and RunConfig's checks.
+
 Exit codes: 0 clean stop, 2 usage or config error, 3 singularity-proxy stop
 (quality floor or curvature ceiling), 4 divergence.
 """
@@ -20,6 +23,7 @@ if _threads.isdigit() and int(_threads) > 0:
 
 import argparse
 import json
+from dataclasses import replace
 
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
@@ -37,13 +41,6 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _parse_mode(text: str):
-    bits = text.split(",")
-    if len(bits) != 3:
-        raise ValueError(f"mode must be l,m,amp, got {text!r}")
-    return int(bits[0]), int(bits[1]), float(bits[2])
-
-
 # `gen` flags whose RunConfig field has another name
 _GEN_FIELDS = {"bulb": "bulb_radius", "neck": "neck_radius", "len": "neck_length", "mode": "modes"}
 
@@ -57,7 +54,7 @@ def cmd_gen(args) -> int:
     }
     try:
         if "modes" in fields:
-            fields["modes"] = tuple(_parse_mode(m) for m in fields["modes"])
+            fields["modes"] = tuple(runio.parse_mode(m) for m in fields["modes"])
         mesh = runio.RunConfig(kind=args.generator, **fields).build_initial()
         save_off(mesh, args.output)
     except (ValueError, MeshError, runio.ConfigError) as exc:
@@ -67,8 +64,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _summarize(cfg: runio.RunConfig, trajectory: flow.Trajectory) -> str:
-    recs = trajectory.records
+def _summarize(trajectory: flow.Trajectory) -> str:
+    cfg, recs = trajectory.config, trajectory.records
     first, last = recs[0], recs[-1]
     lines = [
         f"stop_reason: {trajectory.stop_reason}",
@@ -125,8 +122,8 @@ def cmd_run(args) -> int:
     except (ValueError, MeshError, runio.ConfigError) as exc:
         return _fail(str(exc))
     trajectory = flow.run(mesh, cfg)
-    summary = _summarize(cfg, trajectory)
-    runio.write_run_dir(out_dir, cfg, trajectory, summary)
+    summary = _summarize(trajectory)
+    runio.write_run_dir(out_dir, trajectory, summary)
     print(summary, end="")
     if trajectory.stop_reason == flow.DIVERGED:
         return EXIT_DIVERGED
@@ -147,11 +144,8 @@ def _fit_window(text: str):
 def cmd_analyze(args) -> int:
     try:
         window = _fit_window(args.fit_window)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        _, trajectory = runio.load_run_records(args.run_dir)
-    except (OSError, runio.ConfigError) as exc:
+        trajectory = runio.load_run_records(args.run_dir)
+    except (OSError, ValueError, runio.ConfigError) as exc:
         return _fail(str(exc))
     recs = trajectory.records
     out = {
@@ -201,21 +195,19 @@ def cmd_analyze(args) -> int:
 
 def cmd_blowup(args) -> int:
     try:
-        cfg, trajectory = runio.load_run_dir(args.run_dir)
-    except (OSError, runio.ConfigError, MeshError) as exc:
-        return _fail(str(exc))
-    if args.radii:
-        radii = sorted((float(tok) for tok in args.radii.split(",")), reverse=True)
-    elif cfg is not None and cfg.monitor_radii:
-        radii = sorted(cfg.monitor_radii, reverse=True)
-    else:
-        return _fail("no radii given and none recorded in the run config")
-    eps1 = args.eps1 if args.eps1 is not None else (cfg.eps1 if cfg else None)
-    if eps1 is None:
-        return _fail("no eps1 given and none recorded in the run config")
-    try:
-        events = blowup_mod.detect(trajectory, radii, eps1)
-    except ValueError as exc:
+        trajectory = runio.load_run_dir(args.run_dir)
+        overrides = {"monitor_radii": runio.parse_radii(args.radii)} if args.radii else {}
+        if args.eps1 is not None:
+            overrides["eps1"] = args.eps1
+        # the flags pass the same checks as the config values they override
+        recorded = trajectory.config
+        cfg = replace(recorded, **overrides) if recorded else runio.RunConfig(**overrides)
+        if not cfg.monitor_radii:
+            return _fail("no radii given and none recorded in the run config")
+        if recorded is None and args.eps1 is None:
+            return _fail("no eps1 given and none recorded in the run config")
+        events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
+    except (OSError, ValueError, runio.ConfigError, MeshError) as exc:
         return _fail(str(exc))
     triggered = [ev for ev in events if ev.triggered]
     print(f"radius    t_j         eta          center")

@@ -198,13 +198,13 @@ def stationarity_residual(state):
     return raw, raw * state.mass.total_area
 
 
-def default_slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) -> float:
+def _slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) -> float:
     dt = after.t - before.t
     return 1e-8 * abs(value) + dt * dt * before.lapH_l2
 
 
-def audit_monotone(records, quantity: str, slack_rule=default_slack) -> MonotonicityAudit:
-    """Flag every step where the quantity increased beyond the slack rule."""
+def audit_monotone(records, quantity: str) -> MonotonicityAudit:
+    """Flag every step where the quantity increased by more than _slack."""
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least two records")
@@ -215,7 +215,7 @@ def audit_monotone(records, quantity: str, slack_rule=default_slack) -> Monotoni
     for before, after in zip(records, records[1:]):
         q0 = getattr(before, quantity)
         q1 = getattr(after, quantity)
-        slack = slack_rule(before, after, q0)
+        slack = _slack(before, after, q0)
         excess = q1 - q0 - slack
         if excess > 0:
             violations.append((after.step, q0, q1, slack))

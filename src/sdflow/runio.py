@@ -2,11 +2,12 @@
 
 A run config is flat `key = value` text with section prefixes (initial.,
 solver., monitor., output.).  It round-trips losslessly and unknown keys
-are rejected.  RunConfig extends flow.SolverConfig, so parsing also
-validates every solver and monitor value.  The diagnostics CSV columns are
-the DiagnosticsRecord fields in declaration order, with eta written as one
-column per monitor radius.  A run directory holds config.cfg,
-diagnostics.csv, snapshots step_%08d.off, and summary.txt.
+are rejected.  RunConfig extends flow.SolverConfig and checks itself when
+it is built, so a config file and a command-line flag pass the same checks;
+one table maps each generator kind to its builder.  The diagnostics CSV
+columns are the DiagnosticsRecord fields in declaration order, with eta
+written as one column per monitor radius.  A run directory holds
+config.cfg, diagnostics.csv, snapshots step_%08d.off, and summary.txt.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ SNAPSHOT_PATTERN = "step_%08d.off"
 CSV_NAME = "diagnostics.csv"
 CONFIG_NAME = "config.cfg"
 SUMMARY_NAME = "summary.txt"
-
-GENERATORS = ("icosphere", "perturbed_sphere", "ellipsoid", "dumbbell", "mesh")
 
 
 class ConfigError(Exception):
@@ -65,64 +64,67 @@ class RunConfig(SolverConfig):
     # output
     out_dir: str = "run_out"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind not in _BUILDERS:
+            raise ValueError(f"unknown generator: {self.kind}")
+        if not self.eps1 >= 0:
+            raise ValueError("eps1 must be nonnegative")
+
     def build_initial(self) -> TriangleMesh:
-        if self.kind == "icosphere":
-            return make_icosphere(self.radius, self.subdiv)
-        if self.kind == "perturbed_sphere":
-            return make_perturbed_sphere(
-                self.radius, self.modes, seed=self.seed, subdivisions=self.subdiv
-            )
-        if self.kind == "ellipsoid":
-            return make_ellipsoid(self.rx, self.ry, self.rz, self.subdiv)
-        if self.kind == "dumbbell":
-            return make_dumbbell(
-                self.bulb_radius,
-                self.neck_radius,
-                self.neck_length,
-                n_phi=self.n_phi,
-                n_rings=self.n_rings,
-            )
-        if self.kind == "mesh":
-            if not self.mesh_path:
-                raise ConfigError("initial.kind = mesh requires initial.path")
-            return load_mesh_path(self.mesh_path)
-        raise ConfigError(f"unknown generator: {self.kind}")
+        return _BUILDERS[self.kind](self)
+
+
+def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
+    if not cfg.mesh_path:
+        raise ConfigError("initial.kind = mesh requires initial.path")
+    return load_mesh_path(cfg.mesh_path)
+
+
+# initial.kind -> the builder of its mesh
+_BUILDERS = {
+    "icosphere": lambda c: make_icosphere(c.radius, c.subdiv),
+    "perturbed_sphere": lambda c: make_perturbed_sphere(
+        c.radius, c.modes, seed=c.seed, subdivisions=c.subdiv
+    ),
+    "ellipsoid": lambda c: make_ellipsoid(c.rx, c.ry, c.rz, c.subdiv),
+    "dumbbell": lambda c: make_dumbbell(
+        c.bulb_radius, c.neck_radius, c.neck_length, n_phi=c.n_phi, n_rings=c.n_rings
+    ),
+    "mesh": _load_initial_mesh,
+}
 
 
 def _fmt_modes(modes) -> str:
     return ";".join(f"{int(l)},{int(m)},{amp!r}" for (l, m, amp) in modes)
 
 
-def _parse_modes(text: str):
+def parse_mode(text: str):
+    """One `l,m,amp` triple, as initial.modes and `sdflow gen --mode` give it."""
+    bits = text.split(",")
+    if len(bits) != 3:
+        raise ConfigError(f"malformed mode triple: {text!r}")
+    return int(bits[0]), int(bits[1]), float(bits[2])
+
+
+def _parse_tuple(text: str, sep: str, parse_item) -> tuple:
     text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for part in text.split(";"):
-        bits = part.split(",")
-        if len(bits) != 3:
-            raise ConfigError(f"malformed mode triple: {part!r}")
-        out.append((int(bits[0]), int(bits[1]), float(bits[2])))
-    return tuple(out)
+    return tuple(parse_item(part) for part in text.split(sep)) if text else ()
 
 
 def _fmt_radii(radii) -> str:
     return ",".join(repr(float(r)) for r in radii)
 
 
-def _parse_radii(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.split(","))
+def parse_radii(text: str):
+    """monitor.radii, as the config file and `sdflow blowup --radii` give it."""
+    return _parse_tuple(text, ",", float)
 
 
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ConfigError(f"expected true/false, got {text!r}")
+def _parse_bool(text: str, true: str = "true", false: str = "false") -> bool:
+    if text not in (true, false):
+        raise ValueError(f"expected {true}/{false}, got {text!r}")
+    return text == true
 
 
 def _parse_seed(text: str):
@@ -134,7 +136,7 @@ _KEY_TABLE = {
     "initial.kind": ("kind", str, str),
     "initial.radius": ("radius", repr, float),
     "initial.subdiv": ("subdiv", str, int),
-    "initial.modes": ("modes", _fmt_modes, _parse_modes),
+    "initial.modes": ("modes", _fmt_modes, lambda t: _parse_tuple(t, ";", parse_mode)),
     "initial.seed": ("seed", lambda s: "none" if s is None else str(s), _parse_seed),
     "initial.rx": ("rx", repr, float),
     "initial.ry": ("ry", repr, float),
@@ -162,7 +164,7 @@ _KEY_TABLE = {
     "solver.stop_sphericity": ("stop_sphericity", repr, float),
     "solver.quality_floor": ("quality_floor", repr, float),
     "solver.curvature_ceiling": ("curvature_ceiling", repr, float),
-    "monitor.radii": ("monitor_radii", _fmt_radii, _parse_radii),
+    "monitor.radii": ("monitor_radii", _fmt_radii, parse_radii),
     "monitor.eps0": ("eps0", repr, float),
     "monitor.eps1": ("eps1", repr, float),
     "output.dir": ("out_dir", str, str),
@@ -197,12 +199,9 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     try:
-        cfg = RunConfig(**values)
+        return RunConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.kind not in GENERATORS:
-        raise ConfigError(f"unknown generator: {cfg.kind}")
-    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -216,7 +215,7 @@ def load_config(path) -> RunConfig:
 
 
 _TO_TEXT = {bool: lambda b: "1" if b else "0", int: str, float: lambda x: f"{x:.17g}"}
-_FROM_TEXT = {bool: lambda s: s == "1", int: int, float: float}
+_FROM_TEXT = {bool: lambda s: _parse_bool(s, "1", "0"), int: int, float: float}
 
 # every DiagnosticsRecord field but the eta pairs, as (name, type); eta
 # becomes one eta_r<i> column per monitor radius, and the centers are not
@@ -250,10 +249,10 @@ def write_diagnostics_csv(records, path) -> None:
 
 def read_diagnostics_csv(path, radii=()) -> list:
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ConfigError("empty diagnostics CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if tuple(header[: len(CSV_FIXED_COLUMNS)]) != CSV_FIXED_COLUMNS:
         raise ConfigError("diagnostics CSV header does not match the frozen schema")
     if len(lines) == 1:
@@ -264,12 +263,15 @@ def read_diagnostics_csv(path, radii=()) -> list:
             f"CSV has {n_eta} eta columns but {len(radii)} monitor radii are known"
         )
     records = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         toks = ln.split(",")
         if len(toks) != len(header):
             raise ConfigError("malformed diagnostics CSV row")
-        values = {name: _FROM_TEXT[kind](tok) for (name, kind), tok in zip(_CSV_FIELDS, toks)}
-        eta = tuple(zip(map(float, radii), map(float, toks[len(CSV_FIXED_COLUMNS) :])))
+        try:
+            values = {name: _FROM_TEXT[kind](tok) for (name, kind), tok in zip(_CSV_FIELDS, toks)}
+            eta = tuple(zip(map(float, radii), map(float, toks[len(CSV_FIXED_COLUMNS) :])))
+        except ValueError as exc:
+            raise ConfigError(f"diagnostics CSV line {lineno}: {exc}") from exc
         records.append(DiagnosticsRecord(**values, eta=eta))
     return records
 
@@ -279,10 +281,11 @@ def read_diagnostics_csv(path, radii=()) -> list:
 # ---------------------------------------------------------------------------
 
 
-def write_run_dir(out_dir, cfg: RunConfig, trajectory: Trajectory, summary: str) -> None:
+def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:
+    """Write a run directory; trajectory.config must be the run's RunConfig."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, CONFIG_NAME), "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
+        fh.write(config_to_text(trajectory.config))
     write_diagnostics_csv(trajectory.records, os.path.join(out_dir, CSV_NAME))
     for step in sorted(trajectory.snapshots):
         save_off(
@@ -292,10 +295,10 @@ def write_run_dir(out_dir, cfg: RunConfig, trajectory: Trajectory, summary: str)
         fh.write(summary)
 
 
-def load_run_records(run_dir) -> tuple:
-    """Reload (config, trajectory) from a run directory without its
-    snapshots: the config, the diagnostics records (with no eta centers)
-    and the stop reason from summary.txt."""
+def load_run_records(run_dir) -> Trajectory:
+    """Reload a run directory's trajectory without its snapshots: the
+    diagnostics records (with no eta centers), the stop reason from
+    summary.txt, and as config the parsed config.cfg, or None without one."""
     cfg_path = os.path.join(run_dir, CONFIG_NAME)
     csv_path = os.path.join(run_dir, CSV_NAME)
     if not os.path.exists(csv_path):
@@ -311,7 +314,7 @@ def load_run_records(run_dir) -> tuple:
                 if line.startswith("stop_reason:"):
                     stop_reason = line.split(":", 1)[1].strip()
                     break
-    return cfg, Trajectory(
+    return Trajectory(
         records=records,
         snapshots={},
         stop_reason=stop_reason,
@@ -319,12 +322,12 @@ def load_run_records(run_dir) -> tuple:
     )
 
 
-def load_run_dir(run_dir) -> tuple:
+def load_run_dir(run_dir) -> Trajectory:
     """load_run_records plus the snapshot meshes, read from their OFF files."""
-    cfg, trajectory = load_run_records(run_dir)
+    trajectory = load_run_records(run_dir)
     pattern = re.compile(r"^step_(\d{8})\.off$")
     for name in os.listdir(run_dir):
         match = pattern.match(name)
         if match:
             trajectory.snapshots[int(match.group(1))] = load_mesh_path(os.path.join(run_dir, name))
-    return cfg, trajectory
+    return trajectory

@@ -29,6 +29,12 @@ def test_detect_requires_decreasing_radii(sphere_run):
         detect(sphere_run, [0.1, 2.5], EPS1)
 
 
+def test_detect_rejects_nan_eps1():
+    trajectory = Trajectory(records=[], snapshots={}, stop_reason=None)
+    with pytest.raises(ValueError, match="eps1 must be nonnegative"):
+        detect(trajectory, [0.1], float("nan"))
+
+
 def test_detect_requires_monitored_radius(sphere_run):
     with pytest.raises(ValueError, match="monitored"):
         detect(sphere_run, [0.33], EPS1)

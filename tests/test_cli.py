@@ -49,6 +49,13 @@ def test_gen_perturbed_and_ellipsoid(tmp_path):
     ]) == 0
 
 
+def test_gen_malformed_mode_exit_2(tmp_path, capsys):
+    out = tmp_path / "p.off"
+    assert main(["gen", "perturbed_sphere", "--mode", "2,0", "-o", str(out)]) == 2
+    assert "sdflow: error: malformed mode triple: '2,0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def run_config(tmp_path, template, name):
     out_dir = tmp_path / name
     cfg_path = tmp_path / f"{name}.cfg"
@@ -102,6 +109,14 @@ def test_run_nonpositive_radius_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("eps1", ["-1", "nan"])
+def test_run_bad_eps1_exit_2_before_any_step(tmp_path, capsys, eps1):
+    cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG + f"monitor.eps1 = {eps1}\n", "bad_eps1")
+    assert main(["run", str(cfg_path)]) == 2
+    assert "bad config:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def dumbbell_cli_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("dumbbell_cli")
@@ -127,6 +142,20 @@ def test_blowup_dumbbell_writes_frames(dumbbell_cli_run, capsys):
     assert float(fields["time_factor"]) == float(fields["space_factor"]) ** 4
     frame_mesh = load_mesh_path(out_dir / "frame_00.off")
     assert frame_mesh.num_faces > 0
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--radii", "abc"], ["--eps1", "nan"], ["--eps1", "-1"]],
+    ids=["radii_abc", "eps1_nan", "eps1_negative"],
+)
+def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, recorded):
+    run_dir = dumbbell_cli_run[1] if recorded else synthetic_csv(tmp_path, [1.0, 0.5])
+    before = sorted(os.listdir(run_dir))
+    assert main(["blowup", str(run_dir), *flag]) == 2
+    assert "sdflow: error:" in capsys.readouterr().err
+    assert sorted(os.listdir(run_dir)) == before
 
 
 def test_blowup_sphere_no_concentration(tmp_path, capsys):
@@ -227,3 +256,15 @@ def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "monotone[area]: FAIL" in out
     assert "first_violation_step=1" in out
+
+
+def test_analyze_and_blowup_garbled_csv_value_exit_2(tmp_path, capsys):
+    run_dir = synthetic_csv(tmp_path, [1.0, 0.5, 0.25])
+    path = run_dir / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(",0.050000000000000003,", ",abc,", 1)
+    assert ",abc," in lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("analyze", "blowup"):
+        assert main([command, str(run_dir)]) == 2
+        assert "diagnostics CSV line 3:" in capsys.readouterr().err

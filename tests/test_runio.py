@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
+    _KEY_TABLE,
     ConfigError,
     RunConfig,
     config_to_text,
@@ -57,6 +59,22 @@ def test_config_rejects_bad_value():
         parse_config("solver.dt = banana\n")
     with pytest.raises(ConfigError, match="unknown generator"):
         parse_config("initial.kind = klein_bottle\n")
+
+
+@pytest.mark.parametrize("eps1", ["-1", "nan"])
+def test_config_rejects_bad_eps1(eps1):
+    with pytest.raises(ConfigError, match="eps1 must be nonnegative"):
+        parse_config(f"monitor.eps1 = {eps1}\n")
+
+
+def test_run_config_checks_kind_at_construction():
+    with pytest.raises(ValueError, match="unknown generator: klein_bottle"):
+        RunConfig(kind="klein_bottle")
+
+
+def test_key_table_names_every_field_once():
+    attrs = [attr for attr, _, _ in _KEY_TABLE.values()]
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 @pytest.mark.parametrize("radii", ["0.2,0.2", "0.4,-0.5", "0", "nan"])
@@ -154,3 +172,18 @@ def test_csv_radii_count_must_match(tmp_path):
     write_diagnostics_csv(recs, path)
     with pytest.raises(ConfigError, match="radii"):
         read_diagnostics_csv(path, radii=())
+
+
+@pytest.mark.parametrize(
+    "column, token", [("t", "abc"), ("li_yau_ok", "yes"), ("smallness_ok", "true")]
+)
+def test_csv_rejects_malformed_value_with_line(tmp_path, column, token):
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv([_record(i, i * 1e-3) for i in range(3)], path)
+    lines = path.read_text().splitlines()
+    toks = lines[2].split(",")
+    toks[lines[0].split(",").index(column)] = token
+    lines[2] = ",".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"diagnostics CSV line 3: .*{token}"):
+        read_diagnostics_csv(path)

@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     out_dir = args.out or cfg.out_dir
     try:
         mesh = cfg.build_initial()
-    except (ValueError, MeshError, runio.ConfigError) as exc:
+    except (OSError, ValueError, MeshError, runio.ConfigError) as exc:
         return _fail(str(exc))
     trajectory = flow.run(mesh, cfg)
     summary = _summarize(trajectory)
@@ -200,12 +200,9 @@ def cmd_blowup(args) -> int:
         if args.eps1 is not None:
             overrides["eps1"] = args.eps1
         # the flags pass the same checks as the config values they override
-        recorded = trajectory.config
-        cfg = replace(recorded, **overrides) if recorded else runio.RunConfig(**overrides)
+        cfg = replace(trajectory.config, **overrides)
         if not cfg.monitor_radii:
             return _fail("no radii given and none recorded in the run config")
-        if recorded is None and args.eps1 is None:
-            return _fail("no eps1 given and none recorded in the run config")
         events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
     except (OSError, ValueError, runio.ConfigError, MeshError) as exc:
         return _fail(str(exc))

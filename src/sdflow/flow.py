@@ -5,8 +5,8 @@ Two steppers:
     faithful to the flow law, used for verification runs
   * semi_implicit: linearly implicit vector bilaplacian step
     (M + dt L M^{-1} L) x_new = M x_old per coordinate, the production
-    stepper; agrees with the explicit velocity to leading order plus
-    tangential and lower-order terms
+    stepper; it discretizes the position bilaplacian, whose normal velocity
+    is lap H - H|A|^2, not the lap H of the flow law
 
 Both scale exactly under the parabolic rescaling x -> lambda x,
 dt -> lambda^4 dt.
@@ -14,8 +14,9 @@ dt -> lambda^4 dt.
 Each FlowState makes one FaceGeometry pass; mass, L and curvature derive
 from it.  A step is rejected when a vertex goes non-finite, a face
 degenerates or a face normal reverses; each retry halves dt, and three
-rejects in a row stop the run.  Volume correction solves the exact cubic
-V(x + s nu) = V0 by Newton's method.
+rejects in a row stop the run, as does a face quality below QUALITY_MIN
+or a curvature scale above CURVATURE_SCALE_MAX.  Volume correction solves
+the exact cubic V(x + s nu) = V0 by Newton's method.
 
 SolverConfig holds the solver and monitor settings.  The run config
 (runio.RunConfig) extends it with the initial data and the output settings,
@@ -24,7 +25,6 @@ so `run` takes either, and a Trajectory keeps the config it was run with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,11 +53,12 @@ OK = "ok"
 DIVERGED = "diverged"
 T_END = "t_end"
 MAX_STEPS = "max_steps"
-SPHERICITY = "sphericity"
 QUALITY_FLOOR = "quality_floor"
 CURVATURE_CEILING = "curvature_ceiling"
 
 SINGULARITY_STOPS = frozenset({QUALITY_FLOOR, CURVATURE_CEILING})
+QUALITY_MIN = 0.02
+CURVATURE_SCALE_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,8 @@ class SolverConfig:
     t_end: float = 1.0
     max_steps: int = 1000000
     volume_correction: bool = False
-    linear_tol: float = 1e-10
-    linear_max_iter: int = 0  # 0 means 10 * vertex count
     snapshot_every: int = 100
     monitor_radii: tuple = ()
-    eps0: float = 8.0 * math.pi
-    stop_sphericity: float = 1.0  # sphericity < 1 on polyhedra: disabled
-    quality_floor: float = 0.02
-    curvature_ceiling: float = 2.0
 
     def __post_init__(self):
         if self.scheme not in (EXPLICIT, SEMI_IMPLICIT):
@@ -121,8 +116,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not 0 < self.cfl_sigma <= 1:
             raise ValueError("cfl_sigma must lie in (0, 1]")
-        if not 0 < self.linear_tol <= 1e-4:
-            raise ValueError("linear_tol must lie in (0, 1e-4]")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         radii = tuple(float(r) for r in self.monitor_radii)
@@ -203,19 +196,15 @@ def step_explicit(state: FlowState, dt: float):
     return _accept(state, state.mesh.vertices + disp, dt)
 
 
-def step_semi_implicit(
-    state: FlowState, dt: float, linear_tol: float = 1e-10, linear_max_iter: int = 0
-):
+def step_semi_implicit(state: FlowState, dt: float, linear_tol: float = 1e-10):
     """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate by
-    Jacobi-preconditioned conjugate gradients, L frozen at x_old."""
+    Jacobi-preconditioned CG (10 iterations per vertex at most), L frozen at x_old."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass.m
     L = state.lap
-    n = len(m)
     A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
     precond = sparse.diags(1.0 / A.diagonal())
-    maxiter = linear_max_iter if linear_max_iter > 0 else 10 * n
     x_old = state.mesh.vertices
     new_vertices = np.empty_like(x_old)
     iters = 0
@@ -231,7 +220,7 @@ def step_semi_implicit(
             x0=x_old[:, k].copy(),
             rtol=linear_tol,
             atol=0.0,
-            maxiter=maxiter,
+            maxiter=10 * len(m),
             M=precond,
             callback=_cb,
         )
@@ -283,7 +272,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
     per accepted step, a snapshot every snapshot_every steps."""
     state = FlowState(mesh=initial)
     target_volume = enclosed_volume(initial)
-    records = [monitors.diagnostics(state, config.monitor_radii, config.eps0)]
+    records = [monitors.diagnostics(state, config.monitor_radii)]
     snapshots = {0: initial}
     rejects = 0
     stop = None
@@ -298,9 +287,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         if config.scheme == EXPLICIT:
             state_new, outcome = step_explicit(state, dt)
         else:
-            state_new, outcome = step_semi_implicit(
-                state, dt, config.linear_tol, config.linear_max_iter
-            )
+            state_new, outcome = step_semi_implicit(state, dt)
         if not outcome.accepted:
             rejects += 1
             if rejects >= 3:
@@ -311,7 +298,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         try:
             if config.volume_correction:
                 state_new = correct_volume(state_new, target_volume)
-            rec = monitors.diagnostics(state_new, config.monitor_radii, config.eps0)
+            rec = monitors.diagnostics(state_new, config.monitor_radii)
         except monitors.NumericsError:
             stop = DIVERGED
             break
@@ -319,11 +306,9 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         records.append(rec)
         if state.step % config.snapshot_every == 0:
             snapshots[state.step] = state.mesh
-        if rec.sphericity >= config.stop_sphericity:
-            stop = SPHERICITY
-        elif rec.quality < config.quality_floor:
+        if rec.quality < QUALITY_MIN:
             stop = QUALITY_FLOOR
-        elif _curvature_scale_trigger(state) > config.curvature_ceiling:
+        elif _curvature_scale_trigger(state) > CURVATURE_SCALE_MAX:
             stop = CURVATURE_CEILING
     if state.step not in snapshots:
         snapshots[state.step] = state.mesh

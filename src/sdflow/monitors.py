@@ -137,7 +137,7 @@ def sphericity_of(area: float, volume: float) -> float:
     return float((36.0 * math.pi) ** (1.0 / 3.0) * volume ** (2.0 / 3.0) / area)
 
 
-def diagnostics(state, radii=(), eps0: float = EIGHT_PI) -> DiagnosticsRecord:
+def diagnostics(state, radii=()) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
     non-finite value so a run aborts at the offending step."""
     mass, lap, curv = state.mass, state.lap, state.curvature
@@ -185,7 +185,7 @@ def diagnostics(state, radii=(), eps0: float = EIGHT_PI) -> DiagnosticsRecord:
         quality=scalars[8],
         sphericity=sph,
         li_yau_ok=bool(willmore < EIGHT_PI),
-        smallness_ok=bool(tracefree < eps0),
+        smallness_ok=bool(tracefree < EIGHT_PI),
         eta=tuple(eta),
         eta_centers=tuple(centers) if centers else None,
     )

@@ -1,32 +1,33 @@
 """Run configuration text format, diagnostics CSV, and run-directory layout.
 
 A run config is flat `key = value` text with section prefixes (initial.,
-solver., monitor., output.).  It round-trips losslessly and unknown keys
-are rejected.  RunConfig extends flow.SolverConfig and checks itself when
-it is built, so a config file and a command-line flag pass the same checks;
-one table maps each generator kind to its builder.  The diagnostics CSV
-columns are the DiagnosticsRecord fields in declaration order, with eta
-written as one column per monitor radius.  A run directory holds
-config.cfg, diagnostics.csv, snapshots step_%08d.off, and summary.txt.
+solver., monitor., output.).  It round-trips losslessly, unknown keys are
+rejected, and a retired key is accepted at its fixed value only.  RunConfig
+extends flow.SolverConfig and checks itself when it is built, so a config
+file and a command-line flag pass the same checks; one table maps each
+generator kind to its builder.  The diagnostics CSV columns are the
+DiagnosticsRecord fields in declaration order, with eta written as one
+column per monitor radius.  A run directory holds config.cfg (which blowup
+needs), diagnostics.csv, snapshots step_%08d.off, and summary.txt.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass
 from typing import get_type_hints
 
-from .flow import SolverConfig, Trajectory
+from .flow import CURVATURE_SCALE_MAX, QUALITY_MIN, SolverConfig, Trajectory
 from .generators import (
     make_dumbbell,
     make_ellipsoid,
     make_icosphere,
     make_perturbed_sphere,
 )
+from .geometry import enclosed_volume
 from .mesh import TriangleMesh, load_mesh_path, save_off
-from .monitors import DiagnosticsRecord
+from .monitors import EIGHT_PI, DiagnosticsRecord
 
 SNAPSHOT_PATTERN = "step_%08d.off"
 CSV_NAME = "diagnostics.csv"
@@ -60,7 +61,7 @@ class RunConfig(SolverConfig):
     n_rings: int = 96
     mesh_path: str = ""
     # monitors
-    eps1: float = 8.0 * math.pi / 100.0
+    eps1: float = EIGHT_PI / 100.0
     # output
     out_dir: str = "run_out"
 
@@ -78,7 +79,10 @@ class RunConfig(SolverConfig):
 def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
     if not cfg.mesh_path:
         raise ConfigError("initial.kind = mesh requires initial.path")
-    return load_mesh_path(cfg.mesh_path)
+    mesh = load_mesh_path(cfg.mesh_path)
+    if not enclosed_volume(mesh) > 0:
+        raise ConfigError(f"{cfg.mesh_path}: enclosed volume not positive (faces wound inward?)")
+    return mesh
 
 
 # initial.kind -> the builder of its mesh
@@ -158,16 +162,21 @@ _KEY_TABLE = {
         lambda b: "true" if b else "false",
         _parse_bool,
     ),
-    "solver.linear_tol": ("linear_tol", repr, float),
-    "solver.linear_max_iter": ("linear_max_iter", str, int),
     "solver.snapshot_every": ("snapshot_every", str, int),
-    "solver.stop_sphericity": ("stop_sphericity", repr, float),
-    "solver.quality_floor": ("quality_floor", repr, float),
-    "solver.curvature_ceiling": ("curvature_ceiling", repr, float),
     "monitor.radii": ("monitor_radii", _fmt_radii, parse_radii),
-    "monitor.eps0": ("eps0", repr, float),
     "monitor.eps1": ("eps1", repr, float),
     "output.dir": ("out_dir", str, str),
+}
+
+# keys earlier versions wrote for settings that are now fixed in the code ->
+# the fixed value, the only one a config may still give them
+_RETIRED_KEYS = {
+    "solver.linear_tol": 1e-10,
+    "solver.linear_max_iter": 0,  # meant 10 CG iterations per vertex
+    "solver.stop_sphericity": 1.0,  # sphericity < 1 on closed surfaces: never fired
+    "solver.quality_floor": QUALITY_MIN,
+    "solver.curvature_ceiling": CURVATURE_SCALE_MAX,
+    "monitor.eps0": EIGHT_PI,
 }
 
 
@@ -189,15 +198,19 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEY_TABLE:
+        if key not in _KEY_TABLE and key not in _RETIRED_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, _, from_text = _KEY_TABLE[key]
+        # a retired key is read as a float under its own name, checked below
+        attr, _, from_text = _KEY_TABLE.get(key, (key, None, float))
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[attr] = from_text(val)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    for key, fixed in _RETIRED_KEYS.items():
+        if values.pop(key, fixed) != fixed:
+            raise ConfigError(f"{key} is fixed at {fixed!r}")
     try:
         return RunConfig(**values)
     except ValueError as exc:
@@ -323,8 +336,11 @@ def load_run_records(run_dir) -> Trajectory:
 
 
 def load_run_dir(run_dir) -> Trajectory:
-    """load_run_records plus the snapshot meshes, read from their OFF files."""
+    """load_run_records plus the snapshot meshes, read from their OFF files;
+    the run directory must hold its config.cfg."""
     trajectory = load_run_records(run_dir)
+    if trajectory.config is None:
+        raise ConfigError(f"missing {CONFIG_NAME} in {run_dir}")
     pattern = re.compile(r"^step_(\d{8})\.off$")
     for name in os.listdir(run_dir):
         match = pattern.match(name)

@@ -55,6 +55,17 @@ monitor.radii = 0.4,0.2,0.1
 output.dir = {out}
 """
 
+# the config keys earlier versions wrote for settings now fixed in the code,
+# at the values they are fixed at, as those versions wrote them
+RETIRED_KEYS = {
+    "solver.linear_tol": "1e-10",
+    "solver.linear_max_iter": "0",
+    "solver.stop_sphericity": "1.0",
+    "solver.quality_floor": "0.02",
+    "solver.curvature_ceiling": "2.0",
+    "monitor.eps0": "25.132741228718345",
+}
+
 CONV_MODES = ((2, 0, 0.3),)
 CONV_DT = 4.5e-4
 CONV_T_END = 0.09

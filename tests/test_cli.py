@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from conftest import DUMBBELL_CFG, MINI_SEMI_CFG, SPHERE_CFG
+from conftest import DUMBBELL_CFG, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
 from sdflow.cli import main
-from sdflow.mesh import load_mesh_path
+from sdflow.generators import make_icosphere
+from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import write_diagnostics_csv
 
@@ -117,6 +119,39 @@ def test_run_bad_eps1_exit_2_before_any_step(tmp_path, capsys, eps1):
     assert not out_dir.exists()
 
 
+def test_run_retired_key_at_another_value_exit_2(tmp_path, capsys):
+    cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG + "solver.quality_floor = 0.05\n", "r")
+    assert main(["run", str(cfg_path)]) == 2
+    assert "bad config: solver.quality_floor is fixed at 0.02" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+MESH_CFG = """
+initial.kind = mesh
+initial.path = {path}
+solver.max_steps = 2
+output.dir = {out}
+"""
+
+
+def test_run_mesh_missing_file_exit_2(tmp_path, capsys):
+    template = MESH_CFG.replace("{path}", str(tmp_path / "nope.off"))
+    cfg_path, out_dir = run_config(tmp_path, template, "mesh_missing")
+    assert main(["run", str(cfg_path)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_mesh_wound_inward_exit_2(tmp_path, capsys):
+    sphere = make_icosphere(1.0, 2)
+    mesh_path = tmp_path / "inward.off"
+    save_off(TriangleMesh(sphere.vertices, sphere.faces[:, ::-1]), mesh_path)
+    cfg_path, out_dir = run_config(tmp_path, MESH_CFG.replace("{path}", str(mesh_path)), "inward")
+    assert main(["run", str(cfg_path)]) == 2
+    assert "enclosed volume not positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def dumbbell_cli_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("dumbbell_cli")
@@ -156,6 +191,31 @@ def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, record
     assert main(["blowup", str(run_dir), *flag]) == 2
     assert "sdflow: error:" in capsys.readouterr().err
     assert sorted(os.listdir(run_dir)) == before
+
+
+def test_blowup_without_config_exit_2(tmp_path, capsys):
+    run_dir = synthetic_csv(tmp_path, [1.0, 0.5])
+    assert main(["blowup", str(run_dir), "--radii", "0.5", "--eps1", "0"]) == 2
+    assert f"missing config.cfg in {run_dir}" in capsys.readouterr().err
+    assert sorted(os.listdir(run_dir)) == ["diagnostics.csv"]
+
+
+def test_analyze_and_blowup_read_config_with_retired_keys(dumbbell_cli_run, tmp_path, capsys):
+    retired = "".join(f"{key} = {value}\n" for key, value in RETIRED_KEYS.items())
+    outputs = []
+    for name, extra in (("current", ""), ("old", retired)):
+        run_dir = tmp_path / name
+        shutil.copytree(dumbbell_cli_run[1], run_dir)
+        for frame in run_dir.glob("frame_*"):
+            frame.unlink()
+        with open(run_dir / "config.cfg", "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        assert main(["analyze", "--json", str(run_dir)]) == 0
+        assert main(["blowup", str(run_dir)]) == 0
+        frames = {f.name: f.read_bytes() for f in sorted(run_dir.glob("frame_*"))}
+        outputs.append((capsys.readouterr().out, frames))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
 
 
 def test_blowup_sphere_no_concentration(tmp_path, capsys):

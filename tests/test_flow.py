@@ -56,8 +56,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(cfl_sigma=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(linear_tol=1e-3)
-    with pytest.raises(ValueError):
         SolverConfig(dt=-1.0)
 
 

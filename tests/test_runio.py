@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RETIRED_KEYS
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
     _KEY_TABLE,
@@ -75,6 +76,69 @@ def test_run_config_checks_kind_at_construction():
 def test_key_table_names_every_field_once():
     attrs = [attr for attr, _, _ in _KEY_TABLE.values()]
     assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+# config.cfg as earlier versions wrote it: the 25 keys plus six retired ones
+# at the values the code now fixes
+OLD_CONFIG_TEXT = """\
+initial.kind = dumbbell
+initial.radius = 1.0
+initial.subdiv = 4
+initial.modes =\x20
+initial.seed = none
+initial.rx = 1.0
+initial.ry = 1.0
+initial.rz = 1.0
+initial.bulb_radius = 1.0
+initial.neck_radius = 0.15
+initial.neck_length = 2.0
+initial.n_phi = 32
+initial.n_rings = 64
+initial.path =\x20
+solver.scheme = semi_implicit
+solver.dt_policy = cfl
+solver.dt = 0.0001
+solver.cfl_sigma = 0.1
+solver.t_end = 1.0
+solver.max_steps = 2000
+solver.volume_correction = false
+solver.linear_tol = 1e-10
+solver.linear_max_iter = 0
+solver.snapshot_every = 10
+solver.stop_sphericity = 1.0
+solver.quality_floor = 0.02
+solver.curvature_ceiling = 2.0
+monitor.radii = 0.4,0.2,0.1
+monitor.eps0 = 25.132741228718345
+monitor.eps1 = 0.25132741228718347
+output.dir = unused
+"""
+
+def test_old_config_with_retired_keys_parses_like_current_text():
+    lines = OLD_CONFIG_TEXT.splitlines()
+    assert len(lines) == 31 and len(_KEY_TABLE) == 25
+    current = "\n".join(ln for ln in lines if ln.split(" = ")[0] not in RETIRED_KEYS) + "\n"
+    cfg = parse_config(OLD_CONFIG_TEXT)
+    assert cfg == parse_config(current)
+    assert config_to_text(cfg) == current
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("solver.linear_tol", "1e-8"),
+        ("solver.linear_max_iter", "50"),
+        ("solver.stop_sphericity", "0.99"),
+        ("solver.quality_floor", "0.05"),
+        ("solver.curvature_ceiling", "nan"),
+        ("monitor.eps0", "25.13"),
+    ],
+)
+def test_retired_key_at_another_value_is_rejected(key, value):
+    text = OLD_CONFIG_TEXT.replace(f"{key} = {RETIRED_KEYS[key]}\n", f"{key} = {value}\n")
+    assert text != OLD_CONFIG_TEXT
+    with pytest.raises(ConfigError, match=f"{key} is fixed at {RETIRED_KEYS[key]}"):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("radii", ["0.2,0.2", "0.4,-0.5", "0", "nan"])

@@ -68,7 +68,8 @@ class FlowState:
 
     States are immutable, so a cache always matches the vertex positions
     it was built from.  The cache lives here, not on the mesh, so the
-    meshes a trajectory keeps as snapshots stay small.
+    meshes a trajectory keeps as snapshots stay small; they hold only the
+    one MeshTopology that every mesh of the run shares.
     """
 
     mesh: TriangleMesh
@@ -262,8 +263,10 @@ def _curvature_scale_trigger(state: FlowState) -> float:
     """max over vertices of sqrt(|A|^2) times the longest incident edge."""
     lens = np.sqrt(state.geometry.sq_lengths)  # edges ab, bc, ca
     # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
+    corner_h = np.maximum(lens, np.roll(lens, 1, axis=0)).ravel()
+    topo = state.mesh.topology
     local_h = np.zeros(state.mesh.num_vertices)
-    np.maximum.at(local_h, state.mesh.faces.T, np.maximum(lens, np.roll(lens, 1, axis=0)))
+    local_h[topo.rows] = np.maximum.reduceat(corner_h[topo.corner_order], topo.corner_starts)
     return float((np.sqrt(state.curvature.A_sq) * local_h).max())
 
 

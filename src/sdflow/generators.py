@@ -114,7 +114,7 @@ def make_perturbed_sphere(
     for (l, m, _), a in zip(modes, amps):
         offset += a * real_sph_harm(int(l), int(m), dirs)
     scale = (radius + offset) / radius
-    return base.with_vertices(base.vertices * scale[:, None])
+    return TriangleMesh(base.vertices * scale[:, None], base.faces)
 
 
 def make_ellipsoid(rx: float, ry: float, rz: float, subdivisions: int = 4) -> TriangleMesh:
@@ -122,7 +122,7 @@ def make_ellipsoid(rx: float, ry: float, rz: float, subdivisions: int = 4) -> Tr
     if min(rx, ry, rz) <= 0:
         raise ValueError("semi-axes must be positive")
     base = make_icosphere(1.0, subdivisions)
-    return base.with_vertices(base.vertices * np.array([rx, ry, rz]))
+    return TriangleMesh(base.vertices * np.array([rx, ry, rz]), base.faces)
 
 
 def make_torus(

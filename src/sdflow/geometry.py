@@ -9,7 +9,8 @@ Conventions (all tested):
 The operators derive from a state's one per-face pass, a mesh.FaceGeometry,
 as (3, F) per-corner arrays; mesh.corner_sum moves them onto the vertices
 in corner order a, b, c, so every sum rounds as a fixed sequence of
-np.add.at passes would.  cotan_laplacian returns the CSR matrix L itself.
+np.add.at passes would.  cotan_laplacian fills L into the CSR pattern of
+the mesh's MeshTopology, built once per connectivity.
 volume_cubic gives enclosed_volume(x + s nu), exactly a cubic in s.
 """
 
@@ -69,17 +70,24 @@ def lumped_mass(fg: FaceGeometry) -> LumpedMass:
 
 def cotan_laplacian(fg: FaceGeometry) -> sparse.csr_matrix:
     """Cotangent stiffness matrix L (symmetric PSD, zero row sums):
-    off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum."""
+    off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum.
+
+    L fills the mesh's fixed CSR pattern.  An off-diagonal is 0 + w1 + w2,
+    its contributions in corner order, and a diagonal is -np.add.reduceat
+    over its row's off-diagonals, so L is bit for bit the CSR matrix of a
+    COO -> CSR build minus the diagonal of its row sums; like that
+    difference, L stores no entry that is exactly 0."""
     _require_nondegenerate(fg)
-    n = fg.mesh.num_vertices
-    # the edge (b, c) opposite each corner a, with the corner's cotangent
-    f = fg.mesh.faces.T
-    b, c = np.roll(f, -1, axis=0).ravel(), np.roll(f, 1, axis=0).ravel()
+    topo, n = fg.mesh.topology, fg.mesh.num_vertices
     w = -0.5 * fg.cot.ravel()
-    off = sparse.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([b, c]), np.concatenate([c, b]))), shape=(n, n)
-    )
-    return off - sparse.diags(np.ravel(off.sum(axis=1)))
+    data = np.bincount(topo.slots, np.concatenate([w, w]), len(topo.indices))
+    data[topo.diagonal] = -np.add.reduceat(data[topo.offdiag], topo.row_starts)
+    lap = sparse.csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
+    if not data.all():
+        # the pattern is shared, so drop the zeros from a copy
+        lap = lap.copy()
+        lap.eliminate_zeros()
+    return lap
 
 
 def vertex_normals_and_projected_areas(fg: FaceGeometry):

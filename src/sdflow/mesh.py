@@ -1,4 +1,5 @@
-"""Closed oriented triangle meshes: container, validation, OFF/OBJ I/O."""
+"""Closed oriented triangle meshes: container, per-connectivity index arrays,
+validation, OFF/OBJ I/O."""
 
 from __future__ import annotations
 
@@ -64,9 +65,68 @@ class TriangleMesh:
         """Unique undirected edges as sorted index pairs, shape (E, 2)."""
         return np.unique(np.sort(self.half_edges, axis=1), axis=0)
 
+    @cached_property
+    def topology(self) -> "MeshTopology":
+        return mesh_topology(self.faces, self.num_vertices)
+
     def with_vertices(self, vertices: np.ndarray) -> "TriangleMesh":
-        """Same connectivity, new positions."""
-        return TriangleMesh(vertices, self.faces)
+        """Same connectivity, new positions; the new mesh shares this
+        mesh's MeshTopology object."""
+        mesh = TriangleMesh(vertices, self.faces)
+        mesh.__dict__["topology"] = self.topology
+        return mesh
+
+
+@dataclass(frozen=True)
+class MeshTopology:
+    """Index arrays fixed by the faces, built once per connectivity; all
+    are int32 and read-only.
+
+    The CSR pattern of the cotan L holds every edge (both directions) and
+    the diagonal of every vertex on a face, rows and columns sorted.  The
+    6F corner contributions to L are the edge (b, c) opposite corners
+    a, b, c of every face, then the same edges as (c, b), in the order
+    of FaceGeometry.cot.ravel() twice.
+    """
+
+    indptr: np.ndarray  # (n + 1,)
+    indices: np.ndarray  # (nnz,)
+    slots: np.ndarray  # (6F,) data slot of each corner contribution
+    diagonal: np.ndarray  # data slot of L_ii for each vertex in rows
+    offdiag: np.ndarray  # data slots of the off-diagonals, in CSR order
+    row_starts: np.ndarray  # start of each vertex's row in offdiag
+    rows: np.ndarray  # the vertices that lie on a face, ascending
+    corner_order: np.ndarray  # (3F,) corners of faces.T.ravel(), stably by vertex
+    corner_starts: np.ndarray  # start of each vertex's run in corner_order
+
+    def __post_init__(self):
+        for name, a in list(vars(self).items()):
+            a = np.asarray(a, dtype=np.int32)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+
+def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
+    f = faces.T
+    b, c = np.roll(f, -1, axis=0).ravel(), np.roll(f, 1, axis=0).ravel()
+    per_vertex = np.bincount(f.ravel(), minlength=n)
+    rows = np.flatnonzero(per_vertex)
+    keys = np.concatenate([b * n + c, c * n + b, rows * (n + 1)])
+    pattern, inverse = np.unique(keys, return_inverse=True)
+    row, col = np.divmod(pattern, n)
+    offdiag = np.flatnonzero(row != col)
+    off_per_row = np.bincount(row[offdiag], minlength=n)
+    return MeshTopology(
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
+        indices=col,
+        slots=inverse[: 2 * b.size],
+        diagonal=inverse[2 * b.size :],
+        offdiag=offdiag,
+        row_starts=(np.cumsum(off_per_row) - off_per_row)[rows],
+        rows=rows,
+        corner_order=np.argsort(f.ravel(), kind="stable"),
+        corner_starts=(np.cumsum(per_vertex) - per_vertex)[rows],
+    )
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,14 @@ def concentration(state, r: float, tree: cKDTree | None = None):
     balls that can win are summed, so eta and the center are bit for bit
     those of a loop over every ball.  One query_pairs at a slightly larger
     radius gives an upper bound U_i on every ball (the weights are >= 0 and
-    the larger radius only adds members).  Summing n nonnegative terms in
-    any order errs by at most gamma_n = n u / (1 - n u) times the sum
+    the larger radius only adds members).  Summing k nonnegative terms in
+    any order errs by at most gamma_k = k u / (1 - k u) times the sum
     (u = eps / 2), in np.sum and in np.bincount alike, so a ball with
     U_i (1 + Gamma) < S_a cannot reach the maximum, for S_a the exact sum
-    at argmax U and Gamma = 4 (n_max + 1) eps, n_max the largest ball.  The
-    survivors are summed exactly in ascending vertex order, and the first
-    strict maximum wins.  A non-finite weight gives a non-finite eta.
+    at argmax U and Gamma = 4 (n + 1) eps, n the vertex count, which bounds
+    every ball.  The survivors are summed exactly in ascending vertex order,
+    and the first strict maximum wins.  A non-finite weight gives a
+    non-finite eta.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -102,15 +103,15 @@ def concentration(state, r: float, tree: cKDTree | None = None):
         return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
-    if r >= float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))):
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    if r >= float(np.linalg.norm(extent)):
         return float(np.sum(w)), pts[0].copy()
     if tree is None:
         tree = cKDTree(pts)
     n = len(pts)
     i, j = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
     upper = w + np.bincount(i, w[j], n) + np.bincount(j, w[i], n)
-    n_max = np.bincount(np.concatenate([i, j]), minlength=n).max() + 1  # largest ball
-    gamma = 4 * (n_max + 1) * np.finfo(float).eps
+    gamma = 4 * (n + 1) * np.finfo(float).eps
 
     def ball_sums(centers):
         # sorted ball indices keep sums permutation-stable, so a covering
@@ -121,9 +122,11 @@ def concentration(state, r: float, tree: cKDTree | None = None):
     (s_a,) = ball_sums([np.argmax(upper)])
     candidates = np.flatnonzero(upper * (1.0 + gamma) >= s_a)
     # balls holding every vertex have one index list and so one sum; after
-    # the first of them, none can beat the running best
-    full = tree.query_ball_point(pts[candidates], r, return_length=True) == n
-    candidates = np.union1d(candidates[~full], candidates[full][:1])
+    # the first of them, none can beat the running best.  No ball narrower
+    # than the widest axis extent holds every vertex.
+    if 2.0 * r * (1.0 + 1e-9) >= extent.max():
+        full = tree.query_ball_point(pts[candidates], r, return_length=True) == n
+        candidates = np.union1d(candidates[~full], candidates[full][:1])
     best = -math.inf  # stays non-finite if no ball survives
     best_i = 0
     for k, s in zip(candidates, ball_sums(candidates)):

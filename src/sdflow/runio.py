@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import get_type_hints
 
+import numpy as np
+
 from .flow import CURVATURE_SCALE_MAX, QUALITY_MIN, SolverConfig, Trajectory
 from .generators import (
     make_dumbbell,
@@ -261,6 +263,8 @@ def write_diagnostics_csv(records, path) -> None:
 
 
 def read_diagnostics_csv(path, radii=()) -> list:
+    """The records of a diagnostics CSV, eta paired with `radii`; radii=None
+    means the run's config.cfg, which holds them, is missing."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -271,6 +275,12 @@ def read_diagnostics_csv(path, radii=()) -> list:
     if len(lines) == 1:
         raise ConfigError("diagnostics CSV has no records")
     n_eta = len(header) - len(CSV_FIXED_COLUMNS)
+    if n_eta and radii is None:
+        raise ConfigError(
+            f"missing {CONFIG_NAME} in {os.path.dirname(path)}: it holds the monitor"
+            f" radii of the CSV's {n_eta} eta columns"
+        )
+    radii = radii or ()
     if n_eta and len(radii) != n_eta:
         raise ConfigError(
             f"CSV has {n_eta} eta columns but {len(radii)} monitor radii are known"
@@ -317,8 +327,7 @@ def load_run_records(run_dir) -> Trajectory:
     if not os.path.exists(csv_path):
         raise ConfigError(f"missing {CSV_NAME} in {run_dir}")
     cfg = load_config(cfg_path) if os.path.exists(cfg_path) else None
-    radii = cfg.monitor_radii if cfg is not None else ()
-    records = read_diagnostics_csv(csv_path, radii=radii)
+    records = read_diagnostics_csv(csv_path, None if cfg is None else cfg.monitor_radii)
     stop_reason = None
     summary_path = os.path.join(run_dir, SUMMARY_NAME)
     if os.path.exists(summary_path):
@@ -337,13 +346,20 @@ def load_run_records(run_dir) -> Trajectory:
 
 def load_run_dir(run_dir) -> Trajectory:
     """load_run_records plus the snapshot meshes, read from their OFF files;
-    the run directory must hold its config.cfg."""
+    the run directory must hold its config.cfg.  Every snapshot with the
+    faces of the first shares the first one's MeshTopology."""
     trajectory = load_run_records(run_dir)
     if trajectory.config is None:
         raise ConfigError(f"missing {CONFIG_NAME} in {run_dir}")
     pattern = re.compile(r"^step_(\d{8})\.off$")
-    for name in os.listdir(run_dir):
+    first = None
+    for name in sorted(os.listdir(run_dir)):
         match = pattern.match(name)
         if match:
-            trajectory.snapshots[int(match.group(1))] = load_mesh_path(os.path.join(run_dir, name))
+            mesh = load_mesh_path(os.path.join(run_dir, name))
+            if first is None:
+                first = mesh
+            elif np.array_equal(mesh.faces, first.faces):
+                mesh = first.with_vertices(mesh.vertices)
+            trajectory.snapshots[int(match.group(1))] = mesh
     return trajectory

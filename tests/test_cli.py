@@ -200,6 +200,18 @@ def test_blowup_without_config_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(run_dir)) == ["diagnostics.csv"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "blowup"])
+def test_eta_columns_without_config_name_it(dumbbell_cli_run, tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    (run_dir / "config.cfg").unlink()
+    capsys.readouterr()
+    assert main([command, str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"missing config.cfg in {run_dir}" in err
+    assert "3 eta columns" in err
+
+
 def test_analyze_and_blowup_read_config_with_retired_keys(dumbbell_cli_run, tmp_path, capsys):
     retired = "".join(f"{key} = {value}\n" for key, value in RETIRED_KEYS.items())
     outputs = []

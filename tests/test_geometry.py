@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from sdflow.flow import FlowState, _curvature_scale_trigger, step_explicit
 from sdflow.generators import (
     make_dumbbell,
     make_icosphere,
@@ -219,6 +220,43 @@ def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     assert got.format == "csr" and got.shape == lap.shape
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
+
+
+# the meshes of test_operators_match_per_corner_reference_bitwise
+REFERENCE_MESHES = pytest.mark.parametrize(
+    "mesh_fn",
+    [
+        lambda: make_icosphere(1.0, 3),
+        lambda: make_perturbed_sphere(1.0, [(2, 1, 0.2), (3, 0, 0.1)], seed=5, subdivisions=3),
+        lambda: make_dumbbell(1.0, 0.15, 2.0),
+        make_slab,
+        open_slab,
+    ],
+    ids=["icosphere_s3", "perturbed_sphere", "dumbbell", "slab", "open_slab"],
+)
+
+
+@REFERENCE_MESHES
+def test_laplacian_after_a_step_matches_reference_bitwise(mesh_fn):
+    """L of a state that inherited its topology through with_vertices."""
+    state = FlowState(mesh_fn())
+    stepped, outcome = step_explicit(state, 1e-3 * state.geometry.h_min**4)
+    assert outcome.accepted
+    assert stepped.mesh.topology is state.mesh.topology
+    lap = reference_operators(stepped.geometry)[4]
+    got = cotan_laplacian(stepped.geometry)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
+
+
+@REFERENCE_MESHES
+def test_curvature_scale_trigger_matches_maximum_at_bitwise(mesh_fn):
+    state = FlowState(mesh_fn())
+    lens = np.sqrt(state.geometry.sq_lengths)
+    local_h = np.zeros(state.mesh.num_vertices)
+    np.maximum.at(local_h, state.mesh.faces.T, np.maximum(lens, np.roll(lens, 1, axis=0)))
+    expected = (np.sqrt(state.curvature.A_sq) * local_h).max()
+    assert _curvature_scale_trigger(state) == expected
 
 
 def test_laplacian_rejects_degenerate_faces():

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RETIRED_KEYS
+from sdflow.flow import FlowState, correct_volume, run
+from sdflow.geometry import enclosed_volume
+from sdflow.mesh import rescale
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
     _KEY_TABLE,
@@ -13,9 +16,11 @@ from sdflow.runio import (
     RunConfig,
     config_to_text,
     csv_header,
+    load_run_dir,
     parse_config,
     read_diagnostics_csv,
     write_diagnostics_csv,
+    write_run_dir,
 )
 
 
@@ -251,3 +256,24 @@ def test_csv_rejects_malformed_value_with_line(tmp_path, column, token):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"diagnostics CSV line 3: .*{token}"):
         read_diagnostics_csv(path)
+
+
+def test_one_topology_per_connectivity(tmp_path):
+    """A run, a volume correction, a rescaling and a reloaded run directory
+    all keep the initial mesh's MeshTopology object."""
+    cfg = RunConfig(
+        kind="perturbed_sphere", subdiv=2, modes=((2, 0, 0.2),), scheme="semi_implicit",
+        dt_policy="fixed", dt=1e-3, max_steps=3, volume_correction=True, snapshot_every=1,
+    )
+    initial = cfg.build_initial()
+    trajectory = run(initial, cfg)
+    assert sorted(trajectory.snapshots) == [0, 1, 2, 3]
+    assert all(m.topology is initial.topology for m in trajectory.snapshots.values())
+    state = FlowState(initial)
+    corrected = correct_volume(state, 1.01 * enclosed_volume(initial))
+    assert corrected is not state and corrected.mesh.topology is initial.topology
+    assert rescale(initial, (0.0, 0.0, 0.0), 2.0).topology is initial.topology
+    write_run_dir(tmp_path, trajectory, "stop_reason: max_steps\n")
+    loaded = list(load_run_dir(tmp_path).snapshots.values())
+    assert len(loaded) == 4
+    assert all(m.topology is loaded[0].topology for m in loaded)

@@ -1,13 +1,19 @@
 """The scripts build flow.SolverConfig themselves and no other test imports
-them, so each must at least import and parse its flags."""
+them, so each must at least import and parse its flags.  The benchmark's
+tracer patches some names of the package from outside, so those names must
+stay where it looks for them."""
 
 import os
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 
 import sdflow
+from sdflow import cli, flow
+from sdflow.mesh import TriangleMesh
+from sdflow.runio import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -24,3 +30,11 @@ def test_script_help_exits_0(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_names_the_bench_tracer_patches_exist():
+    for attr in ("edges", "half_edges"):
+        assert isinstance(TriangleMesh.__dict__[attr], cached_property)
+    assert callable(flow.cg)
+    assert callable(cli._summarize)
+    assert callable(RunConfig.__dict__["build_initial"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .flow import FlowState, Trajectory
 from .mesh import TriangleMesh, rescale
@@ -60,7 +61,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
     """One event per radius: the first record with eta(r) > eps1, carrying
     that record's argmax center (recomputed from the nearest snapshot when
     the trajectory was loaded without centers; events that share a snapshot
-    share its FlowState)."""
+    share its FlowState and KD-tree)."""
     radii = [float(r) for r in radii_descending]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -68,7 +69,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
         raise ValueError("empty trajectory")
-    states = {}  # snapshot step -> its FlowState, shared by the events
+    states = {}  # snapshot step -> (FlowState, KD-tree), shared by the events
     events = []
     for r in radii:
         event = ConcentrationEvent(r=r, triggered=False)
@@ -84,8 +85,10 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
                     if snap is None:
                         raise ValueError("no snapshot at or before the event")
                     if snap not in states:
-                        states[snap] = FlowState(trajectory.snapshots[snap])
-                    center = tuple(concentration(states[snap], r)[1])
+                        mesh = trajectory.snapshots[snap]
+                        states[snap] = (FlowState(mesh), cKDTree(mesh.vertices))
+                    state, tree = states[snap]
+                    center = tuple(concentration(state, r, tree=tree)[1])
                 event = ConcentrationEvent(
                     r=r,
                     triggered=True,

@@ -3,6 +3,7 @@ validation, OFF/OBJ I/O."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -284,7 +285,46 @@ def _content_lines(text: str):
             yield line
 
 
+_OFF_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_block(lines, dtype, ncols: int) -> np.ndarray:
+    """The first ncols whitespace-separated columns of every line, parsed
+    in one np.loadtxt call; raises ValueError on a short or unparsable row."""
+    if not lines:
+        return np.empty((0, ncols), dtype)
+    return np.loadtxt(
+        lines, dtype=dtype, usecols=range(ncols), ndmin=2, comments=None
+    )
+
+
+def _face_error(lines) -> MeshError:
+    """The error of a face block that np.loadtxt rejected, named by its
+    first bad row: a token among the first four that is no integer makes
+    it malformed; fewer than four integers, or a count other than 3, a
+    non-triangle face."""
+    for line in lines:
+        toks = line.split()[:4]
+        if not all(_OFF_INT.fullmatch(t) for t in toks):
+            break
+        if len(toks) < 4 or int(toks[0]) != 3:
+            return MeshError("non-triangle face")
+    return MeshError("malformed OFF face line")
+
+
 def loads_off(text: str) -> TriangleMesh:
+    """Parse OFF text: the header "OFF", a counts line "V F [E]", V vertex
+    lines and F face lines "3 i j k".
+
+    `#` starts a comment anywhere, blank lines are skipped, and lines after
+    the V + F body are ignored, as are tokens after a vertex line's three
+    coordinates or a face line's "3 i j k" (colors).  Each block is read
+    by one np.loadtxt call, so numbers follow numpy's grammar: coordinates
+    are decimal floats, nan and inf included, read bit for bit as float()
+    reads them; indices are decimal int64.  Spellings only Python reads,
+    such as digit-group underscores ("1_0") or non-ASCII digits, make a
+    malformed line; OFF writers emit neither.
+    """
     lines = list(_content_lines(text))
     if not lines:
         raise MeshError("empty OFF file")
@@ -295,27 +335,22 @@ def loads_off(text: str) -> TriangleMesh:
         nv, nf = counts[0], counts[1]
     except (IndexError, ValueError) as exc:
         raise MeshError("malformed OFF counts line") from exc
-    body = lines[2:]
-    if len(body) < nv + nf:
+    if nv < 0 or nf < 0:
+        raise MeshError("malformed OFF counts line")
+    if len(lines) - 2 < nv + nf:
         raise MeshError("truncated OFF file")
     try:
-        vertices = np.array(
-            [[float(t) for t in body[i].split()[:3]] for i in range(nv)]
-        )
+        vertices = _read_block(lines[2 : 2 + nv], np.float64, 3)
     except ValueError as exc:
         raise MeshError("malformed OFF vertex line") from exc
-    faces = []
-    for i in range(nv, nv + nf):
-        toks = body[i].split()
-        try:
-            k = int(toks[0])
-            idx = [int(t) for t in toks[1 : 1 + k]]
-        except (IndexError, ValueError) as exc:
-            raise MeshError("malformed OFF face line") from exc
-        if k != 3 or len(idx) != 3:
-            raise MeshError("non-triangle face")
-        faces.append(idx)
-    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    face_lines = lines[2 + nv : 2 + nv + nf]
+    try:
+        faces = _read_block(face_lines, np.int64, 4)
+    except ValueError as exc:
+        raise _face_error(face_lines) from exc
+    if (faces[:, 0] != 3).any():
+        raise MeshError("non-triangle face")
+    return TriangleMesh(vertices, faces[:, 1:])
 
 
 def loads_obj(text: str) -> TriangleMesh:

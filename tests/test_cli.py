@@ -179,6 +179,27 @@ def test_blowup_dumbbell_writes_frames(dumbbell_cli_run, capsys):
     assert frame_mesh.num_faces > 0
 
 
+def test_blowup_corrupt_unused_snapshot_exit_2(dumbbell_cli_run, tmp_path, capsys):
+    # every snapshot is read and checked, also one that no event uses
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    last = sorted(run_dir.glob("step_*.off"))[-1]
+    assert main(["blowup", str(run_dir)]) == 0
+    used = set()
+    for meta in run_dir.glob("frame_*.meta"):
+        fields = dict(line.split(" = ", 1) for line in meta.read_text().splitlines())
+        used.add(int(fields["source_step"]))
+        meta.unlink()
+    assert used and int(last.stem.split("_")[1]) not in used
+    for frame in run_dir.glob("frame_*.off"):
+        frame.unlink()
+    last.write_text(last.read_text()[:200])
+    capsys.readouterr()
+    assert main(["blowup", str(run_dir)]) == 2
+    assert "truncated OFF file" in capsys.readouterr().err
+    assert not list(run_dir.glob("frame_*"))
+
+
 @pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])
 @pytest.mark.parametrize(
     "flag",

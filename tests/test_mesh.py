@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from sdflow.generators import make_icosphere, make_perturbed_sphere, make_torus
+from sdflow.cli import main
+from sdflow.generators import (
+    make_dumbbell,
+    make_icosphere,
+    make_perturbed_sphere,
+    make_torus,
+)
 from sdflow.mesh import (
     MeshError,
     TriangleMesh,
+    _content_lines,
     corner_sum,
     dumps_off,
     face_geometry,
     load_mesh,
     loads_obj,
+    loads_off,
     rescale,
     validate,
 )
@@ -171,3 +179,204 @@ def test_corner_sum_equals_three_add_at_passes(shape):
     got = corner_sum(mesh, values)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+def reference_loads_off(text):
+    """The OFF reader in its plain form: float() and int() on every token
+    of every line, one line at a time."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise MeshError("empty OFF file")
+    if lines[0].upper() != "OFF":
+        raise MeshError("missing OFF header")
+    try:
+        counts = [int(tok) for tok in lines[1].split()]
+        nv, nf = counts[0], counts[1]
+    except (IndexError, ValueError) as exc:
+        raise MeshError("malformed OFF counts line") from exc
+    body = lines[2:]
+    if len(body) < nv + nf:
+        raise MeshError("truncated OFF file")
+    try:
+        vertices = np.array(
+            [[float(t) for t in body[i].split()[:3]] for i in range(nv)]
+        )
+    except ValueError as exc:
+        raise MeshError("malformed OFF vertex line") from exc
+    faces = []
+    for i in range(nv, nv + nf):
+        toks = body[i].split()
+        try:
+            k = int(toks[0])
+            idx = [int(t) for t in toks[1 : 1 + k]]
+        except (IndexError, ValueError) as exc:
+            raise MeshError("malformed OFF face line") from exc
+        if k != 3 or len(idx) != 3:
+            raise MeshError("non-triangle face")
+        faces.append(idx)
+    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def assert_same_mesh_bits(got, want):
+    assert np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
+    assert got.faces.dtype == want.faces.dtype
+    assert np.array_equal(got.faces, want.faces)
+
+
+def two_step_snapshot(tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(
+        "initial.kind = perturbed_sphere\ninitial.subdiv = 2\n"
+        "initial.modes = 2,0,0.1\nsolver.scheme = explicit\n"
+        "solver.max_steps = 2\nsolver.snapshot_every = 1\n"
+        f"output.dir = {tmp_path / 'run'}\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    return (tmp_path / "run" / "step_00000002.off").read_text()
+
+
+@pytest.mark.parametrize("source", ["icosphere", "perturbed", "dumbbell", "snapshot"])
+def test_loads_off_matches_per_line_reference_bitwise(source, tmp_path):
+    text = {
+        "icosphere": lambda: dumps_off(make_icosphere(1.0, 3)),
+        "perturbed": lambda: dumps_off(
+            make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.05)], subdivisions=3)
+        ),
+        "dumbbell": lambda: dumps_off(make_dumbbell(1.0, 0.15, 2.0)),
+        "snapshot": lambda: two_step_snapshot(tmp_path),
+    }[source]()
+    assert_same_mesh_bits(loads_off(text), reference_loads_off(text))
+
+
+TRI = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "OFF # header comment\n3 1 0 # counts\n" + TRI + "3 0 1 2 # face\n",
+        "# leading comment\n\nOFF\n\n# alone\n3 1 0\n" + TRI + "\n3 0 1 2\n\n",
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 2\n").replace("\n", "\r\n"),
+        "OFF\n3 1\n" + TRI + "3 0 1 2\n",
+        "off\n3 1 0\n\t0  0 0\n1\t0 0\n0 1 0   \n3 0 1 2\n",
+        "OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 0 255 0\n0 1 0\n3 0 1 2 0.5 0.5 0.5\n",
+        "OFF\n3 1 0\n" + TRI + "3 0 1 2\ntrailing content\n",
+        "OFF\n3 1 0\n+0 -0 0.\n1e0 .0 0\n0 +1 0\n+3 0 1 +2\n",
+    ],
+    ids=[
+        "header_comment",
+        "blank_and_comment_lines",
+        "crlf",
+        "counts_without_edges",
+        "tabs_and_spaces",
+        "colors",
+        "content_after_body",
+        "signs_and_short_floats",
+    ],
+)
+def test_loads_off_accepted_layouts(text):
+    mesh = loads_off(text)
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+    assert np.array_equal(np.abs(mesh.vertices), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert_same_mesh_bits(mesh, reference_loads_off(text))
+
+
+def test_loads_off_special_floats_bitwise():
+    values = ["nan", "inf", "-inf", "-0", "1e-300", "5e-324", "-5e-324",
+              "1.7976931348623157e308", "2.2250738585072014e-308",
+              "0.10000000000000001", "NaN", "Infinity", "1e400"]
+    values += ["0"] * (-len(values) % 3)
+    rows = [" ".join(values[i : i + 3]) for i in range(0, len(values), 3)]
+    nv = len(rows)
+    text = f"OFF\n{nv} 1 0\n" + "\n".join(rows) + "\n3 0 1 2\n"
+    mesh = loads_off(text)
+    want = np.array([float(v) for v in values]).reshape(-1, 3)
+    assert np.array_equal(mesh.vertices.view(np.int64), want.view(np.int64))
+    assert_same_mesh_bits(mesh, reference_loads_off(text))
+    assert_same_mesh_bits(loads_off(dumps_off(mesh)), mesh)
+    assert np.signbit(mesh.vertices[1, 0])  # "-0"
+    assert mesh.vertices[1, 2] == 5e-324
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty OFF file"),
+        ("# only a comment\n\n", "empty OFF file"),
+        ("PLY\n3 1 0\n", "missing OFF header"),
+        ("OFF 3 1 0\n" + TRI + "3 0 1 2\n", "missing OFF header"),
+        ("OFF\n", "malformed OFF counts line"),
+        ("OFF\n3\n", "malformed OFF counts line"),
+        ("OFF\nthree 1 0\n", "malformed OFF counts line"),
+        ("OFF\n3 1 0\n" + TRI, "truncated OFF file"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n3 0 1 2\n", "truncated OFF file"),
+        ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        ("OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        ("OFF\n3 1 0\n0 0 0\n0x1p0 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1\n", "non-triangle face"),
+        ("OFF\n3 1 0\n" + TRI + "3\n", "non-triangle face"),
+        ("OFF\n3 1 0\n" + TRI + "4 0 1\n", "non-triangle face"),
+        ("OFF\n3 1 0\n" + TRI + "4 0 1 2 1\n", "non-triangle face"),
+        ("OFF\n3 1 0\n" + TRI + "2 0 1 2\n", "non-triangle face"),
+        ("OFF\n3 2 0\n" + TRI + "4 0 1 2 1\n3 0 1 x\n", "non-triangle face"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 x\n", "malformed OFF face line"),
+        ("OFF\n3 1 0\n" + TRI + "x 0 1 2\n", "malformed OFF face line"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 2.0\n", "malformed OFF face line"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 x\n", "malformed OFF face line"),
+        ("OFF\n3 2 0\n" + TRI + "3 0 1 x\n3 0 1\n", "malformed OFF face line"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 3\n", "face index out of range"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 -1 2\n", "face index out of range"),
+    ],
+    ids=[
+        "empty",
+        "comments_only",
+        "wrong_header",
+        "header_with_counts",
+        "no_counts",
+        "one_count",
+        "word_count",
+        "missing_face",
+        "missing_vertex",
+        "short_vertex",
+        "word_vertex",
+        "hex_vertex",
+        "short_face",
+        "count_only_face",
+        "quad_count_short_face",
+        "quad_face",
+        "edge_face",
+        "non_triangle_before_malformed",
+        "word_face",
+        "word_count_face",
+        "float_face",
+        "short_face_with_word",
+        "malformed_before_short",
+        "index_too_large",
+        "negative_index",
+    ],
+)
+def test_loads_off_malformed_messages(text, message):
+    with pytest.raises(MeshError) as got:
+        loads_off(text)
+    assert str(got.value) == message
+    with pytest.raises(MeshError) as want:
+        reference_loads_off(text)
+    assert str(want.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # float("1_0") is 10 and float("\u0661") is 1; numpy reads neither
+        ("OFF\n3 1 0\n0 0 0\n1_0 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1_0 2\n", "malformed OFF face line"),
+        ("OFF\n3 1 0\n0 0 0\n\u0661 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        # the per-line reader read no vertices and failed on the array shape
+        ("OFF\n-1 1 0\n" + TRI + "3 0 1 2\n", "malformed OFF counts line"),
+    ],
+    ids=["underscore_vertex", "underscore_face", "arabic_digit", "negative_count"],
+)
+def test_loads_off_messages_that_differ_from_the_per_line_reader(text, message):
+    with pytest.raises(MeshError) as got:
+        loads_off(text)
+    assert str(got.value) == message

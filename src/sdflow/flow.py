@@ -272,10 +272,12 @@ def _curvature_scale_trigger(state: FlowState) -> float:
 
 def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
     """Step until t_end, max_steps, or a stop trigger; a diagnostics record
-    per accepted step, a snapshot every snapshot_every steps."""
+    per accepted step, a snapshot every snapshot_every steps.  The run keeps
+    one monitors.PairSet per monitor radius across its records."""
     state = FlowState(mesh=initial)
     target_volume = enclosed_volume(initial)
-    records = [monitors.diagnostics(state, config.monitor_radii)]
+    pairs = {}
+    records = [monitors.diagnostics(state, config.monitor_radii, pairs=pairs)]
     snapshots = {0: initial}
     rejects = 0
     stop = None
@@ -301,7 +303,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
         try:
             if config.volume_correction:
                 state_new = correct_volume(state_new, target_volume)
-            rec = monitors.diagnostics(state_new, config.monitor_radii)
+            rec = monitors.diagnostics(state_new, config.monitor_radii, pairs=pairs)
         except monitors.NumericsError:
             stop = DIVERGED
             break

@@ -18,6 +18,8 @@ from scipy.spatial import cKDTree
 from .geometry import dirichlet_energy, enclosed_volume, integrate
 
 EIGHT_PI = 8.0 * math.pi
+# a PairSet is reused while no vertex has moved more than PAIR_SLACK * r
+PAIR_SLACK = 1e-3
 
 AREA = "area"
 TRACEFREE_L2 = "tracefree_l2"
@@ -77,16 +79,45 @@ class DecayFit:
     samples: int
 
 
-def concentration(state, r: float, tree: cKDTree | None = None):
+@dataclass(frozen=True)
+class PairSet:
+    """The vertex pairs (i, j) within (r + 2 delta)(1 + 1e-9) of one
+    another at the anchor positions, delta = PAIR_SLACK * r.  While no
+    vertex is farther than delta from its anchor, the triangle inequality
+    puts every pair now within r among them."""
+
+    anchor: np.ndarray  # a mesh's read-only vertex array
+    i: np.ndarray
+    j: np.ndarray
+
+
+def _pairs_within(pts, r, tree, pairs):
+    """Index arrays (i, j) holding every vertex pair within r: the PairSet
+    that pairs (a dict keyed by radius) holds for r, queried again and
+    re-anchored at pts when there is none, a vertex has moved more than
+    PAIR_SLACK * r, or the vertex count changed."""
+    delta = PAIR_SLACK * r
+    entry = pairs.get(r)
+    if (
+        entry is None
+        or entry.anchor.shape != pts.shape
+        or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
+    ):
+        i, j = tree.query_pairs((r + 2.0 * delta) * (1.0 + 1e-9), output_type="ndarray").T
+        entry = pairs[r] = PairSet(anchor=pts, i=i, j=j)
+    return entry.i, entry.j
+
+
+def concentration(state, r: float, tree: cKDTree | None = None, pairs: dict | None = None):
     """eta(r): the largest curvature mass sum_{|x_i - x| <= r} |A|^2_i m_i
     over balls centered at vertex positions.  Returns (eta, center), the
     center being the lowest-index vertex whose ball attains eta.
 
     A ball's sum is np.sum over its sorted member indices, and only the
     balls that can win are summed, so eta and the center are bit for bit
-    those of a loop over every ball.  One query_pairs at a slightly larger
-    radius gives an upper bound U_i on every ball (the weights are >= 0 and
-    the larger radius only adds members).  Summing k nonnegative terms in
+    those of a loop over every ball.  A set of vertex pairs holding every
+    pair within r gives an upper bound U_i on every ball (the weights are
+    >= 0, and extra pairs only add terms).  Summing k nonnegative terms in
     any order errs by at most gamma_k = k u / (1 - k u) times the sum
     (u = eps / 2), in np.sum and in np.bincount alike, so a ball with
     U_i (1 + Gamma) < S_a cannot reach the maximum, for S_a the exact sum
@@ -94,6 +125,15 @@ def concentration(state, r: float, tree: cKDTree | None = None):
     every ball.  The survivors are summed exactly in ascending vertex order,
     and the first strict maximum wins.  A non-finite weight gives a
     non-finite eta.
+
+    The pairs are a PairSet: one query_pairs at (r + 2 PAIR_SLACK r)
+    (1 + 1e-9), a superset of the pairs within r.  `pairs` is a dict of
+    PairSets keyed by radius that the caller keeps across states; flow.run
+    holds one per run, so an explicit step, which moves a vertex far less
+    than PAIR_SLACK * r, reuses the last query.  Without it every call
+    queries afresh, as blowup.detect does.  Any superset of
+    the pairs within r keeps every ball that can win, so eta and its center
+    do not depend on which set was used.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -109,7 +149,7 @@ def concentration(state, r: float, tree: cKDTree | None = None):
     if tree is None:
         tree = cKDTree(pts)
     n = len(pts)
-    i, j = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+    i, j = _pairs_within(pts, r, tree, {} if pairs is None else pairs)
     upper = w + np.bincount(i, w[j], n) + np.bincount(j, w[i], n)
     gamma = 4 * (n + 1) * np.finfo(float).eps
 
@@ -140,9 +180,10 @@ def sphericity_of(area: float, volume: float) -> float:
     return float((36.0 * math.pi) ** (1.0 / 3.0) * volume ** (2.0 / 3.0) / area)
 
 
-def diagnostics(state, radii=()) -> DiagnosticsRecord:
+def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
-    non-finite value so a run aborts at the offending step."""
+    non-finite value so a run aborts at the offending step.  `pairs` is the
+    caller's PairSet cache for concentration, filled and reused here."""
     mass, lap, curv = state.mass, state.lap, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)
@@ -166,7 +207,7 @@ def diagnostics(state, radii=()) -> DiagnosticsRecord:
     if radii:
         tree = cKDTree(state.mesh.vertices)
         for r in radii:
-            val, center = concentration(state, float(r), tree=tree)
+            val, center = concentration(state, float(r), tree=tree, pairs=pairs)
             eta.append((float(r), val))
             centers.append(tuple(center))
             scalars.append(val)

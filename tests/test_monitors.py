@@ -1,13 +1,16 @@
+import contextlib
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from sdflow.flow import FlowState, step_explicit
+from sdflow import monitors
+from sdflow.flow import CFL, EXPLICIT, SEMI_IMPLICIT, FlowState, SolverConfig, run, step_explicit
 from sdflow.generators import (
     make_dumbbell,
     make_ellipsoid,
@@ -19,6 +22,7 @@ from sdflow.monitors import (
     AREA,
     AREA_RATE,
     EIGHT_PI,
+    PAIR_SLACK,
     TRACEFREE_L2,
     TRACEFREE_RATE,
     WILLMORE,
@@ -141,8 +145,8 @@ def reference_concentration(state, r):
     return best, pts[best_i].copy()
 
 
-def assert_concentration_bitwise(state, r):
-    eta, center = concentration(state, r)
+def assert_concentration_bitwise(state, r, pairs=None):
+    eta, center = concentration(state, r, pairs=pairs)
     ref_eta, ref_center = reference_concentration(state, r)
     assert eta == ref_eta, r
     assert np.array_equal(center, ref_center), r
@@ -212,6 +216,157 @@ def test_concentration_matches_per_ball_reference_bitwise(state_fn, radii_fn):
 def test_concentration_matches_per_ball_reference_property(r, amp):
     mesh = make_perturbed_sphere(1.0, [(2, 0, amp), (3, 2, 0.5 * amp)], subdivisions=3)
     assert_concentration_bitwise(FlowState(mesh), r)
+
+
+@contextlib.contextmanager
+def counting_query_pairs():
+    """Patch monitors.cKDTree with a subclass that counts query_pairs calls;
+    yields the one-element count list."""
+    count = [0]
+
+    class CountingTree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            count[0] += 1
+            return super().query_pairs(*args, **kwargs)
+
+    with mock.patch.object(monitors, "cKDTree", CountingTree):
+        yield count
+
+
+def grid_sphere():
+    """A perturbed s3 sphere on a 2^-30 grid, so that moving a vertex along
+    an axis by a multiple of 2^-21 moves it by exactly that amount."""
+    mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.1)], seed=3, subdivisions=3)
+    return mesh.with_vertices(np.round(mesh.vertices * 2.0**30) / 2.0**30)
+
+
+def pair_set(pts, r):
+    return set(map(tuple, cKDTree(pts).query_pairs(r, output_type="ndarray").tolist()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(10, 13), st.integers(0, 256), st.integers(0, 2**32 - 1))
+@example(10, 256, 0)
+@example(13, 256, 1)
+def test_cached_pairs_within_slack_match_reference_bitwise(k, m, seed):
+    # r = 1000 * 2^-k makes delta = PAIR_SLACK * r exactly 2^-k; every vertex
+    # moves along one axis by at most m/256 delta, one vertex by exactly that
+    r = 1000.0 * 2.0**-k
+    delta = PAIR_SLACK * r
+    assert delta == 2.0**-k
+    mesh = grid_sphere()
+    n = mesh.num_vertices
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, m + 1, n)
+    steps[rng.integers(n)] = m
+    disp = np.zeros((n, 3))
+    disp[np.arange(n), rng.integers(0, 3, n)] = rng.choice([-1.0, 1.0], n) * steps / 256 * delta
+    moved = FlowState(mesh.with_vertices(mesh.vertices + disp))
+    shift = np.sqrt(np.sum((moved.mesh.vertices - mesh.vertices) ** 2, axis=1))
+    assert shift.max() == m / 256 * delta
+    pairs = {}
+    with counting_query_pairs() as count:
+        assert_concentration_bitwise(FlowState(mesh), r, pairs)
+        entry = pairs[r]
+        assert_concentration_bitwise(moved, r, pairs)
+    assert count[0] == 1
+    assert pairs[r] is entry
+    cached = set(zip(entry.i.tolist(), entry.j.tolist()))
+    assert pair_set(moved.mesh.vertices, r) <= cached
+
+
+def test_cached_pairs_hold_a_pair_moved_together_by_the_slack():
+    # two vertices just outside r + delta at the anchor, each moved toward
+    # the other by nearly delta, end up within r
+    r = 1000.0 * 2.0**-11
+    delta = PAIR_SLACK * r
+    mesh = grid_sphere()
+    pts = mesh.vertices
+    a, b = next(
+        (a, b)
+        for a, b in sorted(pair_set(pts, r + 1.9 * delta) - pair_set(pts, r + 1.5 * delta))
+    )
+    u = (pts[b] - pts[a]) / np.linalg.norm(pts[b] - pts[a])
+    disp = np.zeros_like(pts)
+    disp[a], disp[b] = 0.999 * delta * u, -0.999 * delta * u
+    moved = FlowState(mesh.with_vertices(pts + disp))
+    assert np.linalg.norm(moved.mesh.vertices[b] - moved.mesh.vertices[a]) <= r
+    pairs = {}
+    with counting_query_pairs() as count:
+        assert_concentration_bitwise(FlowState(mesh), r, pairs)
+        assert_concentration_bitwise(moved, r, pairs)
+    assert count[0] == 1
+    assert (a, b) in set(zip(pairs[r].i.tolist(), pairs[r].j.tolist()))
+
+
+def test_cached_pairs_requery_past_the_slack_or_on_a_new_vertex_count():
+    r = 1000.0 * 2.0**-11
+    delta = PAIR_SLACK * r
+    mesh = grid_sphere()
+    disp = np.zeros_like(mesh.vertices)
+    disp[17, 0] = delta + 2.0**-30  # just past the slack
+    moved = FlowState(mesh.with_vertices(mesh.vertices + disp))
+    coarse = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=2))
+    pairs = {}
+    with counting_query_pairs() as count:
+        assert_concentration_bitwise(FlowState(mesh), r, pairs)
+        assert_concentration_bitwise(moved, r, pairs)
+        assert count[0] == 2
+        assert pairs[r].anchor is moved.mesh.vertices
+        assert_concentration_bitwise(coarse, r, pairs)  # another vertex count
+        assert count[0] == 3
+        assert_concentration_bitwise(moved, r, pairs)
+        assert count[0] == 4
+
+
+def run_with_every_snapshot(mesh, config):
+    """A run with a snapshot per step, and its query_pairs count."""
+    with counting_query_pairs() as count:
+        traj = run(mesh, config)
+    assert sorted(traj.snapshots) == [rec.step for rec in traj.records]
+    return traj, count[0]
+
+
+def assert_records_match_uncached(traj, radii):
+    for rec in traj.records:
+        state = FlowState(traj.snapshots[rec.step], t=rec.t, step=rec.step)
+        # record equality covers eta_centers, a dataclass field too
+        assert rec == diagnostics(state, radii), rec.step
+
+
+def test_run_cached_pairs_explicit_dumbbell_query_once_per_radius():
+    radii = (0.4, 0.2, 0.1)
+    config = SolverConfig(
+        scheme=EXPLICIT,
+        dt_policy=CFL,
+        cfl_sigma=0.005,
+        max_steps=8,
+        snapshot_every=1,
+        monitor_radii=radii,
+    )
+    traj, queries = run_with_every_snapshot(make_dumbbell(1.0, 0.15, 2.0), config)
+    assert len(traj.records) == 9
+    assert queries == len(radii)
+    assert_records_match_uncached(traj, radii)
+
+
+def test_run_cached_pairs_semi_implicit_dumbbell_requeries():
+    radii = (0.4, 0.2, 0.1)
+    config = SolverConfig(
+        scheme=SEMI_IMPLICIT,
+        dt_policy=CFL,
+        cfl_sigma=0.1,
+        max_steps=3,
+        snapshot_every=1,
+        monitor_radii=radii,
+    )
+    traj, queries = run_with_every_snapshot(make_dumbbell(1.0, 0.15, 2.0), config)
+    assert len(traj.records) == 4
+    meshes = [traj.snapshots[rec.step].vertices for rec in traj.records]
+    moves = [np.sqrt(np.sum((b - a) ** 2, axis=1)).max() for a, b in zip(meshes, meshes[1:])]
+    assert min(moves) > PAIR_SLACK * max(radii)
+    assert queries == len(radii) * len(traj.records)
+    assert_records_match_uncached(traj, radii)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 50.0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .flow import FlowState, Trajectory
 from .mesh import TriangleMesh, rescale
@@ -59,9 +58,11 @@ def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
 
 def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
     """One event per radius: the first record with eta(r) > eps1, carrying
-    that record's argmax center (recomputed from the nearest snapshot when
-    the trajectory was loaded without centers; events that share a snapshot
-    share its FlowState and KD-tree)."""
+    that record's argmax center.  A trajectory loaded without centers has
+    each one recomputed by concentration on the nearest snapshot at or
+    before the record.  Events that share a snapshot share its FlowState
+    and its PairSet dict, so their radii query one KD-tree; each radius
+    queries its own pair set."""
     radii = [float(r) for r in radii_descending]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -69,7 +70,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
         raise ValueError("empty trajectory")
-    states = {}  # snapshot step -> (FlowState, KD-tree), shared by the events
+    states = {}  # snapshot step -> (FlowState, PairSet dict), shared by the events
     events = []
     for r in radii:
         event = ConcentrationEvent(r=r, triggered=False)
@@ -85,10 +86,9 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
                     if snap is None:
                         raise ValueError("no snapshot at or before the event")
                     if snap not in states:
-                        mesh = trajectory.snapshots[snap]
-                        states[snap] = (FlowState(mesh), cKDTree(mesh.vertices))
-                    state, tree = states[snap]
-                    center = tuple(concentration(state, r, tree=tree)[1])
+                        states[snap] = (FlowState(trajectory.snapshots[snap]), {})
+                    state, pairs = states[snap]
+                    center = tuple(concentration(state, r, pairs=pairs)[1])
                 event = ConcentrationEvent(
                     r=r,
                     triggered=True,

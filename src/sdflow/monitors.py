@@ -9,10 +9,12 @@ eta(r), the isoperimetric sphericity, and the two 8*pi gates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 from scipy.spatial import cKDTree
 
 from .geometry import dirichlet_energy, enclosed_volume, integrate
@@ -20,6 +22,13 @@ from .geometry import dirichlet_energy, enclosed_volume, integrate
 EIGHT_PI = 8.0 * math.pi
 # a PairSet is reused while no vertex has moved more than PAIR_SLACK * r
 PAIR_SLACK = 1e-3
+# a ball with a squared distance within TIE_BAND * max(r^2, |extent|^2) of
+# r^2 is listed by cKDTree.query_ball_point (see _balls)
+TIE_BAND = 1e-9
+# _row_sums and _balls gather about this many row entries at once: on an s4
+# icosphere at r = 1.9 every one of the 2562 balls is a candidate, and their
+# rows hold 5.9 million entries
+GATHER_CHUNK = 1 << 18
 
 AREA = "area"
 TRACEFREE_L2 = "tracefree_l2"
@@ -81,19 +90,49 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class PairSet:
-    """The vertex pairs (i, j) within (r + 2 delta)(1 + 1e-9) of one
-    another at the anchor positions, delta = PAIR_SLACK * r.  While no
-    vertex is farther than delta from its anchor, the triangle inequality
-    puts every pair now within r among them."""
+    """Every vertex pair within (r + 2 delta)(1 + 1e-9) of one another at
+    the anchor positions, delta = PAIR_SLACK * r, as a symmetric neighbour
+    CSR: row v, nbrs[indptr[v]:indptr[v + 1]], holds v itself and every
+    vertex paired with v, strictly ascending.  While no vertex is farther
+    than delta from its anchor, the triangle inequality puts every vertex
+    now within r of v in row v.  `tree` is the KD-tree on the anchor
+    positions it was queried from, which the other radii's pair sets at the
+    same anchor reuse."""
 
     anchor: np.ndarray  # a mesh's read-only vertex array
-    i: np.ndarray
-    j: np.ndarray
+    indptr: np.ndarray
+    nbrs: np.ndarray  # int32
+    tree: cKDTree
+
+
+def _query_pair_set(pts, radius, tree):
+    """The PairSet of the pairs within radius: one query_pairs, then two
+    counting sorts, COO -> CSR and CSR -> CSC.  The second lists each
+    column's rows in ascending order, and the matrix is symmetric, so the
+    columns are the sorted rows."""
+    n = len(pts)
+    ij = tree.query_pairs(radius, output_type="ndarray")
+    m = len(ij)
+    rows = np.empty(2 * m + n, np.int32)
+    cols = np.empty_like(rows)
+    rows[:m], rows[m : 2 * m], rows[2 * m :] = ij[:, 0], ij[:, 1], np.arange(n)
+    cols[:m], cols[m : 2 * m], cols[2 * m :] = ij[:, 1], ij[:, 0], np.arange(n)
+    del ij
+    nnz = len(rows)
+    # sparsetools carries a data array through both sorts; its values are
+    # all 0, so one int8 array serves as input and output of both
+    data = np.zeros(nnz, np.int8)
+    csr_ptr, csr_idx = np.empty(n + 1, np.int32), np.empty(nnz, np.int32)
+    _sparsetools.coo_tocsr(n, n, nnz, rows, cols, data, csr_ptr, csr_idx, data)
+    del cols
+    indptr, nbrs = np.empty(n + 1, np.int32), rows  # rows is free again
+    _sparsetools.csr_tocsc(n, n, csr_ptr, csr_idx, data, indptr, nbrs, data)
+    return PairSet(anchor=pts, indptr=indptr, nbrs=nbrs, tree=tree)
 
 
 def _pairs_within(pts, r, tree, pairs):
-    """Index arrays (i, j) holding every vertex pair within r: the PairSet
-    that pairs (a dict keyed by radius) holds for r, queried again and
+    """A PairSet holding every vertex pair within r: the one that pairs (a
+    dict keyed by radius) holds for r, queried again from tree() and
     re-anchored at pts when there is none, a vertex has moved more than
     PAIR_SLACK * r, or the vertex count changed."""
     delta = PAIR_SLACK * r
@@ -103,37 +142,79 @@ def _pairs_within(pts, r, tree, pairs):
         or entry.anchor.shape != pts.shape
         or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
     ):
-        i, j = tree.query_pairs((r + 2.0 * delta) * (1.0 + 1e-9), output_type="ndarray").T
-        entry = pairs[r] = PairSet(anchor=pts, i=i, j=j)
-    return entry.i, entry.j
+        entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), tree())
+    return entry
 
 
-def concentration(state, r: float, tree: cKDTree | None = None, pairs: dict | None = None):
+def _balls(pts, r, entry, centers, tree):
+    """Each center's ball |x_i - x_c| <= r as its sorted vertex indices,
+    equal to cKDTree.query_ball_point(x_c, r, return_sorted=True): the
+    center's PairSet row, kept where d2 = dx*dx + dy*dy + dz*dz <= r*r.
+    cKDTree accepts the points of a node whose bounding box lies within r
+    without rounding each point's own distance, so a ball with any d2
+    within TIE_BAND * max(r^2, |extent|^2) of r*r is listed by
+    query_ball_point on tree() instead.  Rows are gathered in chunks of
+    about GATHER_CHUNK entries."""
+    r2 = r * r
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    band = TIE_BAND * max(r2, float(np.sum(extent**2)))
+    centers = np.asarray(centers)
+    starts = entry.indptr[centers]
+    lens = entry.indptr[centers + 1] - starts
+    step = max(1, GATHER_CHUNK // int(lens.max()))
+    for s in range(0, len(centers), step):
+        c, st, ln = centers[s : s + step], starts[s : s + step], lens[s : s + step]
+        ends = np.cumsum(ln)
+        members = entry.nbrs[np.repeat(st - (ends - ln), ln) + np.arange(ends[-1])]
+        d = pts[members] - np.repeat(pts[c], ln, axis=0)
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        inside = d2 <= r2
+        tie = np.logical_or.reduceat(np.abs(d2 - r2) <= band, ends - ln)
+        kept = members[inside]
+        bounds = np.concatenate(([0], np.cumsum(inside)[ends - 1]))
+        for k in range(len(c)):
+            if tie[k]:
+                yield tree().query_ball_point(pts[c[k]], r, return_sorted=True)
+            else:
+                yield kept[bounds[k] : bounds[k + 1]]
+
+
+def _row_sums(w, entry):
+    """Each PairSet row's sum of w, about GATHER_CHUNK entries at a time."""
+    indptr, nbrs = entry.indptr, entry.nbrs
+    n = len(indptr) - 1
+    step = max(1, GATHER_CHUNK * n // len(nbrs))
+    sums = np.empty(n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        sums[a:b] = np.add.reduceat(w[nbrs[indptr[a] : indptr[b]]], indptr[a:b] - indptr[a])
+    return sums
+
+
+def concentration(state, r: float, pairs: dict | None = None):
     """eta(r): the largest curvature mass sum_{|x_i - x| <= r} |A|^2_i m_i
     over balls centered at vertex positions.  Returns (eta, center), the
     center being the lowest-index vertex whose ball attains eta.
 
     A ball's sum is np.sum over its sorted member indices, and only the
     balls that can win are summed, so eta and the center are bit for bit
-    those of a loop over every ball.  A set of vertex pairs holding every
-    pair within r gives an upper bound U_i on every ball (the weights are
-    >= 0, and extra pairs only add terms).  Summing k nonnegative terms in
-    any order errs by at most gamma_k = k u / (1 - k u) times the sum
-    (u = eps / 2), in np.sum and in np.bincount alike, so a ball with
-    U_i (1 + Gamma) < S_a cannot reach the maximum, for S_a the exact sum
-    at argmax U and Gamma = 4 (n + 1) eps, n the vertex count, which bounds
-    every ball.  The survivors are summed exactly in ascending vertex order,
-    and the first strict maximum wins.  A non-finite weight gives a
-    non-finite eta.
+    those of a loop over every ball.  A PairSet holding every pair within
+    r gives an upper bound U_i on every ball, the sum over its row (the
+    weights are >= 0, and extra pairs only add terms).  Summing k
+    nonnegative terms in any order errs by at most gamma_k = k u / (1 - k u)
+    times the sum (u = eps / 2), so a ball with U_i (1 + Gamma) < S_a
+    cannot reach the maximum, for S_a the exact sum at argmax U and
+    Gamma = 4 (n + 1) eps, n the vertex count, which bounds every ball.  The
+    survivors' balls are read from their rows (see _balls), summed exactly
+    in ascending vertex order, and the first strict maximum wins.  A
+    non-finite weight gives a non-finite eta.
 
-    The pairs are a PairSet: one query_pairs at (r + 2 PAIR_SLACK r)
-    (1 + 1e-9), a superset of the pairs within r.  `pairs` is a dict of
-    PairSets keyed by radius that the caller keeps across states; flow.run
-    holds one per run, so an explicit step, which moves a vertex far less
-    than PAIR_SLACK * r, reuses the last query.  Without it every call
-    queries afresh, as blowup.detect does.  Any superset of
-    the pairs within r keeps every ball that can win, so eta and its center
-    do not depend on which set was used.
+    `pairs` is a dict of PairSets keyed by radius that the caller keeps
+    across states; flow.run holds one per run, so an explicit step, which
+    moves a vertex far less than PAIR_SLACK * r, reuses the last query.
+    Without it every call queries afresh.  A KD-tree is built only to
+    query pairs or to list a ball with a near-tie distance, and one built
+    at these positions for another radius's PairSet is reused.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -143,29 +224,35 @@ def concentration(state, r: float, tree: cKDTree | None = None, pairs: dict | No
         return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    if r >= float(np.linalg.norm(extent)):
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if r >= float(np.linalg.norm(hi - lo)):
         return float(np.sum(w)), pts[0].copy()
-    if tree is None:
-        tree = cKDTree(pts)
-    n = len(pts)
-    i, j = _pairs_within(pts, r, tree, {} if pairs is None else pairs)
-    upper = w + np.bincount(i, w[j], n) + np.bincount(j, w[i], n)
-    gamma = 4 * (n + 1) * np.finfo(float).eps
+    pairs = {} if pairs is None else pairs
+    # one KD-tree on pts serves every radius whose pair set is anchored there
+    shared = [e.tree for e in pairs.values() if e.anchor is pts]
+    tree = functools.cache(lambda: shared[0] if shared else cKDTree(pts))
+    entry = _pairs_within(pts, r, tree, pairs)
+    upper = _row_sums(w, entry)
+    gamma = 4 * (len(pts) + 1) * np.finfo(float).eps
 
     def ball_sums(centers):
         # sorted ball indices keep sums permutation-stable, so a covering
         # ball reproduces integrate(|A|^2) bit for bit
-        balls = tree.query_ball_point(pts[centers], r, return_sorted=True)
-        return [float(np.sum(w[idx])) for idx in balls]
+        return [float(np.sum(w[idx])) for idx in _balls(pts, r, entry, centers, tree)]
 
     (s_a,) = ball_sums([np.argmax(upper)])
     candidates = np.flatnonzero(upper * (1.0 + gamma) >= s_a)
     # balls holding every vertex have one index list and so one sum; after
-    # the first of them, none can beat the running best.  No ball narrower
-    # than the widest axis extent holds every vertex.
-    if 2.0 * r * (1.0 + 1e-9) >= extent.max():
-        full = tree.query_ball_point(pts[candidates], r, return_length=True) == n
+    # the first of them, none can beat the running best.  None is narrower
+    # than the widest axis extent.  A ball holds every vertex when its
+    # center is within r - rho of the bounding-box center, rho the largest
+    # distance from that center to a vertex; the TIE_BAND margin keeps every
+    # squared distance clear of r*r
+    if 2.0 * r >= float(np.max(hi - lo)):
+        mid = 0.5 * (lo + hi)
+        rho = math.sqrt(np.max(np.sum((pts - mid) ** 2, axis=1)))
+        dist = np.sqrt(np.sum((pts[candidates] - mid) ** 2, axis=1))
+        full = dist + rho <= r * (1.0 - TIE_BAND)
         candidates = np.union1d(candidates[~full], candidates[full][:1])
     best = -math.inf  # stays non-finite if no ball survives
     best_i = 0
@@ -182,8 +269,10 @@ def sphericity_of(area: float, volume: float) -> float:
 
 def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
-    non-finite value so a run aborts at the offending step.  `pairs` is the
-    caller's PairSet cache for concentration, filled and reused here."""
+    non-finite value so a run aborts at the offending step.  eta(r) and its
+    center come from one concentration call per radius in `radii`; `pairs`
+    is the caller's PairSet cache (a dict keyed by radius), filled and
+    reused by those calls, which build a KD-tree only to re-query it."""
     mass, lap, curv = state.mass, state.lap, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)
@@ -204,13 +293,11 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     ]
     eta = []
     centers = []
-    if radii:
-        tree = cKDTree(state.mesh.vertices)
-        for r in radii:
-            val, center = concentration(state, float(r), tree=tree, pairs=pairs)
-            eta.append((float(r), val))
-            centers.append(tuple(center))
-            scalars.append(val)
+    for r in radii:
+        val, center = concentration(state, float(r), pairs=pairs)
+        eta.append((float(r), val))
+        centers.append(tuple(center))
+        scalars.append(val)
     sph = sphericity_of(area, volume)
     scalars.append(sph)
     if not np.isfinite(scalars).all():

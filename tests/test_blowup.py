@@ -70,14 +70,10 @@ def test_detect_without_centers_builds_one_state_per_snapshot(dumbbell_run, monk
     built = []
     state_cls = blowup.FlowState
     monkeypatch.setattr(blowup, "FlowState", lambda mesh: built.append(mesh) or state_cls(mesh))
-    trees = []
-    tree_cls = blowup.cKDTree
-    monkeypatch.setattr(blowup, "cKDTree", lambda pts: trees.append(pts) or tree_cls(pts))
     radii = [0.4, 0.2, 0.1]
     events = detect(loaded, radii, EPS1)
     assert [ev.record_step for ev in events] == [0, 0, 0]
     assert len(built) == 1
-    assert len(trees) == 1
     assert [ev.center for ev in events] == [ev.center for ev in detect(dumbbell_run, radii, EPS1)]
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import math
@@ -16,6 +17,7 @@ from sdflow.generators import (
     make_ellipsoid,
     make_icosphere,
     make_perturbed_sphere,
+    make_torus,
 )
 from sdflow.mesh import rescale
 from sdflow.monitors import (
@@ -219,15 +221,24 @@ def test_concentration_matches_per_ball_reference_property(r, amp):
 
 
 @contextlib.contextmanager
-def counting_query_pairs():
-    """Patch monitors.cKDTree with a subclass that counts query_pairs calls;
-    yields the one-element count list."""
-    count = [0]
+def counting_tree_queries():
+    """Patch monitors.cKDTree with a subclass that counts its constructions
+    ("tree") and its query_pairs and query_ball_point calls; yields the
+    Counter."""
+    count = collections.Counter()
 
     class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            count["tree"] += 1
+            super().__init__(*args, **kwargs)
+
         def query_pairs(self, *args, **kwargs):
-            count[0] += 1
+            count["query_pairs"] += 1
             return super().query_pairs(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            count["query_ball_point"] += 1
+            return super().query_ball_point(*args, **kwargs)
 
     with mock.patch.object(monitors, "cKDTree", CountingTree):
         yield count
@@ -242,6 +253,36 @@ def grid_sphere():
 
 def pair_set(pts, r):
     return set(map(tuple, cKDTree(pts).query_pairs(r, output_type="ndarray").tolist()))
+
+
+def csr_entries(entry):
+    """The (row, neighbour) index arrays of a PairSet's CSR."""
+    rows = np.repeat(np.arange(len(entry.indptr) - 1), np.diff(entry.indptr))
+    return rows, entry.nbrs
+
+
+def assert_pair_set_invariants(entry):
+    rows, nbrs = csr_entries(entry)
+    n = len(entry.indptr) - 1
+    assert nbrs.dtype == np.int32
+    assert entry.indptr[0] == 0 and entry.indptr[-1] == len(nbrs)
+    # strictly ascending within each row
+    same_row = rows[1:] == rows[:-1]
+    assert (nbrs[1:][same_row] > nbrs[:-1][same_row]).all()
+    # each row holds its own vertex once
+    assert np.array_equal(np.bincount(rows[rows == nbrs], minlength=n), np.ones(n, int))
+    # symmetric: the transposed entries, sorted by row then column, are the
+    # entries themselves
+    order = np.lexsort((rows, nbrs))
+    assert np.array_equal(nbrs[order], rows) and np.array_equal(rows[order], nbrs)
+
+
+def csr_pair_set(entry):
+    """The pairs (a, b), a < b, of a PairSet's CSR."""
+    assert_pair_set_invariants(entry)
+    rows, nbrs = csr_entries(entry)
+    upper = rows < nbrs
+    return set(zip(rows[upper].tolist(), nbrs[upper].tolist()))
 
 
 @settings(max_examples=20, deadline=None)
@@ -265,14 +306,13 @@ def test_cached_pairs_within_slack_match_reference_bitwise(k, m, seed):
     shift = np.sqrt(np.sum((moved.mesh.vertices - mesh.vertices) ** 2, axis=1))
     assert shift.max() == m / 256 * delta
     pairs = {}
-    with counting_query_pairs() as count:
+    with counting_tree_queries() as count:
         assert_concentration_bitwise(FlowState(mesh), r, pairs)
         entry = pairs[r]
         assert_concentration_bitwise(moved, r, pairs)
-    assert count[0] == 1
+    assert count["query_pairs"] == 1
     assert pairs[r] is entry
-    cached = set(zip(entry.i.tolist(), entry.j.tolist()))
-    assert pair_set(moved.mesh.vertices, r) <= cached
+    assert pair_set(moved.mesh.vertices, r) <= csr_pair_set(entry)
 
 
 def test_cached_pairs_hold_a_pair_moved_together_by_the_slack():
@@ -292,11 +332,45 @@ def test_cached_pairs_hold_a_pair_moved_together_by_the_slack():
     moved = FlowState(mesh.with_vertices(pts + disp))
     assert np.linalg.norm(moved.mesh.vertices[b] - moved.mesh.vertices[a]) <= r
     pairs = {}
-    with counting_query_pairs() as count:
+    with counting_tree_queries() as count:
         assert_concentration_bitwise(FlowState(mesh), r, pairs)
         assert_concentration_bitwise(moved, r, pairs)
-    assert count[0] == 1
-    assert (a, b) in set(zip(pairs[r].i.tolist(), pairs[r].j.tolist()))
+    assert count["query_pairs"] == 1
+    assert (a, b) in csr_pair_set(pairs[r])
+
+
+@pytest.mark.parametrize(
+    "mesh_fn,radii,fallbacks",
+    [
+        pytest.param(lambda: make_dumbbell(1.0, 0.15, 2.0), (0.4, 0.2, 0.1), 0, id="dumbbell"),
+        pytest.param(
+            lambda: make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.1)], subdivisions=4),
+            (0.4,),
+            None,
+            id="perturbed_sphere_s4",
+        ),
+        pytest.param(
+            lambda: make_ellipsoid(1.0, 0.7, 0.4, subdivisions=3), (0.4,), None, id="ellipsoid"
+        ),
+        # every center has a pair at distance r to within the tie band
+        pytest.param(lambda: make_torus(1.0, 0.4), (0.4,), 1152, id="torus"),
+    ],
+)
+def test_pair_set_balls_equal_query_ball_point(mesh_fn, radii, fallbacks):
+    pts = mesh_fn().vertices
+    ref_tree = cKDTree(pts)
+    for r in radii:
+        with counting_tree_queries() as count:
+            tree = functools.cache(lambda: monitors.cKDTree(pts))
+            entry = monitors._pairs_within(pts, r, tree, {})
+            assert_pair_set_invariants(entry)
+            balls = list(monitors._balls(pts, r, entry, np.arange(len(pts)), tree))
+        ref = ref_tree.query_ball_point(pts, r, return_sorted=True)
+        assert len(balls) == len(ref)
+        for v, (got, want) in enumerate(zip(balls, ref)):
+            assert np.array_equal(got, want), (r, v)
+        if fallbacks is not None:
+            assert count["query_ball_point"] == fallbacks, r
 
 
 def test_cached_pairs_requery_past_the_slack_or_on_a_new_vertex_count():
@@ -308,23 +382,23 @@ def test_cached_pairs_requery_past_the_slack_or_on_a_new_vertex_count():
     moved = FlowState(mesh.with_vertices(mesh.vertices + disp))
     coarse = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=2))
     pairs = {}
-    with counting_query_pairs() as count:
+    with counting_tree_queries() as count:
         assert_concentration_bitwise(FlowState(mesh), r, pairs)
         assert_concentration_bitwise(moved, r, pairs)
-        assert count[0] == 2
+        assert count["query_pairs"] == 2
         assert pairs[r].anchor is moved.mesh.vertices
         assert_concentration_bitwise(coarse, r, pairs)  # another vertex count
-        assert count[0] == 3
+        assert count["query_pairs"] == 3
         assert_concentration_bitwise(moved, r, pairs)
-        assert count[0] == 4
+        assert count["query_pairs"] == 4
 
 
 def run_with_every_snapshot(mesh, config):
-    """A run with a snapshot per step, and its query_pairs count."""
-    with counting_query_pairs() as count:
+    """A run with a snapshot per step, and its KD-tree query counts."""
+    with counting_tree_queries() as count:
         traj = run(mesh, config)
     assert sorted(traj.snapshots) == [rec.step for rec in traj.records]
-    return traj, count[0]
+    return traj, count
 
 
 def assert_records_match_uncached(traj, radii):
@@ -346,7 +420,11 @@ def test_run_cached_pairs_explicit_dumbbell_query_once_per_radius():
     )
     traj, queries = run_with_every_snapshot(make_dumbbell(1.0, 0.15, 2.0), config)
     assert len(traj.records) == 9
-    assert queries == len(radii)
+    assert queries["query_pairs"] == len(radii)
+    # the radii share the first record's KD-tree, and every candidate ball
+    # is read from the cached pair sets
+    assert queries["tree"] == 1
+    assert queries["query_ball_point"] == 0
     assert_records_match_uncached(traj, radii)
 
 
@@ -365,7 +443,8 @@ def test_run_cached_pairs_semi_implicit_dumbbell_requeries():
     meshes = [traj.snapshots[rec.step].vertices for rec in traj.records]
     moves = [np.sqrt(np.sum((b - a) ** 2, axis=1)).max() for a, b in zip(meshes, meshes[1:])]
     assert min(moves) > PAIR_SLACK * max(radii)
-    assert queries == len(radii) * len(traj.records)
+    assert queries["query_pairs"] == len(radii) * len(traj.records)
+    assert queries["tree"] == len(traj.records)
     assert_records_match_uncached(traj, radii)
 
 

@@ -43,10 +43,10 @@ class BlowupFrame:
 
 
 def _eta_for_radius(record: DiagnosticsRecord, r: float):
-    for i, (rr, val) in enumerate(record.eta):
+    for rr, val in record.eta:
         if abs(rr - r) <= 1e-12 * max(abs(r), 1.0):
-            return i, val
-    return None, None
+            return val
+    return None
 
 
 def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
@@ -57,12 +57,12 @@ def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
 
 
 def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
-    """One event per radius: the first record with eta(r) > eps1, carrying
-    that record's argmax center.  A trajectory loaded without centers has
-    each one recomputed by concentration on the nearest snapshot at or
-    before the record.  Events that share a snapshot share its FlowState
-    and its PairSet dict, so their radii query one KD-tree; each radius
-    queries its own pair set."""
+    """One event per radius: the first record with eta(r) > eps1.  Its
+    center is concentration's argmax center on the nearest snapshot at or
+    before the record, the snapshot rescale_frame zooms, so a trajectory
+    in memory and its reloaded run directory give the same center.  Events
+    that share a snapshot share its FlowState and its PairSet dict, so
+    their radii query one KD-tree; each radius queries its own pair set."""
     radii = [float(r) for r in radii_descending]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -75,20 +75,17 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
     for r in radii:
         event = ConcentrationEvent(r=r, triggered=False)
         for rec in trajectory.records:
-            idx, val = _eta_for_radius(rec, r)
-            if idx is None:
+            val = _eta_for_radius(rec, r)
+            if val is None:
                 raise ValueError(f"radius {r} was not monitored by this run")
             if val > eps1:
-                if rec.eta_centers is not None:
-                    center = tuple(rec.eta_centers[idx])
-                else:
-                    snap = _nearest_snapshot_at_or_before(trajectory, rec.step)
-                    if snap is None:
-                        raise ValueError("no snapshot at or before the event")
-                    if snap not in states:
-                        states[snap] = (FlowState(trajectory.snapshots[snap]), {})
-                    state, pairs = states[snap]
-                    center = tuple(concentration(state, r, pairs=pairs)[1])
+                snap = _nearest_snapshot_at_or_before(trajectory, rec.step)
+                if snap is None:
+                    raise ValueError("no snapshot at or before the event")
+                if snap not in states:
+                    states[snap] = (FlowState(trajectory.snapshots[snap]), {})
+                state, pairs = states[snap]
+                center = tuple(concentration(state, r, pairs=pairs)[1])
                 event = ConcentrationEvent(
                     r=r,
                     triggered=True,

@@ -59,6 +59,8 @@ CURVATURE_CEILING = "curvature_ceiling"
 SINGULARITY_STOPS = frozenset({QUALITY_FLOOR, CURVATURE_CEILING})
 QUALITY_MIN = 0.02
 CURVATURE_SCALE_MAX = 2.0
+# relative residual at which step_semi_implicit's CG solves stop
+CG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,10 @@ def step_explicit(state: FlowState, dt: float):
     return _accept(state, state.mesh.vertices + disp, dt)
 
 
-def step_semi_implicit(state: FlowState, dt: float, linear_tol: float = 1e-10):
+def step_semi_implicit(state: FlowState, dt: float):
     """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate by
-    Jacobi-preconditioned CG (10 iterations per vertex at most), L frozen at x_old."""
+    Jacobi-preconditioned CG to relative residual CG_RTOL (10 iterations per
+    vertex at most), L frozen at x_old."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass.m
@@ -219,7 +222,7 @@ def step_semi_implicit(state: FlowState, dt: float, linear_tol: float = 1e-10):
             A,
             m * x_old[:, k],
             x0=x_old[:, k].copy(),
-            rtol=linear_tol,
+            rtol=CG_RTOL,
             atol=0.0,
             maxiter=10 * len(m),
             M=precond,

@@ -234,20 +234,19 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
 
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Topology and quality report; failures are reported, not raised."""
-    he = mesh.half_edges
-    # oriented: no directed edge is repeated
-    he_sorted = np.sort(he, axis=1)
-    und, counts = np.unique(he_sorted, axis=0, return_counts=True)
-    _, dir_counts = np.unique(he, axis=0, return_counts=True)
-    is_oriented = bool((dir_counts == 1).all())
+    topo = mesh.topology
+    # the faces' use count of each directed edge; the off-diagonals of the
+    # L pattern are every edge in both directions
+    uses = np.bincount(topo.slots[: 3 * mesh.num_faces], minlength=len(topo.indices))
+    uses = uses[topo.offdiag]
+    # oriented: no directed edge is repeated, and no face (same unordered
+    # triple) either
+    repeated_face = len(np.unique(np.sort(mesh.faces, axis=1), axis=0)) != mesh.num_faces
+    is_oriented = bool((uses <= 1).all()) and not repeated_face
     # closed manifold: every undirected edge borders exactly two faces whose
     # directed copies run oppositely (each direction exactly once)
-    is_closed = bool((counts == 2).all() and (dir_counts == 1).all())
-    # duplicate faces (same unordered triple)
-    tri_sorted = np.sort(mesh.faces, axis=1)
-    if len(np.unique(tri_sorted, axis=0)) != mesh.num_faces:
-        is_oriented = False
-    n_e = len(und)
+    is_closed = bool((uses == 1).all())
+    n_e = len(topo.offdiag) // 2
     chi = mesh.num_vertices - n_e + mesh.num_faces
     genus = (2 - chi) // 2 if (is_closed and is_oriented) else -1
     fg = face_geometry(mesh)
@@ -371,8 +370,6 @@ def loads_obj(text: str) -> TriangleMesh:
                 idx = [int(r.split("/")[0]) - 1 for r in refs]
             except ValueError as exc:
                 raise MeshError("malformed OBJ face line") from exc
-            if min(idx) < 0:
-                raise MeshError("face index out of range")
             faces.append(idx)
         # other record types (vn, vt, mtl, ...) are ignored on import
     if not vertices or not faces:

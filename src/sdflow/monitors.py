@@ -9,7 +9,6 @@ eta(r), the isoperimetric sphericity, and the two 8*pi gates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,13 +21,15 @@ from .geometry import dirichlet_energy, enclosed_volume, integrate
 EIGHT_PI = 8.0 * math.pi
 # a PairSet is reused while no vertex has moved more than PAIR_SLACK * r
 PAIR_SLACK = 1e-3
-# a ball with a squared distance within TIE_BAND * max(r^2, |extent|^2) of
-# r^2 is listed by cKDTree.query_ball_point (see _balls)
+# relative margin that keeps a full ball's squared distances clear of r^2
+# (see concentration)
 TIE_BAND = 1e-9
 # _row_sums and _balls gather about this many row entries at once: on an s4
 # icosphere at r = 1.9 every one of the 2562 balls is a candidate, and their
 # rows hold 5.9 million entries
 GATHER_CHUNK = 1 << 18
+# fit_decay needs at least this many records in its window
+FIT_MIN_SAMPLES = 10
 
 AREA = "area"
 TRACEFREE_L2 = "tracefree_l2"
@@ -58,7 +59,6 @@ class DiagnosticsRecord:
     li_yau_ok: bool
     smallness_ok: bool
     eta: tuple  # ((r, eta(r)), ...)
-    eta_centers: tuple | None = None  # argmax centers, not serialized
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,12 @@ def _query_pair_set(pts, radius, tree):
     return PairSet(anchor=pts, indptr=indptr, nbrs=nbrs, tree=tree)
 
 
-def _pairs_within(pts, r, tree, pairs):
+def _pairs_within(pts, r, pairs):
     """A PairSet holding every vertex pair within r: the one that pairs (a
-    dict keyed by radius) holds for r, queried again from tree() and
-    re-anchored at pts when there is none, a vertex has moved more than
-    PAIR_SLACK * r, or the vertex count changed."""
+    dict keyed by radius) holds for r, queried again and re-anchored at pts
+    when there is none, a vertex has moved more than PAIR_SLACK * r, or the
+    vertex count changed.  A query reuses the KD-tree of a PairSet anchored
+    at pts and builds one otherwise."""
     delta = PAIR_SLACK * r
     entry = pairs.get(r)
     if (
@@ -142,22 +143,17 @@ def _pairs_within(pts, r, tree, pairs):
         or entry.anchor.shape != pts.shape
         or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
     ):
-        entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), tree())
+        tree = next((e.tree for e in pairs.values() if e.anchor is pts), None)
+        tree = cKDTree(pts) if tree is None else tree
+        entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), tree)
     return entry
 
 
-def _balls(pts, r, entry, centers, tree):
-    """Each center's ball |x_i - x_c| <= r as its sorted vertex indices,
-    equal to cKDTree.query_ball_point(x_c, r, return_sorted=True): the
-    center's PairSet row, kept where d2 = dx*dx + dy*dy + dz*dz <= r*r.
-    cKDTree accepts the points of a node whose bounding box lies within r
-    without rounding each point's own distance, so a ball with any d2
-    within TIE_BAND * max(r^2, |extent|^2) of r*r is listed by
-    query_ball_point on tree() instead.  Rows are gathered in chunks of
-    about GATHER_CHUNK entries."""
+def _balls(pts, r, entry, centers):
+    """Each center's ball |x_i - x_c| <= r as its sorted vertex indices:
+    the center's PairSet row, kept where d2 = dx*dx + dy*dy + dz*dz <= r*r.
+    Rows are gathered in chunks of about GATHER_CHUNK entries."""
     r2 = r * r
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    band = TIE_BAND * max(r2, float(np.sum(extent**2)))
     centers = np.asarray(centers)
     starts = entry.indptr[centers]
     lens = entry.indptr[centers + 1] - starts
@@ -169,14 +165,10 @@ def _balls(pts, r, entry, centers, tree):
         d = pts[members] - np.repeat(pts[c], ln, axis=0)
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
         inside = d2 <= r2
-        tie = np.logical_or.reduceat(np.abs(d2 - r2) <= band, ends - ln)
         kept = members[inside]
         bounds = np.concatenate(([0], np.cumsum(inside)[ends - 1]))
         for k in range(len(c)):
-            if tie[k]:
-                yield tree().query_ball_point(pts[c[k]], r, return_sorted=True)
-            else:
-                yield kept[bounds[k] : bounds[k + 1]]
+            yield kept[bounds[k] : bounds[k + 1]]
 
 
 def _row_sums(w, entry):
@@ -213,8 +205,8 @@ def concentration(state, r: float, pairs: dict | None = None):
     across states; flow.run holds one per run, so an explicit step, which
     moves a vertex far less than PAIR_SLACK * r, reuses the last query.
     Without it every call queries afresh.  A KD-tree is built only to
-    query pairs or to list a ball with a near-tie distance, and one built
-    at these positions for another radius's PairSet is reused.
+    query pairs, and one built at these positions for another radius's
+    PairSet is reused.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -227,18 +219,14 @@ def concentration(state, r: float, pairs: dict | None = None):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if r >= float(np.linalg.norm(hi - lo)):
         return float(np.sum(w)), pts[0].copy()
-    pairs = {} if pairs is None else pairs
-    # one KD-tree on pts serves every radius whose pair set is anchored there
-    shared = [e.tree for e in pairs.values() if e.anchor is pts]
-    tree = functools.cache(lambda: shared[0] if shared else cKDTree(pts))
-    entry = _pairs_within(pts, r, tree, pairs)
+    entry = _pairs_within(pts, r, {} if pairs is None else pairs)
     upper = _row_sums(w, entry)
     gamma = 4 * (len(pts) + 1) * np.finfo(float).eps
 
     def ball_sums(centers):
         # sorted ball indices keep sums permutation-stable, so a covering
         # ball reproduces integrate(|A|^2) bit for bit
-        return [float(np.sum(w[idx])) for idx in _balls(pts, r, entry, centers, tree)]
+        return [float(np.sum(w[idx])) for idx in _balls(pts, r, entry, centers)]
 
     (s_a,) = ball_sums([np.argmax(upper)])
     candidates = np.flatnonzero(upper * (1.0 + gamma) >= s_a)
@@ -269,10 +257,10 @@ def sphericity_of(area: float, volume: float) -> float:
 
 def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
-    non-finite value so a run aborts at the offending step.  eta(r) and its
-    center come from one concentration call per radius in `radii`; `pairs`
-    is the caller's PairSet cache (a dict keyed by radius), filled and
-    reused by those calls, which build a KD-tree only to re-query it."""
+    non-finite value so a run aborts at the offending step.  eta(r) comes
+    from one concentration call per radius in `radii`; `pairs` is the
+    caller's PairSet cache (a dict keyed by radius), filled and reused by
+    those calls, which build a KD-tree only to re-query it."""
     mass, lap, curv = state.mass, state.lap, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)
@@ -292,11 +280,9 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         float(state.geometry.qualities.min()),
     ]
     eta = []
-    centers = []
     for r in radii:
-        val, center = concentration(state, float(r), pairs=pairs)
+        val, _ = concentration(state, float(r), pairs=pairs)
         eta.append((float(r), val))
-        centers.append(tuple(center))
         scalars.append(val)
     sph = sphericity_of(area, volume)
     scalars.append(sph)
@@ -318,7 +304,6 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         li_yau_ok=bool(willmore < EIGHT_PI),
         smallness_ok=bool(tracefree < EIGHT_PI),
         eta=tuple(eta),
-        eta_centers=tuple(centers) if centers else None,
     )
 
 
@@ -421,7 +406,7 @@ def audit_dissipation(records, which: str) -> DissipationReport:
     raise ValueError(f"unknown dissipation audit: {which}")
 
 
-def fit_decay(records, window=None, min_samples: int = 10) -> DecayFit:
+def fit_decay(records, window=None) -> DecayFit:
     """Least-squares line through ln(tracefree_l2) vs t on the tail window;
     lambda is minus half the slope.
 
@@ -450,8 +435,8 @@ def fit_decay(records, window=None, min_samples: int = 10) -> DecayFit:
             raise ValueError("empty fit window")
         sel = slice(sel[0], sel[-1] + 1)
     ts, es = ts[sel], es[sel]
-    if len(ts) < min_samples:
-        raise ValueError(f"need at least {min_samples} samples in the window")
+    if len(ts) < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples in the window")
     if (es <= 0).any():
         raise ValueError("nonpositive energy in fit window")
     y = np.log(es)

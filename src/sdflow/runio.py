@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .flow import CURVATURE_SCALE_MAX, QUALITY_MIN, SolverConfig, Trajectory
+from .flow import CG_RTOL, CURVATURE_SCALE_MAX, QUALITY_MIN, SolverConfig, Trajectory
 from .generators import (
     make_dumbbell,
     make_ellipsoid,
@@ -173,7 +173,7 @@ _KEY_TABLE = {
 # keys earlier versions wrote for settings that are now fixed in the code ->
 # the fixed value, the only one a config may still give them
 _RETIRED_KEYS = {
-    "solver.linear_tol": 1e-10,
+    "solver.linear_tol": CG_RTOL,
     "solver.linear_max_iter": 0,  # meant 10 CG iterations per vertex
     "solver.stop_sphericity": 1.0,  # sphericity < 1 on closed surfaces: never fired
     "solver.quality_floor": QUALITY_MIN,
@@ -233,12 +233,11 @@ _TO_TEXT = {bool: lambda b: "1" if b else "0", int: str, float: lambda x: f"{x:.
 _FROM_TEXT = {bool: lambda s: _parse_bool(s, "1", "0"), int: int, float: float}
 
 # every DiagnosticsRecord field but the eta pairs, as (name, type); eta
-# becomes one eta_r<i> column per monitor radius, and the centers are not
-# written
+# becomes one eta_r<i> column per monitor radius
 _CSV_FIELDS = tuple(
     (name, kind)
     for name, kind in get_type_hints(DiagnosticsRecord).items()
-    if name not in ("eta", "eta_centers")
+    if name != "eta"
 )
 CSV_FIXED_COLUMNS = tuple(name for name, _ in _CSV_FIELDS)
 
@@ -320,8 +319,8 @@ def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:
 
 def load_run_records(run_dir) -> Trajectory:
     """Reload a run directory's trajectory without its snapshots: the
-    diagnostics records (with no eta centers), the stop reason from
-    summary.txt, and as config the parsed config.cfg, or None without one."""
+    diagnostics records, the stop reason from summary.txt, and as config
+    the parsed config.cfg, or None without one."""
     cfg_path = os.path.join(run_dir, CONFIG_NAME)
     csv_path = os.path.join(run_dir, CSV_NAME)
     if not os.path.exists(csv_path):

@@ -5,8 +5,9 @@ import pytest
 
 from sdflow import blowup, monitors
 from sdflow.blowup import detect, frame_metadata_text, rescale_frame
-from sdflow.flow import Trajectory
-from sdflow.monitors import EIGHT_PI
+from sdflow.flow import FlowState, Trajectory
+from sdflow.monitors import EIGHT_PI, concentration
+from sdflow.runio import RunConfig, load_run_dir, write_run_dir
 
 EPS1 = EIGHT_PI / 100.0
 
@@ -61,20 +62,37 @@ def test_detect_dumbbell_neck_center(dumbbell_run):
 
 
 def test_detect_without_centers_builds_one_state_per_snapshot(dumbbell_run, monkeypatch):
-    # as loaded from a run directory: the records carry no eta centers
-    loaded = Trajectory(
-        records=[dataclasses.replace(r, eta_centers=None) for r in dumbbell_run.records],
-        snapshots=dumbbell_run.snapshots,
-        stop_reason=dumbbell_run.stop_reason,
-    )
+    # records carry no centers: every event's center is recomputed on its
+    # snapshot, and the events that share a snapshot share one FlowState
     built = []
     state_cls = blowup.FlowState
     monkeypatch.setattr(blowup, "FlowState", lambda mesh: built.append(mesh) or state_cls(mesh))
     radii = [0.4, 0.2, 0.1]
-    events = detect(loaded, radii, EPS1)
+    events = detect(dumbbell_run, radii, EPS1)
     assert [ev.record_step for ev in events] == [0, 0, 0]
-    assert len(built) == 1
-    assert [ev.center for ev in events] == [ev.center for ev in detect(dumbbell_run, radii, EPS1)]
+    assert built == [dumbbell_run.snapshots[0]]
+    state = state_cls(dumbbell_run.snapshots[0])
+    assert [ev.center for ev in events] == [tuple(concentration(state, r)[1]) for r in radii]
+
+
+def test_detect_centers_equal_in_memory_and_reloaded(dumbbell_run, tmp_path):
+    # at eps1 = 26 the r = 0.4 event falls on a record between two
+    # snapshots; its center is that of the earlier snapshot, the frame
+    # rescale_frame zooms, in memory and after a reload alike
+    cfg = RunConfig(**dataclasses.asdict(dumbbell_run.config), kind="dumbbell")
+    write_run_dir(tmp_path, dataclasses.replace(dumbbell_run, config=cfg), "")
+    loaded = load_run_dir(tmp_path)
+    radii = [0.4, 0.2, 0.1]
+    in_memory = detect(dumbbell_run, radii, 26.0)
+    reloaded = detect(loaded, radii, 26.0)
+    assert all(ev.triggered for ev in in_memory)
+    assert in_memory[0].record_step not in dumbbell_run.snapshots
+    assert [ev.center for ev in in_memory] == [ev.center for ev in reloaded]
+    for trajectory, events in ((dumbbell_run, in_memory), (loaded, reloaded)):
+        for ev in events:
+            snap = max(s for s in trajectory.snapshots if s <= ev.record_step)
+            state = FlowState(trajectory.snapshots[snap])
+            assert ev.center == tuple(concentration(state, ev.r)[1])
 
 
 def test_rescale_frame_identity(sphere_run):

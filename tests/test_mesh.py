@@ -10,6 +10,7 @@ from sdflow.generators import (
 )
 from sdflow.mesh import (
     MeshError,
+    MeshReport,
     TriangleMesh,
     _content_lines,
     corner_sum,
@@ -89,6 +90,13 @@ def test_load_obj_with_attribute_indices():
     assert list(mesh.faces[0]) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 9"])
+def test_load_obj_out_of_range_index(face):
+    obj = f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n"
+    with pytest.raises(MeshError, match="face index out of range"):
+        loads_obj(obj)
+
+
 def test_load_off_out_of_range_index():
     off = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n"
     with pytest.raises(MeshError):
@@ -132,6 +140,83 @@ def test_validate_duplicate_face_not_oriented():
     tetra = load_mesh(TETRA_OFF, "off")
     doubled = TriangleMesh(tetra.vertices, np.vstack([tetra.faces, tetra.faces[:1]]))
     assert not validate(doubled).is_oriented
+
+
+def reference_validate(mesh):
+    """validate with the edges counted by np.unique over the half-edges, the
+    form validate had before it read the counts from MeshTopology."""
+    he = mesh.half_edges
+    und, counts = np.unique(np.sort(he, axis=1), axis=0, return_counts=True)
+    _, dir_counts = np.unique(he, axis=0, return_counts=True)
+    is_oriented = bool((dir_counts == 1).all())
+    is_closed = bool((counts == 2).all() and (dir_counts == 1).all())
+    if len(np.unique(np.sort(mesh.faces, axis=1), axis=0)) != mesh.num_faces:
+        is_oriented = False
+    chi = mesh.num_vertices - len(und) + mesh.num_faces
+    genus = (2 - chi) // 2 if (is_closed and is_oriented) else -1
+    fg = face_geometry(mesh)
+    empty = mesh.num_faces == 0
+    return MeshReport(
+        is_closed=is_closed,
+        is_oriented=is_oriented,
+        euler_characteristic=int(chi),
+        genus=int(genus),
+        min_face_area=0.0 if empty else float(fg.areas.min()),
+        min_edge_length=0.0 if empty else fg.h_min,
+        max_edge_length=0.0 if empty else fg.h_max,
+        aspect_quality=0.0 if empty else float(fg.qualities.min()),
+    )
+
+
+def tetra_with(faces=None, extra_vertices=()):
+    tetra = load_mesh(TETRA_OFF, "off")
+    vertices = np.vstack([tetra.vertices, np.reshape(extra_vertices, (-1, 3))])
+    return TriangleMesh(vertices, tetra.faces if faces is None else faces(tetra.faces))
+
+
+def two_disjoint_spheres():
+    a = make_icosphere(1.0, 1)
+    return TriangleMesh(
+        np.vstack([a.vertices, a.vertices + 3.0]), np.vstack([a.faces, a.faces + a.num_vertices])
+    )
+
+
+def one_flipped_face(f):
+    f = f.copy()
+    f[0] = f[0, ::-1]
+    return f
+
+
+@pytest.mark.parametrize(
+    "mesh_fn",
+    [
+        pytest.param(lambda: make_icosphere(1.0, 0), id="icosphere_s0"),
+        pytest.param(lambda: make_icosphere(1.0, 2), id="icosphere_s2"),
+        pytest.param(lambda: make_torus(2.0, 0.5), id="torus"),
+        pytest.param(lambda: make_dumbbell(1.0, 0.15, 2.0), id="dumbbell"),
+        pytest.param(lambda: tetra_with(lambda f: f[:-1]), id="open"),
+        pytest.param(lambda: tetra_with(lambda f: np.vstack([f, f[:1]])), id="duplicated_face"),
+        pytest.param(
+            lambda: tetra_with(lambda f: np.vstack([f, f[:1, ::-1]])),
+            id="duplicated_reversed_face",
+        ),
+        pytest.param(lambda: tetra_with(one_flipped_face), id="one_flipped_face"),
+        pytest.param(lambda: TriangleMesh(np.eye(3), [[0, 1, 2]]), id="single_triangle"),
+        pytest.param(
+            lambda: TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int64)), id="empty"
+        ),
+        pytest.param(lambda: tetra_with(extra_vertices=(2.0, 2.0, 2.0)), id="isolated_vertex"),
+        pytest.param(two_disjoint_spheres, id="two_disjoint_spheres"),
+        # edge (0, 1) lies on the faces 0 2 1, 0 1 3 and 0 1 4
+        pytest.param(
+            lambda: tetra_with(lambda f: np.vstack([f, [[0, 1, 4]]]), (1.0, -1.0, 0.0)),
+            id="edge_on_three_faces",
+        ),
+    ],
+)
+def test_validate_matches_unique_edge_reference(mesh_fn):
+    mesh = mesh_fn()
+    assert validate(mesh) == reference_validate(mesh)
 
 
 def test_rescale_identity():

@@ -277,3 +277,15 @@ def test_one_topology_per_connectivity(tmp_path):
     loaded = list(load_run_dir(tmp_path).snapshots.values())
     assert len(loaded) == 4
     assert all(m.topology is loaded[0].topology for m in loaded)
+
+
+def test_run_records_equal_their_csv_round_trip(tmp_path):
+    cfg = RunConfig(
+        kind="perturbed_sphere", subdiv=2, modes=((2, 0, 0.2),), scheme="explicit",
+        max_steps=3, monitor_radii=(0.5, 0.25),
+    )
+    trajectory = run(cfg.build_initial(), cfg)
+    write_run_dir(tmp_path, trajectory, "stop_reason: max_steps\n")
+    back = read_diagnostics_csv(tmp_path / "diagnostics.csv", radii=cfg.monitor_radii)
+    assert len(back) == 4
+    assert back == trajectory.records

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 # Scale-free degeneracy guard: a face is degenerate when its area falls
 # below this factor times the squared longest edge of the mesh.
@@ -234,6 +235,10 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
 
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Topology and quality report; failures are reported, not raised."""
+    # imported here: of the commands, only `sdflow gen` validates, and a
+    # run need not load csgraph (about 1 MB)
+    from scipy.sparse.csgraph import connected_components
+
     topo = mesh.topology
     # the faces' use count of each directed edge; the off-diagonals of the
     # L pattern are every edge in both directions
@@ -248,7 +253,15 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     is_closed = bool((uses == 1).all())
     n_e = len(topo.offdiag) // 2
     chi = mesh.num_vertices - n_e + mesh.num_faces
-    genus = (2 - chi) // 2 if (is_closed and is_oriented) else -1
+    # total genus over the connected components of the vertices on faces;
+    # an isolated vertex is a component of its own, and is left out
+    pattern = sparse.csr_matrix(
+        (np.ones(len(topo.indices)), topo.indices, topo.indptr),
+        shape=(mesh.num_vertices, mesh.num_vertices),
+    )
+    k = connected_components(pattern, directed=False)[0] - (mesh.num_vertices - len(topo.rows))
+    chi_f = len(topo.rows) - n_e + mesh.num_faces
+    genus = (2 * k - chi_f) // 2 if (is_closed and is_oriented and mesh.num_faces) else -1
     fg = face_geometry(mesh)
     empty = mesh.num_faces == 0
     return MeshReport(

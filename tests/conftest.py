@@ -1,14 +1,18 @@
 """Shared fixture runs.  The expensive trajectories are session-scoped so
-the monitor, blowup, and acceptance tests reuse one computation."""
+the monitor, blowup, and acceptance tests reuse one computation.  The
+acceptance experiments are the run configs in experiments/, the same
+files `sdflow run` takes."""
+
+import dataclasses
+import os
 
 import pytest
 
-from sdflow.flow import CFL, EXPLICIT, FIXED, SEMI_IMPLICIT, SolverConfig, run
-from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
+from sdflow.flow import CFL, EXPLICIT, SolverConfig, run
+from sdflow.generators import make_icosphere
+from sdflow.runio import load_config
 
-HEADLINE_MODES = ((2, 0, 0.1),)
-HEADLINE_SIGMA = 0.005
-HEADLINE_STEPS = 2000
+EXPERIMENTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "experiments")
 
 SPHERE_CFG = """
 initial.kind = icosphere
@@ -66,22 +70,13 @@ RETIRED_KEYS = {
     "monitor.eps0": "25.132741228718345",
 }
 
-CONV_MODES = ((2, 0, 0.3),)
-CONV_DT = 4.5e-4
-CONV_T_END = 0.09
 
-DUMBBELL_RADII = (0.4, 0.2, 0.1)
+def experiment(name):
+    return load_config(os.path.join(EXPERIMENTS, f"{name}.cfg"))
 
 
-def headline_config(sigma=HEADLINE_SIGMA, max_steps=HEADLINE_STEPS):
-    return SolverConfig(
-        scheme=EXPLICIT,
-        dt_policy=CFL,
-        cfl_sigma=sigma,
-        t_end=1.0,
-        max_steps=max_steps,
-        snapshot_every=500,
-    )
+def run_experiment(cfg):
+    return run(cfg.build_initial(), cfg)
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +84,7 @@ def sphere_run():
     cfg = SolverConfig(
         scheme=EXPLICIT,
         dt_policy=CFL,
-        cfl_sigma=HEADLINE_SIGMA,
+        cfl_sigma=0.005,
         t_end=1.0,
         max_steps=150,
         snapshot_every=50,
@@ -100,45 +95,25 @@ def sphere_run():
 
 @pytest.fixture(scope="session")
 def headline_run():
-    return run(make_perturbed_sphere(1.0, HEADLINE_MODES), headline_config())
+    return run_experiment(experiment("headline"))
 
 
 @pytest.fixture(scope="session")
 def headline_run_half_dt():
-    return run(make_perturbed_sphere(1.0, HEADLINE_MODES), headline_config(sigma=HEADLINE_SIGMA / 2))
-
-
-def conv_config(scale=1.0):
-    return SolverConfig(
-        scheme=SEMI_IMPLICIT,
-        dt_policy=FIXED,
-        dt=CONV_DT * scale**4,
-        t_end=CONV_T_END * scale**4,
-        volume_correction=True,
-        snapshot_every=1000,
-    )
+    cfg = experiment("headline")
+    return run_experiment(dataclasses.replace(cfg, cfl_sigma=cfg.cfl_sigma / 2))
 
 
 @pytest.fixture(scope="session")
 def conv_run():
-    return run(make_perturbed_sphere(1.0, CONV_MODES), conv_config())
+    return run_experiment(experiment("convergence"))
 
 
 @pytest.fixture(scope="session")
 def conv_run_double():
-    modes = tuple((l, m, 2.0 * amp) for (l, m, amp) in CONV_MODES)
-    return run(make_perturbed_sphere(2.0, modes), conv_config(scale=2.0))
+    return run_experiment(experiment("convergence_x2"))
 
 
 @pytest.fixture(scope="session")
 def dumbbell_run():
-    cfg = SolverConfig(
-        scheme=SEMI_IMPLICIT,
-        dt_policy=CFL,
-        cfl_sigma=0.1,
-        t_end=1.0,
-        max_steps=4000,
-        snapshot_every=25,
-        monitor_radii=DUMBBELL_RADII,
-    )
-    return run(make_dumbbell(1.0, 0.15, 2.0), cfg)
+    return run_experiment(experiment("dumbbell_pinch"))

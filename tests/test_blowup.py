@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from sdflow import blowup, monitors
 from sdflow.blowup import detect, frame_metadata_text, rescale_frame
 from sdflow.flow import FlowState, Trajectory
 from sdflow.monitors import EIGHT_PI, concentration
-from sdflow.runio import RunConfig, load_run_dir, write_run_dir
+from sdflow.runio import load_run_dir, write_run_dir
 
 EPS1 = EIGHT_PI / 100.0
 
@@ -79,8 +77,7 @@ def test_detect_centers_equal_in_memory_and_reloaded(dumbbell_run, tmp_path):
     # at eps1 = 26 the r = 0.4 event falls on a record between two
     # snapshots; its center is that of the earlier snapshot, the frame
     # rescale_frame zooms, in memory and after a reload alike
-    cfg = RunConfig(**dataclasses.asdict(dumbbell_run.config), kind="dumbbell")
-    write_run_dir(tmp_path, dataclasses.replace(dumbbell_run, config=cfg), "")
+    write_run_dir(tmp_path, dumbbell_run, "")
     loaded = load_run_dir(tmp_path)
     radii = [0.4, 0.2, 0.1]
     in_memory = detect(dumbbell_run, radii, 26.0)

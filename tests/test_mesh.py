@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from sdflow.cli import main
 from sdflow.generators import (
@@ -153,7 +155,12 @@ def reference_validate(mesh):
     if len(np.unique(np.sort(mesh.faces, axis=1), axis=0)) != mesh.num_faces:
         is_oriented = False
     chi = mesh.num_vertices - len(und) + mesh.num_faces
-    genus = (2 - chi) // 2 if (is_closed and is_oriented) else -1
+    on_faces = np.unique(mesh.faces)
+    n = mesh.num_vertices
+    graph = sparse.coo_matrix((np.ones(len(und)), (und[:, 0], und[:, 1])), shape=(n, n))
+    k = connected_components(graph, directed=False)[0] - (n - len(on_faces))
+    chi_f = len(on_faces) - len(und) + mesh.num_faces
+    genus = (2 * k - chi_f) // 2 if (is_closed and is_oriented and mesh.num_faces) else -1
     fg = face_geometry(mesh)
     empty = mesh.num_faces == 0
     return MeshReport(
@@ -217,6 +224,18 @@ def one_flipped_face(f):
 def test_validate_matches_unique_edge_reference(mesh_fn):
     mesh = mesh_fn()
     assert validate(mesh) == reference_validate(mesh)
+
+
+def test_validate_genus_sums_over_components():
+    cases = [
+        (two_disjoint_spheres(), 0),
+        (TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int64)), -1),
+        (tetra_with(extra_vertices=(2.0, 2.0, 2.0)), 0),
+        (make_torus(2.0, 0.5), 1),
+        (make_icosphere(1.0, 0), 0),
+        (make_icosphere(1.0, 2), 0),
+    ]
+    assert [validate(mesh).genus for mesh, _ in cases] == [genus for _, genus in cases]
 
 
 def test_rescale_identity():

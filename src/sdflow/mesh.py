@@ -3,7 +3,9 @@ validation, OFF/OBJ I/O."""
 
 from __future__ import annotations
 
+import itertools
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -290,8 +292,11 @@ def rescale(mesh: TriangleMesh, center, factor: float) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
+def _content_lines(lines):
+    """The lines, each cut at its first `#` and stripped, without the blank
+    ones.  Lazy: a line is read only when the next content line is asked
+    for."""
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line
@@ -300,22 +305,37 @@ def _content_lines(text: str):
 _OFF_INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _read_block(lines, dtype, ncols: int) -> np.ndarray:
-    """The first ncols whitespace-separated columns of every line, parsed
-    in one np.loadtxt call; raises ValueError on a short or unparsable row."""
-    if not lines:
-        return np.empty((0, ncols), dtype)
-    return np.loadtxt(
-        lines, dtype=dtype, usecols=range(ncols), ndmin=2, comments=None
-    )
+def _read_block(lines, dtype, ncols: int, nrows: int) -> np.ndarray:
+    """The first ncols whitespace-separated columns of the next nrows
+    content lines of `lines`, in one np.loadtxt call.  loadtxt drops `#`
+    comments and blank lines itself, and takes no line from an iterator
+    past the last row it reads.  Fewer rows come back when the lines run
+    out; raises ValueError on a short or unparsable row."""
+    with warnings.catch_warnings():
+        # loadtxt warns that skipped comment and blank lines do not count
+        # toward max_rows, and that a block without rows holds no data;
+        # an OFF block means both
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            lines, dtype=dtype, comments="#", usecols=range(ncols), ndmin=2, max_rows=nrows
+        )
 
 
-def _face_error(lines) -> MeshError:
-    """The error of a face block that np.loadtxt rejected, named by its
-    first bad row: a token among the first four that is no integer makes
-    it malformed; fewer than four integers, or a count other than 3, a
-    non-triangle face."""
-    for line in lines:
+def _body_error(text: str, nv: int, nf: int) -> MeshError:
+    """The error of an OFF body that np.loadtxt rejected, as the per-line
+    reader names it: a file with fewer than nv + nf content lines after the
+    counts line is truncated; otherwise the vertex block is malformed if it
+    fails alone; otherwise the first bad face line decides: a token among
+    its first four that is no integer makes it malformed; fewer than four
+    integers, or a count other than 3, a non-triangle face."""
+    body = list(_content_lines(text.splitlines()))[2:]
+    if len(body) < nv + nf:
+        return MeshError("truncated OFF file")
+    try:
+        _read_block(body[:nv], np.float64, 3, nv)
+    except ValueError:
+        return MeshError("malformed OFF vertex line")
+    for line in body[nv : nv + nf]:
         toks = line.split()[:4]
         if not all(_OFF_INT.fullmatch(t) for t in toks):
             break
@@ -337,29 +357,26 @@ def loads_off(text: str) -> TriangleMesh:
     such as digit-group underscores ("1_0") or non-ASCII digits, make a
     malformed line; OFF writers emit neither.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = iter(text.splitlines())
+    head = list(itertools.islice(_content_lines(lines), 2))
+    if not head:
         raise MeshError("empty OFF file")
-    if lines[0].upper() != "OFF":
+    if head[0].upper() != "OFF":
         raise MeshError("missing OFF header")
     try:
-        counts = [int(tok) for tok in lines[1].split()]
+        counts = [int(tok) for tok in head[1].split()]
         nv, nf = counts[0], counts[1]
     except (IndexError, ValueError) as exc:
         raise MeshError("malformed OFF counts line") from exc
     if nv < 0 or nf < 0:
         raise MeshError("malformed OFF counts line")
-    if len(lines) - 2 < nv + nf:
+    try:
+        vertices = _read_block(lines, np.float64, 3, nv)
+        faces = _read_block(lines, np.int64, 4, nf)
+    except ValueError as exc:
+        raise _body_error(text, nv, nf) from exc
+    if len(vertices) < nv or len(faces) < nf:
         raise MeshError("truncated OFF file")
-    try:
-        vertices = _read_block(lines[2 : 2 + nv], np.float64, 3)
-    except ValueError as exc:
-        raise MeshError("malformed OFF vertex line") from exc
-    face_lines = lines[2 + nv : 2 + nv + nf]
-    try:
-        faces = _read_block(face_lines, np.int64, 4)
-    except ValueError as exc:
-        raise _face_error(face_lines) from exc
     if (faces[:, 0] != 3).any():
         raise MeshError("non-triangle face")
     return TriangleMesh(vertices, faces[:, 1:])
@@ -368,7 +385,7 @@ def loads_off(text: str) -> TriangleMesh:
 def loads_obj(text: str) -> TriangleMesh:
     vertices = []
     faces = []
-    for line in _content_lines(text):
+    for line in _content_lines(text.splitlines()):
         toks = line.split()
         if toks[0] == "v":
             try:

@@ -88,7 +88,7 @@ class DecayFit:
     samples: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairSet:
     """Every vertex pair within (r + 2 delta)(1 + 1e-9) of one another at
     the anchor positions, delta = PAIR_SLACK * r, as a symmetric neighbour
@@ -97,12 +97,17 @@ class PairSet:
     than delta from its anchor, the triangle inequality puts every vertex
     now within r of v in row v.  `tree` is the KD-tree on the anchor
     positions it was queried from, which the other radii's pair sets at the
-    same anchor reuse."""
+    same anchor reuse.  `w0`, `bound` and `admitted` are concentration's
+    last exact row-sum pass over this set: its weights, its widened row
+    sums, and how many candidates they admitted (None until the first)."""
 
     anchor: np.ndarray  # a mesh's read-only vertex array
     indptr: np.ndarray
     nbrs: np.ndarray  # int32
     tree: cKDTree
+    w0: np.ndarray | None = None
+    bound: np.ndarray | None = None
+    admitted: int = 0
 
 
 def _query_pair_set(pts, radius, tree):
@@ -152,7 +157,9 @@ def _pairs_within(pts, r, pairs):
 def _balls(pts, r, entry, centers):
     """Each center's ball |x_i - x_c| <= r as its sorted vertex indices:
     the center's PairSet row, kept where d2 = dx*dx + dy*dy + dz*dz <= r*r.
-    Rows are gathered in chunks of about GATHER_CHUNK entries."""
+    Rows are gathered in chunks of about GATHER_CHUNK entries, and each
+    chunk yields (members, offsets): its k-th center's ball is
+    members[offsets[k]:offsets[k + 1]]."""
     r2 = r * r
     centers = np.asarray(centers)
     starts = entry.indptr[centers]
@@ -161,14 +168,28 @@ def _balls(pts, r, entry, centers):
     for s in range(0, len(centers), step):
         c, st, ln = centers[s : s + step], starts[s : s + step], lens[s : s + step]
         ends = np.cumsum(ln)
-        members = entry.nbrs[np.repeat(st - (ends - ln), ln) + np.arange(ends[-1])]
-        d = pts[members] - np.repeat(pts[c], ln, axis=0)
+        members = entry.nbrs.take(np.repeat(st - (ends - ln), ln) + np.arange(ends[-1]))
+        d = pts.take(members, axis=0) - np.repeat(pts.take(c, axis=0), ln, axis=0)
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
         inside = d2 <= r2
-        kept = members[inside]
-        bounds = np.concatenate(([0], np.cumsum(inside)[ends - 1]))
-        for k in range(len(c)):
-            yield kept[bounds[k] : bounds[k + 1]]
+        yield members[inside], np.concatenate(([0], np.cumsum(inside)[ends - 1]))
+
+
+def _ball_sums(w, balls):
+    """np.sum of w over each of _balls' balls, in their order.  The balls
+    of one length L are gathered as the rows of a C-contiguous (k, L)
+    array, and numpy sums each row of it with the same pairwise sum as
+    np.sum over that row alone."""
+    sums = []
+    for members, offsets in balls:
+        wm = w.take(members)
+        lens = np.diff(offsets)
+        out = np.empty(len(lens))
+        for length in np.unique(lens):
+            (k,) = np.nonzero(lens == length)
+            out[k] = np.sum(wm.take(offsets[k, None] + np.arange(length)), axis=1)
+        sums.append(out)
+    return np.concatenate(sums)
 
 
 def _row_sums(w, entry):
@@ -179,7 +200,7 @@ def _row_sums(w, entry):
     sums = np.empty(n)
     for a in range(0, n, step):
         b = min(a + step, n)
-        sums[a:b] = np.add.reduceat(w[nbrs[indptr[a] : indptr[b]]], indptr[a:b] - indptr[a])
+        sums[a:b] = np.add.reduceat(w.take(nbrs[indptr[a] : indptr[b]]), indptr[a:b] - indptr[a])
     return sums
 
 
@@ -194,19 +215,29 @@ def concentration(state, r: float, pairs: dict | None = None):
     r gives an upper bound U_i on every ball, the sum over its row (the
     weights are >= 0, and extra pairs only add terms).  Summing k
     nonnegative terms in any order errs by at most gamma_k = k u / (1 - k u)
-    times the sum (u = eps / 2), so a ball with U_i (1 + Gamma) < S_a
-    cannot reach the maximum, for S_a the exact sum at argmax U and
-    Gamma = 4 (n + 1) eps, n the vertex count, which bounds every ball.  The
-    survivors' balls are read from their rows (see _balls), summed exactly
-    in ascending vertex order, and the first strict maximum wins.  A
-    non-finite weight gives a non-finite eta.
+    times the sum (u = eps / 2), so a ball with B_i = U_i (1 + Gamma) < S_a
+    cannot reach the maximum, for S_a the exact sum at argmax B and
+    Gamma = 4 (n + 1) eps, n the vertex count, which bounds every ball.
+
+    The PairSet keeps the weights w0 and the bounds B0 of its last exact
+    row-sum pass.  A later call with weights w bounds ball i by
+    B_i = (B0_i + len_i g) (1 + Gamma), len_i the row length and
+    g = max(0, max_j (w_j - w0_j)) the largest weight increase: a row of
+    len_i nonnegative terms gains at most len_i g, and the second
+    (1 + Gamma) covers the rounding of g and of each operation.  The row
+    sums run again only when the PairSet is new, or when the carried
+    bounds admit more candidates than its last exact pass did.
+
+    The candidates' balls are read from their rows (see _balls), summed
+    exactly in ascending vertex order (see _ball_sums), and the first
+    maximum wins.  A non-finite weight gives a non-finite eta.
 
     `pairs` is a dict of PairSets keyed by radius that the caller keeps
     across states; flow.run holds one per run, so an explicit step, which
-    moves a vertex far less than PAIR_SLACK * r, reuses the last query.
-    Without it every call queries afresh.  A KD-tree is built only to
-    query pairs, and one built at these positions for another radius's
-    PairSet is reused.
+    moves a vertex far less than PAIR_SLACK * r, reuses the last query and
+    its bounds.  Without it every call queries afresh.  A KD-tree is built
+    only to query pairs, and one built at these positions for another
+    radius's PairSet is reused.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -220,16 +251,24 @@ def concentration(state, r: float, pairs: dict | None = None):
     if r >= float(np.linalg.norm(hi - lo)):
         return float(np.sum(w)), pts[0].copy()
     entry = _pairs_within(pts, r, {} if pairs is None else pairs)
-    upper = _row_sums(w, entry)
     gamma = 4 * (len(pts) + 1) * np.finfo(float).eps
 
     def ball_sums(centers):
         # sorted ball indices keep sums permutation-stable, so a covering
         # ball reproduces integrate(|A|^2) bit for bit
-        return [float(np.sum(w[idx])) for idx in _balls(pts, r, entry, centers)]
+        return _ball_sums(w, _balls(pts, r, entry, centers))
 
-    (s_a,) = ball_sums([np.argmax(upper)])
-    candidates = np.flatnonzero(upper * (1.0 + gamma) >= s_a)
+    def admitted(bound):
+        (s_a,) = ball_sums([np.argmax(bound)])
+        return np.flatnonzero(bound >= s_a)
+
+    if entry.w0 is not None:
+        rise = max(0.0, float(np.max(w - entry.w0)))
+        candidates = admitted((entry.bound + np.diff(entry.indptr) * rise) * (1.0 + gamma))
+    if entry.w0 is None or len(candidates) > entry.admitted:
+        entry.w0, entry.bound = w, _row_sums(w, entry) * (1.0 + gamma)
+        candidates = admitted(entry.bound)
+        entry.admitted = len(candidates)
     # balls holding every vertex have one index list and so one sum; after
     # the first of them, none can beat the running best.  None is narrower
     # than the widest axis extent.  A ball holds every vertex when its
@@ -242,13 +281,9 @@ def concentration(state, r: float, pairs: dict | None = None):
         dist = np.sqrt(np.sum((pts[candidates] - mid) ** 2, axis=1))
         full = dist + rho <= r * (1.0 - TIE_BAND)
         candidates = np.union1d(candidates[~full], candidates[full][:1])
-    best = -math.inf  # stays non-finite if no ball survives
-    best_i = 0
-    for k, s in zip(candidates, ball_sums(candidates)):
-        if s > best:
-            best = s
-            best_i = k
-    return best, pts[best_i].copy()
+    sums = ball_sums(candidates)
+    best = int(np.argmax(sums))
+    return float(sums[best]), pts[candidates[best]].copy()
 
 
 def sphericity_of(area: float, volume: float) -> float:

@@ -288,7 +288,7 @@ def test_corner_sum_equals_three_add_at_passes(shape):
 def reference_loads_off(text):
     """The OFF reader in its plain form: float() and int() on every token
     of every line, one line at a time."""
-    lines = list(_content_lines(text))
+    lines = list(_content_lines(text.splitlines()))
     if not lines:
         raise MeshError("empty OFF file")
     if lines[0].upper() != "OFF":

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import functools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -224,9 +225,15 @@ def test_concentration_matches_per_ball_reference_property(r, amp):
 @contextlib.contextmanager
 def counting_tree_queries():
     """Patch monitors.cKDTree with a subclass that counts its constructions
-    ("tree") and its query_pairs and query_ball_point calls; yields the
-    Counter."""
+    ("tree") and its query_pairs and query_ball_point calls, and
+    monitors._row_sums, to count concentration's exact row-sum passes
+    ("row_sums"); yields the Counter."""
     count = collections.Counter()
+    row_sums = monitors._row_sums
+
+    def counting_row_sums(*args):
+        count["row_sums"] += 1
+        return row_sums(*args)
 
     class CountingTree(cKDTree):
         def __init__(self, *args, **kwargs):
@@ -241,7 +248,10 @@ def counting_tree_queries():
             count["query_ball_point"] += 1
             return super().query_ball_point(*args, **kwargs)
 
-    with mock.patch.object(monitors, "cKDTree", CountingTree):
+    with (
+        mock.patch.object(monitors, "cKDTree", CountingTree),
+        mock.patch.object(monitors, "_row_sums", counting_row_sums),
+    ):
         yield count
 
 
@@ -363,12 +373,83 @@ def test_pair_set_balls_equal_query_ball_point(mesh_fn, radii):
         with counting_tree_queries() as count:
             entry = monitors._pairs_within(pts, r, {})
             assert_pair_set_invariants(entry)
-            balls = list(monitors._balls(pts, r, entry, np.arange(len(pts))))
+            balls = [
+                members[offsets[k] : offsets[k + 1]]
+                for members, offsets in monitors._balls(pts, r, entry, np.arange(len(pts)))
+                for k in range(len(offsets) - 1)
+            ]
         assert count["query_ball_point"] == 0, r
         ref = ref_tree.query_ball_point(pts, r, return_sorted=True)
         assert len(balls) == len(ref)
         for v, (got, want) in enumerate(zip(balls, ref)):
             assert np.array_equal(got, want), (r, v)
+
+
+@pytest.mark.parametrize("length", [1, 7, 9, 127, 129, 8191, 8192, 8193, 20000])
+def test_ball_sums_equal_per_ball_np_sum_bitwise(length):
+    # numpy's pairwise sum unrolls by 8, splits blocks of 128 and buffers
+    # 8192 elements; the (k, L) row sums must match a 1-D np.sum at each
+    rng = np.random.default_rng(length)
+    w = rng.random(2 * length + 10) ** 8
+    lens = np.array([length, 3, length, 1, length])
+    members = rng.integers(0, len(w), lens.sum()).astype(np.int32)
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    got = monitors._ball_sums(w, [(members, offsets)])
+    want = [np.sum(w[members[a:b]]) for a, b in zip(offsets, offsets[1:])]
+    assert np.array_equal(got, want)
+
+
+def weighted_state(pts, w):
+    """A stand-in for a FlowState with vertex weights w: concentration
+    reads only mesh.vertices, curvature.A_sq and mass.m."""
+    return SimpleNamespace(
+        mesh=SimpleNamespace(vertices=pts),
+        curvature=SimpleNamespace(A_sq=w),
+        mass=SimpleNamespace(m=np.ones(len(w))),
+    )
+
+
+@functools.cache
+def dumbbell_weights():
+    state = default_dumbbell()
+    return state.mesh.vertices, state.curvature.A_sq * state.mass.m
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([0.4, 0.2, 0.1]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5),
+    st.none() | st.integers(0, 4609),
+    st.floats(0.0, 60.0),
+)
+# vertex 0 is a bulb pole, far from the 96 tied neck candidates at r = 0.4;
+# raising its weight to 50 makes its ball the new winner
+@example(0.4, 0, 0.0, 0.0, 0.0, 0, 50.0)
+def test_carried_bound_matches_reference_bitwise(r, seed, down, up, zeros, spike, spike_size):
+    # the positions stay put, so the second call reuses the PairSet and
+    # its carried bounds; its weights rise, fall and vanish
+    pts, base = dumbbell_weights()
+    rng = np.random.default_rng(seed)
+
+    def redraw(w):
+        w = w * rng.uniform(1.0 - down, 1.0 + up, len(w))
+        w[rng.random(len(w)) < zeros] = 0.0
+        return w
+
+    first = redraw(base)
+    second = redraw(first)
+    if spike is not None:
+        second[spike] += spike_size
+    pairs = {}
+    with counting_tree_queries() as count:
+        assert_concentration_bitwise(weighted_state(pts, first), r, pairs)
+        entry = pairs[r]
+        assert_concentration_bitwise(weighted_state(pts, second), r, pairs)
+    assert count["query_pairs"] == 1 and pairs[r] is entry
+    assert count["row_sums"] in (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -446,6 +527,8 @@ def test_run_cached_pairs_explicit_dumbbell_query_once_per_radius():
     # is read from the cached pair sets
     assert queries["tree"] == 1
     assert queries["query_ball_point"] == 0
+    # the later records bound the balls from the first record's row sums
+    assert queries["row_sums"] == len(radii)
     assert_records_match_uncached(traj, radii)
 
 
@@ -466,6 +549,7 @@ def test_run_cached_pairs_semi_implicit_dumbbell_requeries():
     assert min(moves) > PAIR_SLACK * max(radii)
     assert queries["query_pairs"] == len(radii) * len(traj.records)
     assert queries["tree"] == len(traj.records)
+    assert queries["row_sums"] == len(radii) * len(traj.records)
     assert_records_match_uncached(traj, radii)
 
 

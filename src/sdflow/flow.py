@@ -115,8 +115,12 @@ class SolverConfig:
             raise ValueError(f"unknown scheme: {self.scheme}")
         if self.dt_policy not in (FIXED, CFL):
             raise ValueError(f"unknown dt policy: {self.dt_policy}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if not 0 < self.cfl_sigma <= 1:
             raise ValueError("cfl_sigma must lie in (0, 1]")
         if self.snapshot_every < 1:

@@ -4,13 +4,16 @@ Everything the flow is supposed to conserve, dissipate, or keep scale
 invariant is computed here: area, enclosed volume, Willmore energy
 (1/4) int H^2, tracefree curvature energy int |A^o|^2, the dissipation
 integrals int |grad H|^2 and int |lap H|^2, the curvature concentration
-eta(r), the isoperimetric sphericity, and the two 8*pi gates.
+eta(r), the isoperimetric sphericity, and the two 8*pi gates.  Each
+trajectory audit returns the dict that `sdflow analyze --json` prints for
+it, and audit_report collects them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -21,9 +24,6 @@ from .geometry import dirichlet_energy, enclosed_volume, integrate
 EIGHT_PI = 8.0 * math.pi
 # a PairSet is reused while no vertex has moved more than PAIR_SLACK * r
 PAIR_SLACK = 1e-3
-# relative margin that keeps a full ball's squared distances clear of r^2
-# (see concentration)
-TIE_BAND = 1e-9
 # _row_sums and _balls gather about this many row entries at once: on an s4
 # icosphere at r = 1.9 every one of the 2562 balls is a candidate, and their
 # rows hold 5.9 million entries
@@ -61,31 +61,10 @@ class DiagnosticsRecord:
     eta: tuple  # ((r, eta(r)), ...)
 
 
-@dataclass(frozen=True)
-class MonotonicityAudit:
-    quantity: str
-    violations: tuple  # (step, before, after, allowed_slack)
-    max_violation: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DissipationReport:
-    which: str
-    samples: int
-    median_rel_error: float  # AREA_RATE agreement; nan for TRACEFREE_RATE
-    violations: int
-    best_constant: float  # largest c with dE/dt <= -c * int |lap H|^2
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    t0: float
-    t1: float
-    lambda_fit: float
-    r_squared: float
-    samples: int
+# the record's float fields, which diagnostics checks for finiteness
+_FLOAT_FIELDS = tuple(
+    name for name, kind in get_type_hints(DiagnosticsRecord).items() if kind is float
+)
 
 
 @dataclass
@@ -247,8 +226,7 @@ def concentration(state, r: float, pairs: dict | None = None):
         return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    if r >= float(np.linalg.norm(hi - lo)):
+    if r >= float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))):
         return float(np.sum(w)), pts[0].copy()
     entry = _pairs_within(pts, r, {} if pairs is None else pairs)
     gamma = 4 * (len(pts) + 1) * np.finfo(float).eps
@@ -269,18 +247,6 @@ def concentration(state, r: float, pairs: dict | None = None):
         entry.w0, entry.bound = w, _row_sums(w, entry) * (1.0 + gamma)
         candidates = admitted(entry.bound)
         entry.admitted = len(candidates)
-    # balls holding every vertex have one index list and so one sum; after
-    # the first of them, none can beat the running best.  None is narrower
-    # than the widest axis extent.  A ball holds every vertex when its
-    # center is within r - rho of the bounding-box center, rho the largest
-    # distance from that center to a vertex; the TIE_BAND margin keeps every
-    # squared distance clear of r*r
-    if 2.0 * r >= float(np.max(hi - lo)):
-        mid = 0.5 * (lo + hi)
-        rho = math.sqrt(np.max(np.sum((pts - mid) ** 2, axis=1)))
-        dist = np.sqrt(np.sum((pts[candidates] - mid) ** 2, axis=1))
-        full = dist + rho <= r * (1.0 - TIE_BAND)
-        candidates = np.union1d(candidates[~full], candidates[full][:1])
     sums = ball_sums(candidates)
     best = int(np.argmax(sums))
     return float(sums[best]), pts[candidates[best]].copy()
@@ -296,50 +262,32 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     from one concentration call per radius in `radii`; `pairs` is the
     caller's PairSet cache (a dict keyed by radius), filled and reused by
     those calls, which build a KD-tree only to re-query it."""
-    mass, lap, curv = state.mass, state.lap, state.curvature
+    mass, curv = state.mass, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)
     willmore = 0.25 * integrate(curv.H**2, mass)
     tracefree = integrate(curv.Ao_sq, mass)
-    grad_h = dirichlet_energy(curv.H, lap)
-    lap_h = integrate(curv.lapH**2, mass)
-    scalars = [
-        area,
-        volume,
-        willmore,
-        tracefree,
-        grad_h,
-        lap_h,
-        float(np.sqrt(curv.A_sq.max())),
-        state.geometry.h_min,
-        float(state.geometry.qualities.min()),
-    ]
-    eta = []
-    for r in radii:
-        val, _ = concentration(state, float(r), pairs=pairs)
-        eta.append((float(r), val))
-        scalars.append(val)
-    sph = sphericity_of(area, volume)
-    scalars.append(sph)
-    if not np.isfinite(scalars).all():
-        raise NumericsError(f"non-finite diagnostic at step {state.step}")
-    return DiagnosticsRecord(
+    record = DiagnosticsRecord(
         step=state.step,
         t=state.t,
         area=area,
         volume=volume,
         willmore=willmore,
         tracefree_l2=tracefree,
-        gradH_l2=grad_h,
-        lapH_l2=lap_h,
-        max_abs_A=scalars[6],
-        h_min=scalars[7],
-        quality=scalars[8],
-        sphericity=sph,
+        gradH_l2=dirichlet_energy(curv.H, state.lap),
+        lapH_l2=integrate(curv.lapH**2, mass),
+        max_abs_A=float(np.sqrt(curv.A_sq.max())),
+        h_min=state.geometry.h_min,
+        quality=float(state.geometry.qualities.min()),
+        sphericity=sphericity_of(area, volume),
         li_yau_ok=bool(willmore < EIGHT_PI),
         smallness_ok=bool(tracefree < EIGHT_PI),
-        eta=tuple(eta),
+        eta=tuple((float(r), concentration(state, float(r), pairs=pairs)[0]) for r in radii),
     )
+    values = [getattr(record, name) for name in _FLOAT_FIELDS] + [v for _, v in record.eta]
+    if not np.isfinite(values).all():
+        raise NumericsError(f"non-finite diagnostic at step {state.step}")
+    return record
 
 
 def stationarity_residual(state):
@@ -354,37 +302,40 @@ def _slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) ->
     return 1e-8 * abs(value) + dt * dt * before.lapH_l2
 
 
-def audit_monotone(records, quantity: str) -> MonotonicityAudit:
-    """Flag every step where the quantity increased by more than _slack."""
+def audit_monotone(records, quantity: str) -> dict:
+    """Count the steps where the quantity increased by more than _slack:
+    {passed, violations (the count), max_violation (the largest excess
+    over the slack)}, and first_violating_step when there is one."""
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least two records")
     if quantity not in (AREA, TRACEFREE_L2, WILLMORE):
         raise ValueError(f"unknown audit quantity: {quantity}")
-    violations = []
+    steps = []
     max_violation = 0.0
     for before, after in zip(records, records[1:]):
         q0 = getattr(before, quantity)
-        q1 = getattr(after, quantity)
-        slack = _slack(before, after, q0)
-        excess = q1 - q0 - slack
+        excess = getattr(after, quantity) - q0 - _slack(before, after, q0)
         if excess > 0:
-            violations.append((after.step, q0, q1, slack))
+            steps.append(after.step)
             max_violation = max(max_violation, excess)
-    return MonotonicityAudit(
-        quantity=quantity,
-        violations=tuple(violations),
-        max_violation=max_violation,
-        passed=not violations,
-    )
+    audit = {"passed": not steps, "violations": len(steps), "max_violation": max_violation}
+    if steps:
+        audit["first_violating_step"] = steps[0]
+    return audit
 
 
 _RATE_FLOOR = 1e-10
 
 
-def audit_dissipation(records, which: str) -> DissipationReport:
+def audit_dissipation(records, which: str) -> dict:
     """AREA_RATE checks dArea/dt against -int |grad H|^2; TRACEFREE_RATE
-    checks dE/dt <= -(1/8) int |lap H|^2 and reports the best constant."""
+    checks dE/dt <= -(1/8) int |lap H|^2.  Both return {passed,
+    median_rel_error, violations, best_constant, samples}: the median
+    relative error of the AREA_RATE balance (nan for TRACEFREE_RATE), the
+    TRACEFREE_RATE steps that break the bound (0 for AREA_RATE), the
+    largest c with dE/dt <= -c int |lap H|^2 (nan for AREA_RATE), and the
+    number of steps that were not vacuous."""
     records = list(records)
     if len(records) < 10:
         raise ValueError("need a window of at least 10 records")
@@ -406,14 +357,13 @@ def audit_dissipation(records, which: str) -> DissipationReport:
                 continue
             errs.append(abs(lhs + rhs) / max(rhs, _RATE_FLOOR))
         med = float(np.median(errs)) if errs else 0.0
-        return DissipationReport(
-            which=which,
-            samples=len(errs),
-            median_rel_error=med,
-            violations=0,
-            best_constant=math.nan,
-            passed=med < 0.15,
-        )
+        return {
+            "passed": med < 0.15,
+            "median_rel_error": med,
+            "violations": 0,
+            "best_constant": math.nan,
+            "samples": len(errs),
+        }
     if which == TRACEFREE_RATE:
         violations = 0
         best = math.inf
@@ -430,20 +380,20 @@ def audit_dissipation(records, which: str) -> DissipationReport:
             best = min(best, -lhs / max(rhs, _RATE_FLOOR))
             if lhs > -0.125 * rhs + floor / dt:
                 violations += 1
-        return DissipationReport(
-            which=which,
-            samples=samples,
-            median_rel_error=math.nan,
-            violations=violations,
-            best_constant=float(best) if np.isfinite(best) else math.nan,
-            passed=violations == 0,
-        )
+        return {
+            "passed": violations == 0,
+            "median_rel_error": math.nan,
+            "violations": violations,
+            "best_constant": float(best) if np.isfinite(best) else math.nan,
+            "samples": samples,
+        }
     raise ValueError(f"unknown dissipation audit: {which}")
 
 
-def fit_decay(records, window=None) -> DecayFit:
-    """Least-squares line through ln(tracefree_l2) vs t on the tail window;
-    lambda is minus half the slope.
+def fit_decay(records, window=None) -> dict:
+    """Least-squares line through ln(tracefree_l2) vs t on the tail window:
+    {lambda (minus half the slope), r_squared, samples, t0, t1}, t0 and t1
+    the first and last fitted times.
 
     window=None starts where the energy first falls below half its initial
     value (post-transient tail) and ends where it last exceeds 1/32 of the
@@ -479,53 +429,23 @@ def fit_decay(records, window=None) -> DecayFit:
     resid = y - (slope * ts + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(
-        t0=float(ts[0]),
-        t1=float(ts[-1]),
-        lambda_fit=float(-slope / 2.0),
-        r_squared=r_sq,
-        samples=len(ts),
-    )
+    return {
+        "lambda": float(-slope / 2.0),
+        "r_squared": r_sq,
+        "samples": len(ts),
+        "t0": float(ts[0]),
+        "t1": float(ts[-1]),
+    }
 
 
 def audit_report(records, window=None) -> dict:
     """Every trajectory audit in one dict, the layout `sdflow analyze --json`
-    prints: monotonicity of area, tracefree and Willmore energy, both
-    dissipation audits on records[10:] (past the start-up transient), and
-    the decay fit over `window` (see fit_decay).  An audit these records
-    cannot support is {"unavailable": reason}."""
+    prints: audit_monotone of area, tracefree and Willmore energy, both
+    audit_dissipation checks on records[10:] (past the start-up
+    transient), and fit_decay over `window`, each entry the audit's own
+    return value.  An audit these records cannot support is
+    {"unavailable": reason}."""
     records = list(records)
-
-    def monotone(quantity):
-        audit = audit_monotone(records, quantity)
-        entry = {
-            "passed": audit.passed,
-            "violations": len(audit.violations),
-            "max_violation": audit.max_violation,
-        }
-        if audit.violations:
-            entry["first_violating_step"] = audit.violations[0][0]
-        return entry
-
-    def dissipation(which):
-        rep = audit_dissipation(records[10:], which)
-        return {
-            "passed": rep.passed,
-            "median_rel_error": rep.median_rel_error,
-            "violations": rep.violations,
-            "best_constant": rep.best_constant,
-            "samples": rep.samples,
-        }
-
-    def decay_fit():
-        fit = fit_decay(records, window=window)
-        return {
-            "lambda": fit.lambda_fit,
-            "r_squared": fit.r_squared,
-            "samples": fit.samples,
-            "t0": fit.t0,
-            "t1": fit.t1,
-        }
 
     def attempt(audit, *args):
         try:
@@ -534,7 +454,11 @@ def audit_report(records, window=None) -> dict:
             return {"unavailable": str(exc)}
 
     return {
-        "monotonicity": {q: attempt(monotone, q) for q in (AREA, TRACEFREE_L2, WILLMORE)},
-        "dissipation": {w: attempt(dissipation, w) for w in (AREA_RATE, TRACEFREE_RATE)},
-        "decay_fit": attempt(decay_fit),
+        "monotonicity": {
+            q: attempt(audit_monotone, records, q) for q in (AREA, TRACEFREE_L2, WILLMORE)
+        },
+        "dissipation": {
+            w: attempt(audit_dissipation, records[10:], w) for w in (AREA_RATE, TRACEFREE_RATE)
+        },
+        "decay_fit": attempt(fit_decay, records, window),
     }

@@ -129,8 +129,8 @@ def test_criterion_4_area_dissipation(headline_run):
     check(
         4,
         "area monotone + rate matches -int|grad H|^2",
-        audit.passed and rep.median_rel_error < 0.15,
-        f"violations {len(audit.violations)}, median rel err {rep.median_rel_error:.4f}",
+        audit["passed"] and rep["median_rel_error"] < 0.15,
+        f"violations {audit['violations']}, median rel err {rep['median_rel_error']:.4f}",
     )
 
 
@@ -141,8 +141,8 @@ def test_criterion_5_tracefree_monotonicity(headline_run):
     check(
         5,
         "tracefree energy monotone with dissipation constant 1/8",
-        initial < EIGHT_PI and audit.passed and rep.violations == 0,
-        f"initial {initial:.4f}, best empirical constant {rep.best_constant:.3f}",
+        initial < EIGHT_PI and audit["passed"] and rep["violations"] == 0,
+        f"initial {initial:.4f}, best empirical constant {rep['best_constant']:.3f}",
     )
 
 
@@ -156,17 +156,17 @@ def test_criterion_6_exponential_convergence(conv_run):
         "exponential convergence to the round sphere",
         final.sphericity > 0.999
         and final.tracefree_l2 < 1e-3 * initial_energy
-        and fit.lambda_fit > 0
-        and fit.r_squared > 0.95,
+        and fit["lambda"] > 0
+        and fit["r_squared"] > 0.95,
         f"sphericity {final.sphericity:.6f}, E/E0 {final.tracefree_l2 / initial_energy:.2e},"
-        f" lambda {fit.lambda_fit:.2f}, r^2 {fit.r_squared:.4f}",
+        f" lambda {fit['lambda']:.2f}, r^2 {fit['r_squared']:.4f}",
     )
 
 
 def test_criterion_7_parabolic_scaling(conv_run, conv_run_double):
     fit1 = fit_decay(conv_run.records)
     fit2 = fit_decay(conv_run_double.records)
-    ratio = fit1.lambda_fit / fit2.lambda_fit
+    ratio = fit1["lambda"] / fit2["lambda"]
     ratio_ok = abs(ratio - 16.0) <= 0.2 * 16.0
 
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=3)

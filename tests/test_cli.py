@@ -10,8 +10,19 @@ from conftest import DUMBBELL_CFG, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
 from sdflow.cli import main
 from sdflow.generators import make_icosphere
 from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
-from sdflow.monitors import DiagnosticsRecord
-from sdflow.runio import write_diagnostics_csv
+from sdflow.monitors import (
+    AREA,
+    AREA_RATE,
+    TRACEFREE_L2,
+    TRACEFREE_RATE,
+    WILLMORE,
+    DiagnosticsRecord,
+    audit_dissipation,
+    audit_monotone,
+    audit_report,
+    fit_decay,
+)
+from sdflow.runio import read_diagnostics_csv, write_diagnostics_csv
 
 
 def test_gen_icosphere(tmp_path, capsys):
@@ -116,6 +127,22 @@ def test_run_bad_eps1_exit_2_before_any_step(tmp_path, capsys, eps1):
     cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG + f"monitor.eps1 = {eps1}\n", "bad_eps1")
     assert main(["run", str(cfg_path)]) == 2
     assert "bad config:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("solver.t_end = 1.0", "solver.t_end = nan", "t_end must be positive"),
+        ("solver.max_steps = 40", "solver.max_steps = -1", "max_steps must be >= 0"),
+    ],
+)
+def test_run_bad_solver_value_exit_2(tmp_path, capsys, old, new, message):
+    template = SPHERE_CFG.replace(old, new)
+    assert template != SPHERE_CFG
+    cfg_path, out_dir = run_config(tmp_path, template, "bad_solver")
+    assert main(["run", str(cfg_path)]) == 2
+    assert f"bad config: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -349,6 +376,32 @@ def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "monotone[area]: FAIL" in out
     assert "first_violation_step=1" in out
+
+
+@pytest.mark.parametrize("case", ["area_rises_once", "exponential"])
+def test_audit_report_is_the_audits_and_analyze_json(tmp_path, capsys, case):
+    ts = np.arange(40) * 0.05
+    areas = 10.0 * np.exp(-ts)
+    if case == "area_rises_once":
+        areas[20] = areas[18]
+    run_dir = synthetic_csv(tmp_path, np.exp(-2 * 0.7 * ts), areas=areas)
+    recs = read_diagnostics_csv(run_dir / "diagnostics.csv")
+    report = audit_report(recs)
+    assert report == {
+        "monotonicity": {q: audit_monotone(recs, q) for q in (AREA, TRACEFREE_L2, WILLMORE)},
+        "dissipation": {w: audit_dissipation(recs[10:], w) for w in (AREA_RATE, TRACEFREE_RATE)},
+        "decay_fit": fit_decay(recs),
+    }
+    area = report["monotonicity"]["area"]
+    if case == "area_rises_once":
+        assert area["violations"] == 1 and area["first_violating_step"] == 20
+    else:
+        assert area["passed"] and "first_violating_step" not in area
+    assert report["decay_fit"]["lambda"] == pytest.approx(0.7, abs=1e-6)
+    assert main(["analyze", str(run_dir), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["records", "stop_reason", *report]
+    assert json.dumps({k: payload[k] for k in report}) == json.dumps(report, default=float)
 
 
 def test_analyze_and_blowup_garbled_csv_value_exit_2(tmp_path, capsys):

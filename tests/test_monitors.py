@@ -565,26 +565,26 @@ def test_audit_monotone_passes_on_decay():
     ts = np.linspace(0.0, 1.0, 30)
     recs = synthetic_records(ts, areas=10.0 * np.exp(-ts))
     audit = audit_monotone(recs, AREA)
-    assert audit.passed and not audit.violations
+    assert audit["passed"] and not audit["violations"]
 
 
 def test_audit_monotone_reversed_fails_everywhere():
     ts = np.linspace(0.0, 1.0, 30)
     recs = synthetic_records(ts, areas=(10.0 * np.exp(-ts))[::-1])
     audit = audit_monotone(recs, AREA)
-    assert not audit.passed
-    assert len(audit.violations) == len(recs) - 1
-    assert audit.max_violation > 0
+    assert not audit["passed"]
+    assert audit["violations"] == len(recs) - 1
+    assert audit["max_violation"] > 0
 
 
 def test_audit_monotone_on_stationary_run(sphere_run):
     for quantity in (AREA, TRACEFREE_L2, WILLMORE):
-        assert audit_monotone(sphere_run.records, quantity).passed
+        assert audit_monotone(sphere_run.records, quantity)["passed"]
 
 
 def test_audit_monotone_headline(headline_run):
-    assert audit_monotone(headline_run.records, AREA).passed
-    assert audit_monotone(headline_run.records, TRACEFREE_L2).passed
+    assert audit_monotone(headline_run.records, AREA)["passed"]
+    assert audit_monotone(headline_run.records, TRACEFREE_L2)["passed"]
 
 
 def test_audit_monotone_fat_dumbbell_explicit():
@@ -595,30 +595,30 @@ def test_audit_monotone_fat_dumbbell_explicit():
         max_steps=50, snapshot_every=100,
     )
     traj = run(make_dumbbell(1.0, 0.5, 1.0, n_phi=16, n_rings=24), cfg)
-    assert audit_monotone(traj.records, AREA).passed
+    assert audit_monotone(traj.records, AREA)["passed"]
 
 
 def test_audit_dissipation_headline(headline_run):
     recs = headline_run.records[10:]
     area_rep = audit_dissipation(recs, AREA_RATE)
-    assert area_rep.passed
-    assert area_rep.median_rel_error < 0.15
+    assert area_rep["passed"]
+    assert area_rep["median_rel_error"] < 0.15
     trace_rep = audit_dissipation(recs, TRACEFREE_RATE)
-    assert trace_rep.passed
-    assert trace_rep.best_constant > 0.125
+    assert trace_rep["passed"]
+    assert trace_rep["best_constant"] > 0.125
 
 
 def test_audit_dissipation_halved_dt_not_worse(headline_run, headline_run_half_dt):
     full = audit_dissipation(headline_run.records[10:], AREA_RATE)
     half = audit_dissipation(headline_run_half_dt.records[10:], AREA_RATE)
-    assert half.median_rel_error <= full.median_rel_error + 1e-12
+    assert half["median_rel_error"] <= full["median_rel_error"] + 1e-12
 
 
 def test_audit_dissipation_sphere_vacuous(sphere_run):
     rep = audit_dissipation(sphere_run.records[10:], AREA_RATE)
-    assert rep.passed
+    assert rep["passed"]
     rep2 = audit_dissipation(sphere_run.records[10:], TRACEFREE_RATE)
-    assert rep2.passed and rep2.violations == 0
+    assert rep2["passed"] and rep2["violations"] == 0
 
 
 def test_audit_dissipation_rejects_mixed_dt():
@@ -632,17 +632,17 @@ def test_fit_decay_exact_exponential():
     ts = np.linspace(0.0, 10.0, 200)
     recs = synthetic_records(ts, tracefree=np.exp(-2 * 0.7 * ts))
     fit = fit_decay(recs)
-    assert fit.lambda_fit == pytest.approx(0.7, abs=1e-6)
-    assert fit.r_squared > 1 - 1e-9
-    assert fit.samples >= 10
+    assert fit["lambda"] == pytest.approx(0.7, abs=1e-6)
+    assert fit["r_squared"] > 1 - 1e-9
+    assert fit["samples"] >= 10
 
 
 def test_fit_decay_window_override():
     ts = np.linspace(0.0, 10.0, 200)
     recs = synthetic_records(ts, tracefree=np.exp(-2 * 1.3 * ts))
     fit = fit_decay(recs, window=(2.0, 5.0))
-    assert fit.lambda_fit == pytest.approx(1.3, abs=1e-6)
-    assert fit.t0 >= 2.0 and fit.t1 <= 5.0
+    assert fit["lambda"] == pytest.approx(1.3, abs=1e-6)
+    assert fit["t0"] >= 2.0 and fit["t1"] <= 5.0
 
 
 def test_fit_decay_requires_positive_values():
@@ -663,8 +663,8 @@ def test_fit_decay_requires_samples():
 
 def test_fit_decay_conv_run(conv_run):
     fit = fit_decay(conv_run.records)
-    assert fit.lambda_fit > 0
-    assert fit.r_squared > 0.95
+    assert fit["lambda"] > 0
+    assert fit["r_squared"] > 0.95
 
 
 def test_stationarity_residual_refinement():

@@ -73,6 +73,27 @@ def test_config_rejects_bad_eps1(eps1):
         parse_config(f"monitor.eps1 = {eps1}\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("solver.t_end = nan", "t_end must be positive"),
+        ("solver.t_end = 0", "t_end must be positive"),
+        ("solver.t_end = -1.0", "t_end must be positive"),
+        ("solver.dt = inf", "dt must be positive and finite"),
+        ("solver.dt = nan", "dt must be positive and finite"),
+        ("solver.max_steps = -1", "max_steps must be >= 0"),
+    ],
+)
+def test_config_rejects_bad_solver_value(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(line + "\n")
+
+
+def test_config_accepts_infinite_t_end_and_zero_steps():
+    cfg = parse_config("solver.t_end = inf\nsolver.max_steps = 0\n")
+    assert cfg.t_end == math.inf and cfg.max_steps == 0
+
+
 def test_run_config_checks_kind_at_construction():
     with pytest.raises(ValueError, match="unknown generator: klein_bottle"):
         RunConfig(kind="klein_bottle")

@@ -42,13 +42,6 @@ class BlowupFrame:
     unit_ball_curvature: float  # integral of |A|^2 over the ball |x| <= 1
 
 
-def _eta_for_radius(record: DiagnosticsRecord, r: float):
-    for rr, val in record.eta:
-        if abs(rr - r) <= 1e-12 * max(abs(r), 1.0):
-            return val
-    return None
-
-
 def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
     candidates = [s for s in trajectory.snapshots if s <= step]
     if not candidates:
@@ -57,10 +50,11 @@ def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
 
 
 def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
-    """One event per radius: the first record with eta(r) > eps1.  Its
-    center is concentration's argmax center on the nearest snapshot at or
-    before the record, the snapshot rescale_frame zooms, so a trajectory
-    in memory and its reloaded run directory give the same center.  Events
+    """One event per radius: the first record with eta(r) > eps1, eta(r)
+    at the index of r in the config's monitor_radii.  Its center is
+    concentration's argmax center on the nearest snapshot at or before the
+    record, the snapshot rescale_frame zooms, so a trajectory in memory
+    and its reloaded run directory give the same center.  Events
     that share a snapshot share its FlowState and its PairSet dict, so
     their radii query one KD-tree; each radius queries its own pair set."""
     radii = [float(r) for r in radii_descending]
@@ -70,14 +64,16 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
         raise ValueError("empty trajectory")
+    monitored = trajectory.config.monitor_radii
     states = {}  # snapshot step -> (FlowState, PairSet dict), shared by the events
     events = []
     for r in radii:
+        if r not in monitored:
+            raise ValueError(f"radius {r} was not monitored by this run")
+        column = monitored.index(r)
         event = ConcentrationEvent(r=r, triggered=False)
         for rec in trajectory.records:
-            val = _eta_for_radius(rec, r)
-            if val is None:
-                raise ValueError(f"radius {r} was not monitored by this run")
+            val = rec.eta[column]
             if val > eps1:
                 snap = _nearest_snapshot_at_or_before(trajectory, rec.step)
                 if snap is None:

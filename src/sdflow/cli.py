@@ -28,7 +28,7 @@ from dataclasses import replace
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
 from .mesh import MeshError, save_off, validate
-from .monitors import AREA_RATE
+from .monitors import AREA_RATE, TRACEFREE_RATE
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,8 +64,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _summarize(trajectory: flow.Trajectory) -> str:
-    cfg, recs = trajectory.config, trajectory.records
+def _record_lines(trajectory: flow.Trajectory, window=None) -> list:
+    """summary.txt's run totals, audit lines and decay fit over `window`,
+    which `sdflow analyze` prints: all but the concentration events."""
+    recs = trajectory.records
     first, last = recs[0], recs[-1]
     lines = [
         f"stop_reason: {trajectory.stop_reason}",
@@ -81,14 +83,21 @@ def _summarize(trajectory: flow.Trajectory) -> str:
         f"li_yau_ok_all: {all(r.li_yau_ok for r in recs)}",
         f"smallness_ok_all: {all(r.smallness_ok for r in recs)}",
     ]
-    report = monitors.audit_report(recs)
-    for quantity, audit in report["monotonicity"].items():
-        # a run of one record has no step to audit
-        if "unavailable" not in audit:
-            lines.append(
-                f"audit_{quantity}: {'pass' if audit['passed'] else 'fail'}"
-                f" violations={audit['violations']}"
-            )
+    report = monitors.audit_report(recs, window=window)
+    for name, audit in (*report["monotonicity"].items(), *report["dissipation"].items()):
+        if "unavailable" in audit:
+            lines.append(f"audit_{name}: unavailable ({audit['unavailable']})")
+            continue
+        line = f"audit_{name}: {'pass' if audit['passed'] else 'fail'}"
+        if name == AREA_RATE:
+            line += f" median_rel_error={audit['median_rel_error']:.6g}"
+        else:
+            line += f" violations={audit['violations']}"
+        if name == TRACEFREE_RATE:
+            line += f" best_constant={audit['best_constant']:.6g}"
+        if "first_violating_step" in audit:
+            line += f" first_violating_step={audit['first_violating_step']}"
+        lines.append(line)
     fit = report["decay_fit"]
     if "unavailable" in fit:
         lines.append(f"decay_fit: unavailable ({fit['unavailable']})")
@@ -97,6 +106,12 @@ def _summarize(trajectory: flow.Trajectory) -> str:
             f"decay_fit: lambda={fit['lambda']:.17g} r_squared={fit['r_squared']:.6f}"
             f" samples={fit['samples']} window=[{fit['t0']:.6g},{fit['t1']:.6g}]"
         )
+    return lines
+
+
+def _summarize(trajectory: flow.Trajectory) -> str:
+    cfg = trajectory.config
+    lines = _record_lines(trajectory)
     if trajectory.stop_reason in flow.SINGULARITY_STOPS and cfg.monitor_radii:
         events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
         for ev in events:
@@ -147,49 +162,16 @@ def cmd_analyze(args) -> int:
         trajectory = runio.load_run_records(args.run_dir)
     except (OSError, ValueError, runio.ConfigError) as exc:
         return _fail(str(exc))
+    if not args.json:
+        print(*_record_lines(trajectory, window), sep="\n")
+        return EXIT_OK
     recs = trajectory.records
     out = {
         "records": len(recs),
         "stop_reason": trajectory.stop_reason,
         **monitors.audit_report(recs, window=window),
     }
-    if args.json:
-        print(json.dumps(out, indent=2, default=float))
-    else:
-        print(f"records: {out['records']}  stop_reason: {out['stop_reason']}")
-        for quantity, entry in out["monotonicity"].items():
-            if "unavailable" in entry:
-                print(f"monotone[{quantity}]: unavailable ({entry['unavailable']})")
-                continue
-            status = "pass" if entry.get("passed") else "FAIL"
-            extra = (
-                f" first_violation_step={entry['first_violating_step']}"
-                if "first_violating_step" in entry
-                else ""
-            )
-            print(f"monotone[{quantity}]: {status} violations={entry['violations']}{extra}")
-        for which, entry in out["dissipation"].items():
-            if "unavailable" in entry:
-                print(f"dissipation[{which}]: unavailable ({entry['unavailable']})")
-            elif which == AREA_RATE:
-                print(
-                    f"dissipation[{which}]: {'pass' if entry['passed'] else 'FAIL'}"
-                    f" median_rel_error={entry['median_rel_error']:.4g}"
-                )
-            else:
-                print(
-                    f"dissipation[{which}]: {'pass' if entry['passed'] else 'FAIL'}"
-                    f" violations={entry['violations']}"
-                    f" best_constant={entry['best_constant']:.4g}"
-                )
-        fitent = out["decay_fit"]
-        if "unavailable" in fitent:
-            print(f"decay_fit: unavailable ({fitent['unavailable']})")
-        else:
-            print(
-                f"decay_fit: lambda={fitent['lambda']:.6g} r_squared={fitent['r_squared']:.4f}"
-                f" samples={fitent['samples']}"
-            )
+    print(json.dumps(out, indent=2, default=float))
     return EXIT_OK
 
 

@@ -5,8 +5,8 @@ invariant is computed here: area, enclosed volume, Willmore energy
 (1/4) int H^2, tracefree curvature energy int |A^o|^2, the dissipation
 integrals int |grad H|^2 and int |lap H|^2, the curvature concentration
 eta(r), the isoperimetric sphericity, and the two 8*pi gates.  Each
-trajectory audit returns the dict that `sdflow analyze --json` prints for
-it, and audit_report collects them.
+trajectory audit returns the dict that `sdflow analyze --json` prints,
+audit_report collects them, and summary.txt prints a line for each.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class DiagnosticsRecord:
     sphericity: float
     li_yau_ok: bool
     smallness_ok: bool
-    eta: tuple  # ((r, eta(r)), ...)
+    eta: tuple  # eta(r) for each r of monitor.radii, in its order
 
 
 # the record's float fields, which diagnostics checks for finiteness
@@ -258,8 +258,8 @@ def sphericity_of(area: float, volume: float) -> float:
 
 def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
-    non-finite value so a run aborts at the offending step.  eta(r) comes
-    from one concentration call per radius in `radii`; `pairs` is the
+    non-finite value so a run aborts at the offending step.  eta holds one
+    concentration value per radius in `radii`, in its order; `pairs` is the
     caller's PairSet cache (a dict keyed by radius), filled and reused by
     those calls, which build a KD-tree only to re-query it."""
     mass, curv = state.mass, state.curvature
@@ -282,9 +282,9 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         sphericity=sphericity_of(area, volume),
         li_yau_ok=bool(willmore < EIGHT_PI),
         smallness_ok=bool(tracefree < EIGHT_PI),
-        eta=tuple((float(r), concentration(state, float(r), pairs=pairs)[0]) for r in radii),
+        eta=tuple(concentration(state, float(r), pairs=pairs)[0] for r in radii),
     )
-    values = [getattr(record, name) for name in _FLOAT_FIELDS] + [v for _, v in record.eta]
+    values = [getattr(record, name) for name in _FLOAT_FIELDS] + list(record.eta)
     if not np.isfinite(values).all():
         raise NumericsError(f"non-finite diagnostic at step {state.step}")
     return record

@@ -5,10 +5,13 @@ solver., monitor., output.).  It round-trips losslessly, unknown keys are
 rejected, and a retired key is accepted at its fixed value only.  RunConfig
 extends flow.SolverConfig and checks itself when it is built, so a config
 file and a command-line flag pass the same checks; one table maps each
-generator kind to its builder.  The diagnostics CSV columns are the
-DiagnosticsRecord fields in declaration order, with eta written as one
-column per monitor radius.  A run directory holds config.cfg (which blowup
-needs), diagnostics.csv, snapshots step_%08d.off, and summary.txt.
+generator kind to its builder; a mesh file must be closed, oriented and
+nondegenerate.  The diagnostics CSV columns are the DiagnosticsRecord
+fields in declaration order, with eta written as one column per monitor
+radius in the config's order; only config.cfg names those radii.  A run
+directory holds config.cfg (which blowup needs), diagnostics.csv,
+snapshots step_%08d.off, and summary.txt; a run written into it replaces
+an earlier run's snapshots and blowup frames.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ from .generators import (
     make_perturbed_sphere,
 )
 from .geometry import enclosed_volume
-from .mesh import TriangleMesh, load_mesh_path, save_off
+from .mesh import TriangleMesh, face_geometry, load_mesh_path, save_off, validate
 from .monitors import EIGHT_PI, DiagnosticsRecord
 
 SNAPSHOT_PATTERN = "step_%08d.off"
+# the snapshots and blowup frames of an earlier run, which write_run_dir
+# removes from a directory it reuses
+_STALE_FILE = re.compile(r"^(step_\d{8}\.off|frame_\d{2}\.(off|meta))$")
 CSV_NAME = "diagnostics.csv"
 CONFIG_NAME = "config.cfg"
 SUMMARY_NAME = "summary.txt"
@@ -82,6 +88,11 @@ def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
     if not cfg.mesh_path:
         raise ConfigError("initial.kind = mesh requires initial.path")
     mesh = load_mesh_path(cfg.mesh_path)
+    report = validate(mesh)
+    if not (report.is_closed and report.is_oriented):
+        raise ConfigError(f"{cfg.mesh_path}: not a closed oriented surface ({report.summary()})")
+    if face_geometry(mesh).degenerate:
+        raise ConfigError(f"{cfg.mesh_path}: degenerate face")
     if not enclosed_volume(mesh) > 0:
         raise ConfigError(f"{cfg.mesh_path}: enclosed volume not positive (faces wound inward?)")
     return mesh
@@ -232,8 +243,8 @@ def load_config(path) -> RunConfig:
 _TO_TEXT = {bool: lambda b: "1" if b else "0", int: str, float: lambda x: f"{x:.17g}"}
 _FROM_TEXT = {bool: lambda s: _parse_bool(s, "1", "0"), int: int, float: float}
 
-# every DiagnosticsRecord field but the eta pairs, as (name, type); eta
-# becomes one eta_r<i> column per monitor radius
+# every DiagnosticsRecord field but eta, as (name, type); eta becomes one
+# eta_r<i> column per monitor radius
 _CSV_FIELDS = tuple(
     (name, kind)
     for name, kind in get_type_hints(DiagnosticsRecord).items()
@@ -249,7 +260,7 @@ def csv_header(n_radii: int) -> str:
 
 def record_to_csv_row(rec: DiagnosticsRecord) -> str:
     vals = [_TO_TEXT[kind](getattr(rec, name)) for name, kind in _CSV_FIELDS]
-    vals.extend(f"{val:.17g}" for (_, val) in rec.eta)
+    vals.extend(f"{val:.17g}" for val in rec.eta)
     return ",".join(vals)
 
 
@@ -261,9 +272,8 @@ def write_diagnostics_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_diagnostics_csv(path, radii=()) -> list:
-    """The records of a diagnostics CSV, eta paired with `radii`; radii=None
-    means the run's config.cfg, which holds them, is missing."""
+def read_diagnostics_csv(path) -> list:
+    """The records of a diagnostics CSV, eta read from its eta_r<i> columns."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -273,17 +283,6 @@ def read_diagnostics_csv(path, radii=()) -> list:
         raise ConfigError("diagnostics CSV header does not match the frozen schema")
     if len(lines) == 1:
         raise ConfigError("diagnostics CSV has no records")
-    n_eta = len(header) - len(CSV_FIXED_COLUMNS)
-    if n_eta and radii is None:
-        raise ConfigError(
-            f"missing {CONFIG_NAME} in {os.path.dirname(path)}: it holds the monitor"
-            f" radii of the CSV's {n_eta} eta columns"
-        )
-    radii = radii or ()
-    if n_eta and len(radii) != n_eta:
-        raise ConfigError(
-            f"CSV has {n_eta} eta columns but {len(radii)} monitor radii are known"
-        )
     records = []
     for lineno, ln in lines[1:]:
         toks = ln.split(",")
@@ -291,7 +290,7 @@ def read_diagnostics_csv(path, radii=()) -> list:
             raise ConfigError("malformed diagnostics CSV row")
         try:
             values = {name: _FROM_TEXT[kind](tok) for (name, kind), tok in zip(_CSV_FIELDS, toks)}
-            eta = tuple(zip(map(float, radii), map(float, toks[len(CSV_FIXED_COLUMNS) :])))
+            eta = tuple(map(float, toks[len(CSV_FIXED_COLUMNS) :]))
         except ValueError as exc:
             raise ConfigError(f"diagnostics CSV line {lineno}: {exc}") from exc
         records.append(DiagnosticsRecord(**values, eta=eta))
@@ -304,8 +303,12 @@ def read_diagnostics_csv(path, radii=()) -> list:
 
 
 def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:
-    """Write a run directory; trajectory.config must be the run's RunConfig."""
+    """Write a run directory; trajectory.config must be the run's RunConfig.
+    The snapshots and frames an earlier run left in it are removed first."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if _STALE_FILE.match(name):
+            os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, CONFIG_NAME), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(trajectory.config))
     write_diagnostics_csv(trajectory.records, os.path.join(out_dir, CSV_NAME))
@@ -320,13 +323,20 @@ def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:
 def load_run_records(run_dir) -> Trajectory:
     """Reload a run directory's trajectory without its snapshots: the
     diagnostics records, the stop reason from summary.txt, and as config
-    the parsed config.cfg, or None without one."""
+    the parsed config.cfg, or None without one; its radii must number the
+    CSV's eta columns."""
     cfg_path = os.path.join(run_dir, CONFIG_NAME)
     csv_path = os.path.join(run_dir, CSV_NAME)
     if not os.path.exists(csv_path):
         raise ConfigError(f"missing {CSV_NAME} in {run_dir}")
     cfg = load_config(cfg_path) if os.path.exists(cfg_path) else None
-    records = read_diagnostics_csv(csv_path, None if cfg is None else cfg.monitor_radii)
+    records = read_diagnostics_csv(csv_path)
+    n_eta = len(records[0].eta)
+    if cfg is not None and len(cfg.monitor_radii) != n_eta:
+        raise ConfigError(
+            f"CSV has {n_eta} eta columns but {CONFIG_NAME} has"
+            f" {len(cfg.monitor_radii)} monitor radii"
+        )
     stop_reason = None
     summary_path = os.path.join(run_dir, SUMMARY_NAME)
     if os.path.exists(summary_path):
@@ -349,7 +359,10 @@ def load_run_dir(run_dir) -> Trajectory:
     faces of the first shares the first one's MeshTopology."""
     trajectory = load_run_records(run_dir)
     if trajectory.config is None:
-        raise ConfigError(f"missing {CONFIG_NAME} in {run_dir}")
+        raise ConfigError(
+            f"missing {CONFIG_NAME} in {run_dir}: it holds the monitor radii of the"
+            f" CSV's {len(trajectory.records[0].eta)} eta columns"
+        )
     pattern = re.compile(r"^step_(\d{8})\.off$")
     first = None
     for name in sorted(os.listdir(run_dir)):

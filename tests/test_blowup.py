@@ -98,7 +98,7 @@ def test_rescale_frame_identity(sphere_run):
     rec = sphere_run.records[0]
     event = ConcentrationEvent(
         r=1.0, triggered=True, t=0.0, center=(0.0, 0.0, 0.0),
-        eta_at_t=rec.eta[0][1], record_step=0,
+        eta_at_t=rec.eta[0], record_step=0,
     )
     frame = rescale_frame(sphere_run, event)
     assert np.array_equal(frame.mesh.vertices, sphere_run.snapshots[0].vertices)

@@ -22,7 +22,7 @@ from sdflow.monitors import (
     audit_report,
     fit_decay,
 )
-from sdflow.runio import read_diagnostics_csv, write_diagnostics_csv
+from sdflow.runio import load_run_dir, read_diagnostics_csv, write_diagnostics_csv
 
 
 def test_gen_icosphere(tmp_path, capsys):
@@ -92,6 +92,9 @@ def test_run_sphere_clean_exit(tmp_path, capsys):
     summary = (out_dir / "summary.txt").read_text()
     assert "stop_reason: max_steps" in summary
     assert "audit_area: pass" in summary
+    capsys.readouterr()
+    assert main(["analyze", str(out_dir)]) == 0
+    assert capsys.readouterr().out == summary
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -179,6 +182,53 @@ def test_run_mesh_wound_inward_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def octahedron_with_collinear_face():
+    """A closed oriented octahedron whose face (0, 2, 4) is split at the
+    midpoint of edge 0-2, the new vertex 6, and closed by the flat face
+    (2, 6, 0)."""
+    vertices = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0.5, 0.5, 0)]
+    faces = [
+        (0, 6, 4), (6, 2, 4), (2, 6, 0), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+        (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
+    ]
+    return TriangleMesh(np.array(vertices, float), np.array(faces))
+
+
+@pytest.mark.parametrize("case", ["open", "collinear_face"])
+def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, case):
+    if case == "open":
+        sphere = make_icosphere(1.0, 2)
+        mesh, message = TriangleMesh(sphere.vertices, sphere.faces[1:]), "not a closed"
+    else:
+        mesh, message = octahedron_with_collinear_face(), "degenerate face"
+    mesh_path = tmp_path / f"{case}.off"
+    save_off(mesh, mesh_path)
+    cfg_path, out_dir = run_config(tmp_path, MESH_CFG.replace("{path}", str(mesh_path)), case)
+    assert main(["run", str(cfg_path)]) == 2
+    assert f"sdflow: error: {mesh_path}: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_into_reused_dir_replaces_snapshots_and_frames(tmp_path, capsys):
+    out_dir = tmp_path / "reused"
+    for every in (5, 10):
+        template = SPHERE_CFG.replace("max_steps = 40", "max_steps = 16").replace(
+            "snapshot_every = 20", f"snapshot_every = {every}"
+        )
+        cfg_path, _ = run_config(tmp_path, template, "reused")
+        assert main(["run", str(cfg_path)]) == 0
+        if every == 5:
+            assert sorted(load_run_dir(out_dir).snapshots) == [0, 5, 10, 15, 16]
+            assert main(["blowup", str(out_dir), "--eps1", "0"]) == 0
+            assert (out_dir / "frame_00.meta").exists()
+            (out_dir / "notes.txt").write_text("kept\n")
+    assert sorted(load_run_dir(out_dir).snapshots) == [0, 10, 16]
+    assert sorted(os.listdir(out_dir)) == [
+        "config.cfg", "diagnostics.csv", "notes.txt",
+        "step_00000000.off", "step_00000010.off", "step_00000016.off", "summary.txt",
+    ]
+
+
 @pytest.fixture(scope="module")
 def dumbbell_cli_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("dumbbell_cli")
@@ -254,6 +304,16 @@ def test_eta_columns_without_config_name_it(dumbbell_cli_run, tmp_path, capsys, 
     shutil.copytree(dumbbell_cli_run[1], run_dir)
     (run_dir / "config.cfg").unlink()
     capsys.readouterr()
+    if command == "analyze":
+        # a record's eta values need no radii: analyze prints the summary
+        # but for its concentration events, which come from the snapshots
+        assert main([command, str(run_dir)]) == 0
+        summary = (run_dir / "summary.txt").read_text().splitlines(keepends=True)
+        events = [ln for ln in summary if ln.startswith("concentration_event:")]
+        assert events and capsys.readouterr().out == "".join(
+            ln for ln in summary if ln not in events
+        )
+        return
     assert main([command, str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert f"missing config.cfg in {run_dir}" in err
@@ -302,7 +362,8 @@ def test_analyze_human_and_json(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", str(out_dir)]) == 0
     text = capsys.readouterr().out
-    assert "monotone[area]" in text
+    assert "audit_area: pass" in text
+    assert text == (out_dir / "summary.txt").read_text()
     assert main(["analyze", str(out_dir), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["monotonicity"]["area"]["passed"] is True
@@ -330,7 +391,9 @@ def test_analyze_single_record_run(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 0
     capsys.readouterr()
     assert main(["analyze", str(out_dir)]) == 0
-    assert "monotone[area]: unavailable (need at least two records)" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "audit_area: unavailable (need at least two records)" in text
+    assert text == (out_dir / "summary.txt").read_text()
     assert main(["analyze", str(out_dir), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["records"] == 1
@@ -374,8 +437,7 @@ def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):
     run_dir = synthetic_csv(tmp_path, np.ones(30), areas=areas[::-1])
     assert main(["analyze", str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert "monotone[area]: FAIL" in out
-    assert "first_violation_step=1" in out
+    assert "audit_area: fail violations=29 first_violating_step=1" in out
 
 
 @pytest.mark.parametrize("case", ["area_rises_once", "exponential"])
@@ -402,6 +464,12 @@ def test_audit_report_is_the_audits_and_analyze_json(tmp_path, capsys, case):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["records", "stop_reason", *report]
     assert json.dumps({k: payload[k] for k in report}) == json.dumps(report, default=float)
+    assert main(["analyze", str(run_dir)]) == 0
+    text = capsys.readouterr().out
+    if case == "area_rises_once":
+        assert "\naudit_area: fail violations=1 first_violating_step=20\n" in text
+    else:
+        assert "\naudit_area: pass violations=0\n" in text
 
 
 def test_analyze_and_blowup_garbled_csv_value_exit_2(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_diagnostics_sphere():
     assert rec.willmore == pytest.approx(4 * math.pi, rel=0.03)
     assert rec.sphericity > 0.999
     assert rec.li_yau_ok
-    assert rec.eta[0][1] == pytest.approx(8 * math.pi, rel=0.03)
+    assert rec.eta[0] == pytest.approx(8 * math.pi, rel=0.03)
 
 
 def test_diagnostics_perturbed_sphere_gates():

@@ -17,6 +17,7 @@ from sdflow.runio import (
     config_to_text,
     csv_header,
     load_run_dir,
+    load_run_records,
     parse_config,
     read_diagnostics_csv,
     write_diagnostics_csv,
@@ -239,13 +240,10 @@ def test_csv_header_schema():
 
 
 def test_csv_roundtrip(tmp_path):
-    radii = (0.5, 0.25)
-    recs = [
-        _record(i, i * 1e-3, eta=((0.5, 1.0 + i), (0.25, 0.5 + i))) for i in range(5)
-    ]
+    recs = [_record(i, i * 1e-3, eta=(1.0 + i, 0.5 + i)) for i in range(5)]
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(recs, path)
-    back = read_diagnostics_csv(path, radii=radii)
+    back = read_diagnostics_csv(path)
     assert back == recs
 
 
@@ -257,11 +255,11 @@ def test_csv_rejects_schema_mismatch(tmp_path):
 
 
 def test_csv_radii_count_must_match(tmp_path):
-    recs = [_record(0, 0.0, eta=((0.5, 1.0),))]
-    path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(recs, path)
-    with pytest.raises(ConfigError, match="radii"):
-        read_diagnostics_csv(path, radii=())
+    write_diagnostics_csv([_record(0, 0.0, eta=(1.0,))], tmp_path / "diagnostics.csv")
+    for radii in ((), (0.5, 0.25)):
+        (tmp_path / "config.cfg").write_text(config_to_text(RunConfig(monitor_radii=radii)))
+        with pytest.raises(ConfigError, match="radii"):
+            load_run_records(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -307,6 +305,6 @@ def test_run_records_equal_their_csv_round_trip(tmp_path):
     )
     trajectory = run(cfg.build_initial(), cfg)
     write_run_dir(tmp_path, trajectory, "stop_reason: max_steps\n")
-    back = read_diagnostics_csv(tmp_path / "diagnostics.csv", radii=cfg.monitor_radii)
+    back = read_diagnostics_csv(tmp_path / "diagnostics.csv")
     assert len(back) == 4
     assert back == trajectory.records

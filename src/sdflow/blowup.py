@@ -1,9 +1,10 @@
 """Concentration-time detection and parabolic rescaling of snapshots.
 
 A concentration event for radius r is the first record whose eta(r)
-exceeds the threshold.  The frame around an event zooms space by 1/r and
-time by 1/r^4 about the concentration center, the invariance group of the
-fourth-order flow.
+exceeds the threshold; it names its source snapshot, the last one at or
+before that record.  The frame around an event zooms that snapshot, space
+by 1/r and time by 1/r^4, about the concentration center, the invariance
+group of the fourth-order flow.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ class ConcentrationEvent:
     center: tuple | None = None
     eta_at_t: float | None = None
     record_step: int | None = None
+    source_step: int | None = None  # the snapshot at or before record_step
 
 
 @dataclass(frozen=True)
 class BlowupFrame:
     mesh: TriangleMesh
     space_factor: float
-    time_origin: float
     time_factor: float
     source_step: int
     time_offset: float  # t_j minus the source snapshot time
@@ -42,24 +43,18 @@ class BlowupFrame:
     unit_ball_curvature: float  # integral of |A|^2 over the ball |x| <= 1
 
 
-def _nearest_snapshot_at_or_before(trajectory: Trajectory, step: int):
-    candidates = [s for s in trajectory.snapshots if s <= step]
-    if not candidates:
-        return None
-    return max(candidates)
-
-
-def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
-    """One event per radius: the first record with eta(r) > eps1, eta(r)
-    at the index of r in the config's monitor_radii.  Its center is
-    concentration's argmax center on the nearest snapshot at or before the
-    record, the snapshot rescale_frame zooms, so a trajectory in memory
-    and its reloaded run directory give the same center.  Events
-    that share a snapshot share its FlowState and its PairSet dict, so
-    their radii query one KD-tree; each radius queries its own pair set."""
-    radii = [float(r) for r in radii_descending]
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+def detect(trajectory: Trajectory, radii, eps1: float) -> list:
+    """One event per radius, in descending radius order: the first record
+    with eta(r) > eps1, eta(r) at the index of r in the config's
+    monitor_radii.  The event's source_step is the last snapshot at or
+    before that record, and its center is concentration's argmax center
+    on that snapshot, the one rescale_frame zooms, so a trajectory in memory
+    and its reloaded run directory give the same center.  Events that share
+    a snapshot share its FlowState and its PairSet dict, so their radii
+    query one KD-tree; each radius queries its own pair set."""
+    radii = sorted((float(r) for r in radii), reverse=True)
+    if len(set(radii)) != len(radii):
+        raise ValueError("radii must be distinct")
     if not eps1 >= 0:
         raise ValueError("eps1 must be nonnegative")
     if not trajectory.records:
@@ -75,7 +70,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
         for rec in trajectory.records:
             val = rec.eta[column]
             if val > eps1:
-                snap = _nearest_snapshot_at_or_before(trajectory, rec.step)
+                snap = max((s for s in trajectory.snapshots if s <= rec.step), default=None)
                 if snap is None:
                     raise ValueError("no snapshot at or before the event")
                 if snap not in states:
@@ -89,6 +84,7 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
                     center=center,
                     eta_at_t=val,
                     record_step=rec.step,
+                    source_step=snap,
                 )
                 break
         events.append(event)
@@ -96,15 +92,14 @@ def detect(trajectory: Trajectory, radii_descending, eps1: float) -> list:
 
 
 def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFrame:
-    """Zoom the nearest snapshot at or before the event time about the
-    concentration center; frame diagnostics (the record without eta, the
-    stationarity residual, the curvature mass in the unit ball) are
-    attached."""
+    """Zoom the event's source snapshot about the concentration center;
+    frame diagnostics (the record without eta, the stationarity residual,
+    the curvature mass in the unit ball) are attached."""
     if not event.triggered:
         raise ValueError("cannot rescale an untriggered event")
-    snap_step = _nearest_snapshot_at_or_before(trajectory, event.record_step)
-    if snap_step is None:
-        raise ValueError("no snapshot at or before the event")
+    snap_step = event.source_step
+    if snap_step not in trajectory.snapshots:
+        raise ValueError(f"step {snap_step} is not a snapshot of this trajectory")
     if trajectory.config is not None:
         if event.record_step - snap_step > trajectory.config.snapshot_every:
             raise ValueError("no snapshot within one snapshot interval of the event")
@@ -123,7 +118,6 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
     return BlowupFrame(
         mesh=frame_mesh,
         space_factor=space_factor,
-        time_origin=event.t,
         time_factor=space_factor**4,
         source_step=snap_step,
         time_offset=event.t - snap_time,

@@ -3,7 +3,8 @@
 The `gen` flags and `blowup --radii/--eps1` set run-config values, so they
 go through the config file's parsers and RunConfig's checks.
 
-Exit codes: 0 clean stop, 2 usage or config error, 3 singularity-proxy stop
+Exit codes: 0 clean stop, 2 usage, config or initial-data error (an
+initial record that cannot be formed included), 3 singularity-proxy stop
 (quality floor or curvature ceiling), 4 divergence.
 """
 
@@ -113,7 +114,7 @@ def _summarize(trajectory: flow.Trajectory) -> str:
     cfg = trajectory.config
     lines = _record_lines(trajectory)
     if trajectory.stop_reason in flow.SINGULARITY_STOPS and cfg.monitor_radii:
-        events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
+        events = blowup_mod.detect(trajectory, cfg.monitor_radii, cfg.eps1)
         for ev in events:
             if ev.triggered:
                 lines.append(
@@ -136,7 +137,10 @@ def cmd_run(args) -> int:
         mesh = cfg.build_initial()
     except (OSError, ValueError, MeshError, runio.ConfigError) as exc:
         return _fail(str(exc))
-    trajectory = flow.run(mesh, cfg)
+    try:
+        trajectory = flow.run(mesh, cfg)
+    except monitors.NumericsError as exc:  # only the initial record raises
+        return _fail(str(exc))
     summary = _summarize(trajectory)
     runio.write_run_dir(out_dir, trajectory, summary)
     print(summary, end="")
@@ -185,7 +189,7 @@ def cmd_blowup(args) -> int:
         cfg = replace(trajectory.config, **overrides)
         if not cfg.monitor_radii:
             return _fail("no radii given and none recorded in the run config")
-        events = blowup_mod.detect(trajectory, sorted(cfg.monitor_radii, reverse=True), cfg.eps1)
+        events = blowup_mod.detect(trajectory, cfg.monitor_radii, cfg.eps1)
     except (OSError, ValueError, runio.ConfigError, MeshError) as exc:
         return _fail(str(exc))
     triggered = [ev for ev in events if ev.triggered]

@@ -56,8 +56,8 @@ def _subdivide_on_sphere(verts: np.ndarray, faces: np.ndarray):
 
 def make_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
     """Icosahedron subdivided `subdivisions` times, vertices at |x| = radius."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
         raise ValueError(f"subdivision limit exceeded (max {MAX_SUBDIVISIONS})")
     verts, faces = _ICO_VERTS, _ICO_FACES
@@ -119,8 +119,8 @@ def make_perturbed_sphere(
 
 def make_ellipsoid(rx: float, ry: float, rz: float, subdivisions: int = 4) -> TriangleMesh:
     """Axis-aligned ellipsoid from an anisotropically scaled icosphere."""
-    if min(rx, ry, rz) <= 0:
-        raise ValueError("semi-axes must be positive")
+    if not all(0 < r < math.inf for r in (rx, ry, rz)):
+        raise ValueError("semi-axes must be positive and finite")
     base = make_icosphere(1.0, subdivisions)
     return TriangleMesh(base.vertices * np.array([rx, ry, rz]), base.faces)
 
@@ -129,8 +129,8 @@ def make_torus(
     major_radius: float, minor_radius: float, n_major: int = 48, n_minor: int = 24
 ) -> TriangleMesh:
     """Genus-1 torus of revolution about the z-axis."""
-    if not 0 < minor_radius < major_radius:
-        raise ValueError("need 0 < minor_radius < major_radius")
+    if not 0 < minor_radius < major_radius < math.inf:
+        raise ValueError("need 0 < minor_radius < major_radius < inf")
     if n_major < 3 or n_minor < 3:
         raise ValueError("need at least 3 segments in each direction")
     u = 2.0 * np.pi * np.arange(n_major) / n_major
@@ -179,10 +179,12 @@ def _dumbbell_profile(bulb_radius: float, neck_radius: float, neck_length: float
     a_hi = 100.0 * c / math.acosh(R / rn)
     a_lo = c / math.acosh(R / rn) * (1.0 + 1e-9)
     lo = mismatch(a_lo)
-    while not np.isfinite(lo):
+    for _ in range(1000):  # a_lo grows by 0.1 % at most
+        if np.isfinite(lo):
+            break
         a_lo *= 1.0 + 1e-6
         lo = mismatch(a_lo)
-    if not (lo > 0 > mismatch(a_hi)):
+    if not (np.isfinite(lo) and lo > 0 > mismatch(a_hi)):
         raise MeshError("degenerate neck: no tangent join exists")
     a = brentq(mismatch, a_lo, a_hi, xtol=1e-14, rtol=1e-14)
     rho_j = rn * math.cosh(c / a)
@@ -202,10 +204,10 @@ def make_dumbbell(
     neck_length is the axial extent of the neck section; bulb centers sit
     beyond it at +-(neck_length/2 + offset) with a tangent join.
     """
-    if not 0 < neck_radius < bulb_radius:
-        raise ValueError("need 0 < neck_radius < bulb_radius")
-    if not neck_length > 0:
-        raise ValueError("neck_length must be positive")
+    if not 0 < neck_radius < bulb_radius < math.inf:
+        raise ValueError("need 0 < neck_radius < bulb_radius < inf")
+    if not 0 < neck_length < math.inf:
+        raise ValueError("neck_length must be positive and finite")
     if n_phi < 3 or n_rings < 4:
         raise ValueError("resolution too coarse")
     R, rn, c = bulb_radius, neck_radius, neck_length / 2.0

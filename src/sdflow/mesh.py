@@ -100,8 +100,6 @@ class MeshTopology:
     offdiag: np.ndarray  # data slots of the off-diagonals, in CSR order
     row_starts: np.ndarray  # start of each vertex's row in offdiag
     rows: np.ndarray  # the vertices that lie on a face, ascending
-    corner_order: np.ndarray  # (3F,) corners of faces.T.ravel(), stably by vertex
-    corner_starts: np.ndarray  # start of each vertex's run in corner_order
 
     def __post_init__(self):
         for name, a in list(vars(self).items()):
@@ -113,8 +111,7 @@ class MeshTopology:
 def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
     f = faces.T
     b, c = np.roll(f, -1, axis=0).ravel(), np.roll(f, 1, axis=0).ravel()
-    per_vertex = np.bincount(f.ravel(), minlength=n)
-    rows = np.flatnonzero(per_vertex)
+    rows = np.flatnonzero(np.bincount(f.ravel(), minlength=n))
     keys = np.concatenate([b * n + c, c * n + b, rows * (n + 1)])
     pattern, inverse = np.unique(keys, return_inverse=True)
     row, col = np.divmod(pattern, n)
@@ -128,8 +125,6 @@ def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
         offdiag=offdiag,
         row_starts=(np.cumsum(off_per_row) - off_per_row)[rows],
         rows=rows,
-        corner_order=np.argsort(f.ravel(), kind="stable"),
-        corner_starts=(np.cumsum(per_vertex) - per_vertex)[rows],
     )
 
 

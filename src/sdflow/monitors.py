@@ -265,6 +265,8 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     mass, curv = state.mass, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)
+    if area <= 0 or volume <= 0:  # sphericity_of needs both positive
+        raise NumericsError(f"area or volume not positive at step {state.step}")
     willmore = 0.25 * integrate(curv.H**2, mass)
     tracefree = integrate(curv.Ao_sq, mass)
     record = DiagnosticsRecord(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,13 @@ def test_detect_threshold_zero_triggers_first_record(sphere_run):
     assert all(ev.t == 0.0 for ev in events)
 
 
-def test_detect_requires_decreasing_radii(sphere_run):
-    with pytest.raises(ValueError, match="decreasing"):
-        detect(sphere_run, [0.1, 2.5], EPS1)
+def test_detect_takes_radii_in_any_order(dumbbell_run):
+    descending = detect(dumbbell_run, [0.4, 0.2, 0.1], EPS1)
+    assert [ev.r for ev in descending] == [0.4, 0.2, 0.1]
+    for order in ([0.1, 0.2, 0.4], [0.2, 0.4, 0.1]):
+        assert detect(dumbbell_run, order, EPS1) == descending
+    with pytest.raises(ValueError, match="distinct"):
+        detect(dumbbell_run, [0.2, 0.4, 0.2], EPS1)
 
 
 def test_detect_rejects_nan_eps1():
@@ -98,7 +104,7 @@ def test_rescale_frame_identity(sphere_run):
     rec = sphere_run.records[0]
     event = ConcentrationEvent(
         r=1.0, triggered=True, t=0.0, center=(0.0, 0.0, 0.0),
-        eta_at_t=rec.eta[0], record_step=0,
+        eta_at_t=rec.eta[0], record_step=0, source_step=0,
     )
     frame = rescale_frame(sphere_run, event)
     assert np.array_equal(frame.mesh.vertices, sphere_run.snapshots[0].vertices)
@@ -146,6 +152,14 @@ def test_rescale_frame_requires_trigger(sphere_run):
 
     with pytest.raises(ValueError):
         rescale_frame(sphere_run, ConcentrationEvent(r=0.1, triggered=False))
+
+
+def test_rescale_frame_requires_snapshot_source(dumbbell_run):
+    ev = detect(dumbbell_run, [0.1], EPS1)[0]
+    assert ev.source_step in dumbbell_run.snapshots
+    missing = next(r.step for r in dumbbell_run.records if r.step not in dumbbell_run.snapshots)
+    with pytest.raises(ValueError, match="not a snapshot"):
+        rescale_frame(dumbbell_run, dataclasses.replace(ev, source_step=missing))
 
 
 def test_frame_metadata_roundtrip_values(dumbbell_run):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,40 @@ def test_run_retired_key_at_another_value_exit_2(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 2
     assert "bad config: solver.quality_floor is fixed at 0.02" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e200", "1e-200"])
+def test_run_initial_record_not_formed_exit_2(tmp_path, capsys, radius):
+    # the area overflows to inf at 1e200 and underflows to 0 at 1e-200
+    template = f"initial.kind = icosphere\ninitial.subdiv = 1\ninitial.radius = {radius}\n"
+    cfg_path, out_dir = run_config(tmp_path, template + "output.dir = {out}\n", "initial")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdflow: error:") and "at step 0" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value", [("--bulb", "bulb_radius", "1e200"), ("--len", "neck_length", "inf")]
+)
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_dumbbell_without_tangent_join_exits_2_at_once(tmp_path, command, flag, key, value):
+    # a child process with a timeout, so a bracket search that never ends fails the test
+    if command == "gen":
+        args = ["gen", "dumbbell", flag, value, "-o", str(tmp_path / "x.off")]
+    else:
+        cfg_path = tmp_path / "x.cfg"
+        cfg_path.write_text(f"initial.kind = dumbbell\ninitial.{key} = {value}\n")
+        args = ["run", str(cfg_path), "--out", str(tmp_path / "run")]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdflow.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("sdflow: error:")
+    assert not (tmp_path / "x.off").exists() and not (tmp_path / "run").exists()
 
 
 MESH_CFG = """

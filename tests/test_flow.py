@@ -26,6 +26,12 @@ from sdflow.mesh import face_geometry, rescale
 from sdflow.monitors import NumericsError
 
 
+def max_displacement(state, new_state):
+    """The largest distance a vertex moved in one step."""
+    disp = new_state.mesh.vertices - state.mesh.vertices
+    return float(np.sqrt(np.sum(disp**2, axis=1)).max())
+
+
 def test_choose_dt_fixed_passthrough():
     cfg = SolverConfig(scheme=EXPLICIT, dt_policy=FIXED, dt=1e-4)
     state = FlowState(make_icosphere(1.0, 1))
@@ -62,9 +68,9 @@ def test_solver_config_validation():
 
 def test_explicit_sphere_near_stationary():
     state = FlowState(make_icosphere(1.0, 4))
-    _, outcome = step_explicit(state, 1e-6)
+    new_state, outcome = step_explicit(state, 1e-6)
     assert outcome.accepted
-    assert outcome.displacement_max < 1e-4
+    assert max_displacement(state, new_state) < 1e-4
 
 
 def test_explicit_zero_velocity_is_identity():
@@ -139,12 +145,12 @@ def test_semi_implicit_tracks_explicit_velocity_to_leading_order(monkeypatch):
 
 def test_semi_implicit_sphere_small_displacement():
     state = FlowState(make_icosphere(1.0, 4))
-    _, outcome = step_semi_implicit(state, 1e-3)
+    new_state, outcome = step_semi_implicit(state, 1e-3)
     assert outcome.accepted
     assert outcome.linear_iters > 0
     # measured: the bilaplacian stepper drifts a unit sphere by about
     # 4e-3 per unit-millisecond step (lower-order shrinkage term)
-    assert outcome.displacement_max < 5e-3
+    assert max_displacement(state, new_state) < 5e-3
 
 
 def test_semi_implicit_preserves_axial_symmetry():
@@ -173,7 +179,6 @@ def test_rejected_step_keeps_state():
     )
     new_state, outcome = step_explicit(state, 1e-6)
     assert not outcome.accepted
-    assert outcome.reason == DIVERGED
     assert new_state is state
     assert np.array_equal(state.mesh.vertices, mesh.vertices)
 
@@ -319,7 +324,7 @@ def test_run_abort_after_rejection_cascade(monkeypatch):
 
     def always_reject(state, dt):
         calls.append(dt)
-        return state, flow_mod._rejected(dt)
+        return state, flow_mod.StepOutcome(False)
 
     monkeypatch.setattr(flow_mod, "step_explicit", always_reject)
     cfg = SolverConfig(scheme=EXPLICIT, dt_policy=FIXED, dt=1e-6, t_end=1.0, max_steps=10)

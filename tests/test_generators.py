@@ -142,6 +142,20 @@ def test_dumbbell_parameter_order():
         make_dumbbell(1.0, 0.2, -1.0)
 
 
+@pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
+def test_generators_reject_sizes_not_positive_and_finite(size):
+    builders = [
+        lambda: make_icosphere(size, 1),
+        lambda: make_ellipsoid(1.0, size, 1.0, 1),
+        lambda: make_dumbbell(size, 0.15, 2.0),
+        lambda: make_dumbbell(1.0, 0.15, size),
+        lambda: make_torus(size, 0.4),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_dumbbell_positive_volume():
     assert enclosed_volume(make_dumbbell(1.0, 0.3, 1.0, n_phi=24, n_rings=48)) > 0
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .flow import FlowState, Trajectory
 from .mesh import TriangleMesh, rescale
-from .monitors import DiagnosticsRecord, concentration, diagnostics, stationarity_residual
+from .geometry import integrate
+from .monitors import NumericsError, concentration, stationarity_residual
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,9 @@ class BlowupFrame:
     mesh: TriangleMesh
     space_factor: float
     time_factor: float
-    source_step: int
     time_offset: float  # t_j minus the source snapshot time
     event: ConcentrationEvent
-    diagnostics: DiagnosticsRecord
+    tracefree_l2: float  # integral of |A^o|^2
     residual_raw: float
     residual_normalized: float
     unit_ball_curvature: float  # integral of |A|^2 over the ball |x| <= 1
@@ -50,8 +50,8 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
     before that record, and its center is concentration's argmax center
     on that snapshot, the one rescale_frame zooms, so a trajectory in memory
     and its reloaded run directory give the same center.  Events that share
-    a snapshot share its FlowState and its PairSet dict, so their radii
-    query one KD-tree; each radius queries its own pair set."""
+    a snapshot share its FlowState, so their radii query its one KD-tree;
+    each radius queries its own pair set."""
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(set(radii)) != len(radii):
         raise ValueError("radii must be distinct")
@@ -60,7 +60,7 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
     if not trajectory.records:
         raise ValueError("empty trajectory")
     monitored = trajectory.config.monitor_radii
-    states = {}  # snapshot step -> (FlowState, PairSet dict), shared by the events
+    states = {}  # snapshot step -> FlowState, shared by the events
     events = []
     for r in radii:
         if r not in monitored:
@@ -74,9 +74,8 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
                 if snap is None:
                     raise ValueError("no snapshot at or before the event")
                 if snap not in states:
-                    states[snap] = (FlowState(trajectory.snapshots[snap]), {})
-                state, pairs = states[snap]
-                center = tuple(concentration(state, r, pairs=pairs)[1])
+                    states[snap] = FlowState(trajectory.snapshots[snap])
+                center = tuple(concentration(states[snap], r)[1])
                 event = ConcentrationEvent(
                     r=r,
                     triggered=True,
@@ -92,9 +91,9 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
 
 
 def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFrame:
-    """Zoom the event's source snapshot about the concentration center;
-    frame diagnostics (the record without eta, the stationarity residual,
-    the curvature mass in the unit ball) are attached."""
+    """Zoom the event's source snapshot about the concentration center and
+    attach its tracefree energy, stationarity residual and unit-ball
+    curvature mass; NumericsError if one is not finite (a tiny r overflows)."""
     if not event.triggered:
         raise ValueError("cannot rescale an untriggered event")
     snap_step = event.source_step
@@ -111,18 +110,19 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
         trajectory.snapshots[snap_step], np.asarray(event.center), space_factor
     )
     state = FlowState(frame_mesh)
-    rec = diagnostics(state)
+    tracefree = integrate(state.curvature.Ao_sq, state.mass)
     raw, normalized = stationarity_residual(state)
     inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
     ball = float(np.sum((state.curvature.A_sq * state.mass.m)[inside]))
+    if not np.isfinite([tracefree, raw, normalized, ball]).all():
+        raise NumericsError(f"non-finite blowup frame of step {snap_step}")
     return BlowupFrame(
         mesh=frame_mesh,
         space_factor=space_factor,
         time_factor=space_factor**4,
-        source_step=snap_step,
         time_offset=event.t - snap_time,
         event=event,
-        diagnostics=rec,
+        tracefree_l2=tracefree,
         residual_raw=raw,
         residual_normalized=normalized,
         unit_ball_curvature=ball,
@@ -140,10 +140,10 @@ def frame_metadata_text(frame: BlowupFrame) -> str:
         f"eta_at_t = {e.eta_at_t!r}",
         f"space_factor = {frame.space_factor!r}",
         f"time_factor = {frame.time_factor!r}",
-        f"source_step = {frame.source_step}",
+        f"source_step = {e.source_step}",
         f"time_offset = {frame.time_offset!r}",
         f"unit_ball_curvature = {frame.unit_ball_curvature!r}",
-        f"tracefree_l2 = {frame.diagnostics.tracefree_l2!r}",
+        f"tracefree_l2 = {frame.tracefree_l2!r}",
         f"residual_raw = {frame.residual_raw!r}",
         f"residual_normalized = {frame.residual_normalized!r}",
     ]

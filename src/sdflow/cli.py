@@ -3,7 +3,7 @@
 The `gen` flags and `blowup --radii/--eps1` set run-config values, so they
 go through the config file's parsers and RunConfig's checks.
 
-Exit codes: 0 clean stop, 2 usage, config or initial-data error (an
+Exit codes: 0 clean stop, 2 usage, config, initial-data or output error (an
 initial record that cannot be formed included), 3 singularity-proxy stop
 (quality floor or curvature ceiling), 4 divergence.
 """
@@ -142,7 +142,10 @@ def cmd_run(args) -> int:
     except monitors.NumericsError as exc:  # only the initial record raises
         return _fail(str(exc))
     summary = _summarize(trajectory)
-    runio.write_run_dir(out_dir, trajectory, summary)
+    try:
+        runio.write_run_dir(out_dir, trajectory, summary)
+    except OSError as exc:
+        return _fail(str(exc))
     print(summary, end="")
     if trajectory.stop_reason == flow.DIVERGED:
         return EXIT_DIVERGED

@@ -18,6 +18,8 @@ non-finite, a face degenerates or a face normal reverses; each retry halves
 dt, and three rejects in a row stop the run, as does a face quality below
 QUALITY_MIN or a curvature scale above CURVATURE_SCALE_MAX.  A NumericsError
 stops the run as diverged, except in the initial record: that one propagates.
+A run silences numpy's floating-point warnings: every non-finite value they
+would announce is caught as a broken step, a NumericsError or a divergence.
 Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
 
 SolverConfig holds the solver and monitor settings.  The run config
@@ -33,6 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
+from scipy.spatial import cKDTree
 
 from .mesh import TriangleMesh, face_geometry
 from .geometry import (
@@ -69,7 +72,7 @@ CG_RTOL = 1e-10
 @dataclass(frozen=True)
 class FlowState:
     """Mesh plus simulation clock; the face geometry and everything derived
-    from it are built lazily and cached.
+    from it, and the KD-tree on the vertices, are built lazily and cached.
 
     States are immutable, so a cache always matches the vertex positions
     it was built from.  The cache lives here, not on the mesh, so the
@@ -96,6 +99,10 @@ class FlowState:
     @cached_property
     def curvature(self):
         return curvature_field(self.geometry, self.mass, self.lap)
+
+    @cached_property
+    def tree(self):
+        return cKDTree(self.mesh.vertices)
 
     def advanced(self, mesh: TriangleMesh, dt: float) -> "FlowState":
         return FlowState(mesh=mesh, t=self.t + dt, step=self.step + 1)
@@ -264,47 +271,48 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
     """Step until t_end, max_steps, or a stop trigger; a diagnostics record
     per accepted step, a snapshot every snapshot_every steps.  The run keeps
     one monitors.PairSet per monitor radius across its records."""
-    state = FlowState(mesh=initial)
-    target_volume = enclosed_volume(initial)
-    pairs = {}
-    records = [monitors.diagnostics(state, config.monitor_radii, pairs=pairs)]
-    snapshots = {0: initial}
-    rejects = 0
-    stop = None
-    while stop is None:
-        if state.t >= config.t_end:
-            stop = T_END
-            break
-        if state.step >= config.max_steps:
-            stop = MAX_STEPS
-            break
-        dt = choose_dt(state, config) * 0.5**rejects
-        if config.scheme == EXPLICIT:
-            state_new, outcome = step_explicit(state, dt)
-        else:
-            state_new, outcome = step_semi_implicit(state, dt)
-        if not outcome.accepted:
-            rejects += 1
-            if rejects >= 3:
+    with np.errstate(all="ignore"):
+        state = FlowState(mesh=initial)
+        target_volume = enclosed_volume(initial)
+        pairs = {}
+        records = [monitors.diagnostics(state, config.monitor_radii, pairs=pairs)]
+        snapshots = {0: initial}
+        rejects = 0
+        stop = None
+        while stop is None:
+            if state.t >= config.t_end:
+                stop = T_END
+                break
+            if state.step >= config.max_steps:
+                stop = MAX_STEPS
+                break
+            dt = choose_dt(state, config) * 0.5**rejects
+            if config.scheme == EXPLICIT:
+                state_new, outcome = step_explicit(state, dt)
+            else:
+                state_new, outcome = step_semi_implicit(state, dt)
+            if not outcome.accepted:
+                rejects += 1
+                if rejects >= 3:
+                    stop = DIVERGED
+                    break
+                continue
+            rejects = 0
+            try:
+                if config.volume_correction:
+                    state_new = correct_volume(state_new, target_volume)
+                rec = monitors.diagnostics(state_new, config.monitor_radii, pairs=pairs)
+            except monitors.NumericsError:
                 stop = DIVERGED
                 break
-            continue
-        rejects = 0
-        try:
-            if config.volume_correction:
-                state_new = correct_volume(state_new, target_volume)
-            rec = monitors.diagnostics(state_new, config.monitor_radii, pairs=pairs)
-        except monitors.NumericsError:
-            stop = DIVERGED
-            break
-        state = state_new
-        records.append(rec)
-        if state.step % config.snapshot_every == 0:
-            snapshots[state.step] = state.mesh
-        if rec.quality < QUALITY_MIN:
-            stop = QUALITY_FLOOR
-        elif _curvature_scale_trigger(state) > CURVATURE_SCALE_MAX:
-            stop = CURVATURE_CEILING
+            state = state_new
+            records.append(rec)
+            if state.step % config.snapshot_every == 0:
+                snapshots[state.step] = state.mesh
+            if rec.quality < QUALITY_MIN:
+                stop = QUALITY_FLOOR
+            elif _curvature_scale_trigger(state) > CURVATURE_SCALE_MAX:
+                stop = CURVATURE_CEILING
     if state.step not in snapshots:
         snapshots[state.step] = state.mesh
     return Trajectory(

@@ -17,7 +17,6 @@ from typing import get_type_hints
 
 import numpy as np
 from scipy.sparse import _sparsetools
-from scipy.spatial import cKDTree
 
 from .geometry import dirichlet_energy, enclosed_volume, integrate
 
@@ -74,16 +73,13 @@ class PairSet:
     CSR: row v, nbrs[indptr[v]:indptr[v + 1]], holds v itself and every
     vertex paired with v, strictly ascending.  While no vertex is farther
     than delta from its anchor, the triangle inequality puts every vertex
-    now within r of v in row v.  `tree` is the KD-tree on the anchor
-    positions it was queried from, which the other radii's pair sets at the
-    same anchor reuse.  `w0`, `bound` and `admitted` are concentration's
-    last exact row-sum pass over this set: its weights, its widened row
-    sums, and how many candidates they admitted (None until the first)."""
+    now within r of v in row v.  `w0`, `bound` and `admitted` are the last
+    exact row-sum pass of concentration over this set: its weights, its
+    widened row sums and how many candidates they admitted (None until then)."""
 
     anchor: np.ndarray  # a mesh's read-only vertex array
     indptr: np.ndarray
     nbrs: np.ndarray  # int32
-    tree: cKDTree
     w0: np.ndarray | None = None
     bound: np.ndarray | None = None
     admitted: int = 0
@@ -111,26 +107,7 @@ def _query_pair_set(pts, radius, tree):
     del cols
     indptr, nbrs = np.empty(n + 1, np.int32), rows  # rows is free again
     _sparsetools.csr_tocsc(n, n, csr_ptr, csr_idx, data, indptr, nbrs, data)
-    return PairSet(anchor=pts, indptr=indptr, nbrs=nbrs, tree=tree)
-
-
-def _pairs_within(pts, r, pairs):
-    """A PairSet holding every vertex pair within r: the one that pairs (a
-    dict keyed by radius) holds for r, queried again and re-anchored at pts
-    when there is none, a vertex has moved more than PAIR_SLACK * r, or the
-    vertex count changed.  A query reuses the KD-tree of a PairSet anchored
-    at pts and builds one otherwise."""
-    delta = PAIR_SLACK * r
-    entry = pairs.get(r)
-    if (
-        entry is None
-        or entry.anchor.shape != pts.shape
-        or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
-    ):
-        tree = next((e.tree for e in pairs.values() if e.anchor is pts), None)
-        tree = cKDTree(pts) if tree is None else tree
-        entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), tree)
-    return entry
+    return PairSet(anchor=pts, indptr=indptr, nbrs=nbrs)
 
 
 def _balls(pts, r, entry, centers):
@@ -214,9 +191,10 @@ def concentration(state, r: float, pairs: dict | None = None):
     `pairs` is a dict of PairSets keyed by radius that the caller keeps
     across states; flow.run holds one per run, so an explicit step, which
     moves a vertex far less than PAIR_SLACK * r, reuses the last query and
-    its bounds.  Without it every call queries afresh.  A KD-tree is built
-    only to query pairs, and one built at these positions for another
-    radius's PairSet is reused.
+    its bounds.  Without it every call queries afresh.  The PairSet for r
+    is queried again from state.tree, which the radii share, when pairs
+    holds none, a vertex has moved more than PAIR_SLACK * r, or the vertex
+    count changed.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -228,7 +206,15 @@ def concentration(state, r: float, pairs: dict | None = None):
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
     if r >= float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))):
         return float(np.sum(w)), pts[0].copy()
-    entry = _pairs_within(pts, r, {} if pairs is None else pairs)
+    pairs = {} if pairs is None else pairs
+    delta = PAIR_SLACK * r
+    entry = pairs.get(r)
+    if (
+        entry is None
+        or entry.anchor.shape != pts.shape
+        or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
+    ):
+        entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), state.tree)
     gamma = 4 * (len(pts) + 1) * np.finfo(float).eps
 
     def ball_sums(centers):
@@ -260,8 +246,8 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     """Assemble one record from a flow state; raises NumericsError on any
     non-finite value so a run aborts at the offending step.  eta holds one
     concentration value per radius in `radii`, in its order; `pairs` is the
-    caller's PairSet cache (a dict keyed by radius), filled and reused by
-    those calls, which build a KD-tree only to re-query it."""
+    caller's PairSet cache (a dict keyed by radius), which those calls fill
+    and reuse."""
     mass, curv = state.mass, state.curvature
     area = mass.total_area
     volume = enclosed_volume(state.mesh)

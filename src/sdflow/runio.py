@@ -5,10 +5,11 @@ solver., monitor., output.).  It round-trips losslessly, unknown keys are
 rejected, and a retired key is accepted at its fixed value only.  RunConfig
 extends flow.SolverConfig and checks itself when it is built, so a config
 file and a command-line flag pass the same checks; one table maps each
-generator kind to its builder; a mesh file must be closed, oriented and
-nondegenerate.  The diagnostics CSV columns are the DiagnosticsRecord
-fields in declaration order, with eta written as one column per monitor
-radius in the config's order; only config.cfg names those radii.  A run
+generator kind to its builder; a mesh file must have finite coordinates
+and every vertex on a face, and be closed, oriented and nondegenerate.
+The diagnostics CSV columns are the DiagnosticsRecord fields in
+declaration order, with eta written as one column per monitor radius in
+the config's order; only config.cfg names those radii.  A run
 directory holds config.cfg (which blowup needs), diagnostics.csv,
 snapshots step_%08d.off, and summary.txt; a run written into it replaces
 an earlier run's snapshots and blowup frames.
@@ -88,6 +89,10 @@ def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
     if not cfg.mesh_path:
         raise ConfigError("initial.kind = mesh requires initial.path")
     mesh = load_mesh_path(cfg.mesh_path)
+    if not np.isfinite(mesh.vertices).all():
+        raise ConfigError(f"{cfg.mesh_path}: non-finite vertex coordinate")
+    if len(mesh.topology.rows) < mesh.num_vertices:
+        raise ConfigError(f"{cfg.mesh_path}: vertex on no face")
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented):
         raise ConfigError(f"{cfg.mesh_path}: not a closed oriented surface ({report.summary()})")

@@ -197,9 +197,9 @@ def test_criterion_8_concentration_machinery(dumbbell_run):
     on_neck = ev.triggered and abs(ev.center[0]) < 1.0
     before_stop = ev.triggered and ev.t <= dumbbell_run.records[-1].t
     frame = rescale_frame(dumbbell_run, ev)
-    src = next(r for r in dumbbell_run.records if r.step == frame.source_step)
+    src = next(r for r in dumbbell_run.records if r.step == frame.event.source_step)
     ball_ok = frame.unit_ball_curvature >= 0.9 * EPS1
-    trace_ok = abs(frame.diagnostics.tracefree_l2 - src.tracefree_l2) <= 1e-10 * max(
+    trace_ok = abs(frame.tracefree_l2 - src.tracefree_l2) <= 1e-10 * max(
         src.tracefree_l2, 1.0
     )
     check(

@@ -1,12 +1,13 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sdflow import blowup, monitors
-from sdflow.blowup import detect, frame_metadata_text, rescale_frame
+from sdflow import blowup, flow, monitors
+from sdflow.blowup import ConcentrationEvent, detect, frame_metadata_text, rescale_frame
 from sdflow.flow import FlowState, Trajectory
-from sdflow.monitors import EIGHT_PI, concentration
+from sdflow.monitors import EIGHT_PI, NumericsError, concentration, diagnostics
 from sdflow.runio import load_run_dir, write_run_dir
 
 EPS1 = EIGHT_PI / 100.0
@@ -79,6 +80,17 @@ def test_detect_without_centers_builds_one_state_per_snapshot(dumbbell_run, monk
     assert [ev.center for ev in events] == [tuple(concentration(state, r)[1]) for r in radii]
 
 
+def test_detect_radii_on_one_snapshot_share_one_tree(dumbbell_run, tmp_path):
+    write_run_dir(tmp_path, dumbbell_run, "")
+    loaded = load_run_dir(tmp_path)
+    built = []
+    tree_cls = flow.cKDTree
+    with mock.patch.object(flow, "cKDTree", lambda pts: built.append(pts) or tree_cls(pts)):
+        events = detect(loaded, [0.4, 0.2, 0.1], EPS1)
+    assert [ev.source_step for ev in events] == [0, 0, 0]
+    assert len(built) == 1 and built[0] is loaded.snapshots[0].vertices
+
+
 def test_detect_centers_equal_in_memory_and_reloaded(dumbbell_run, tmp_path):
     # at eps1 = 26 the r = 0.4 event falls on a record between two
     # snapshots; its center is that of the earlier snapshot, the frame
@@ -99,8 +111,6 @@ def test_detect_centers_equal_in_memory_and_reloaded(dumbbell_run, tmp_path):
 
 
 def test_rescale_frame_identity(sphere_run):
-    from sdflow.blowup import ConcentrationEvent
-
     rec = sphere_run.records[0]
     event = ConcentrationEvent(
         r=1.0, triggered=True, t=0.0, center=(0.0, 0.0, 0.0),
@@ -117,39 +127,39 @@ def test_rescale_frame_dumbbell(dumbbell_run):
     frame = rescale_frame(dumbbell_run, ev)
     assert frame.time_factor == frame.space_factor**4
     assert frame.unit_ball_curvature >= 0.9 * EPS1
-    src = next(r for r in dumbbell_run.records if r.step == frame.source_step)
-    assert abs(frame.diagnostics.tracefree_l2 - src.tracefree_l2) < 1e-10 * max(
-        src.tracefree_l2, 1.0
-    )
-    assert abs(frame.diagnostics.willmore - src.willmore) < 1e-10 * src.willmore
-    assert abs(frame.diagnostics.sphericity - src.sphericity) < 1e-10
-    assert frame.diagnostics.max_abs_A == pytest.approx(
-        src.max_abs_A * ev.r, rel=1e-10
-    )
+    src = next(r for r in dumbbell_run.records if r.step == frame.event.source_step)
+    assert abs(frame.tracefree_l2 - src.tracefree_l2) < 1e-10 * max(src.tracefree_l2, 1.0)
+    rec = diagnostics(FlowState(frame.mesh))
+    assert abs(rec.willmore - src.willmore) < 1e-10 * src.willmore
+    assert abs(rec.sphericity - src.sphericity) < 1e-10
+    assert rec.max_abs_A == pytest.approx(src.max_abs_A * ev.r, rel=1e-10)
 
 
 def test_rescale_frame_runs_no_concentration(dumbbell_run, monkeypatch):
     ev = detect(dumbbell_run, [0.2], EPS1)[0]
-    with monkeypatch.context() as m:
-        # the frame as it was built with an eta(1) in its diagnostics
-        m.setattr(
-            blowup, "diagnostics", lambda state, radii=(): monitors.diagnostics(state, radii=(1.0,))
-        )
-        text_with_eta = frame_metadata_text(rescale_frame(dumbbell_run, ev))
     calls = []
-    concentration = monitors.concentration
-    monkeypatch.setattr(
-        monitors, "concentration", lambda *a, **k: calls.append(a) or concentration(*a, **k)
-    )
-    frame = rescale_frame(dumbbell_run, ev)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return concentration(*args, **kwargs)
+
+    monkeypatch.setattr(monitors, "concentration", counted)
+    monkeypatch.setattr(blowup, "concentration", counted)
+    rescale_frame(dumbbell_run, ev)
     assert calls == []
-    assert frame.diagnostics.eta == ()
-    assert frame_metadata_text(frame) == text_with_eta
+
+
+def test_rescale_frame_nonfinite_raises(sphere_run):
+    # zoomed by 1/r = 1e300 the frame's areas overflow
+    event = ConcentrationEvent(
+        r=1e-300, triggered=True, t=0.0, center=(0.0, 0.0, 0.0),
+        eta_at_t=0.0, record_step=0, source_step=0,
+    )
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="non-finite"):
+        rescale_frame(sphere_run, event)
 
 
 def test_rescale_frame_requires_trigger(sphere_run):
-    from sdflow.blowup import ConcentrationEvent
-
     with pytest.raises(ValueError):
         rescale_frame(sphere_run, ConcentrationEvent(r=0.1, triggered=False))
 
@@ -172,4 +182,4 @@ def test_frame_metadata_roundtrip_values(dumbbell_run):
     assert float(fields["r_j"]) == ev.r
     assert float(fields["space_factor"]) == frame.space_factor
     assert float(fields["time_factor"]) == frame.space_factor**4
-    assert int(fields["source_step"]) == frame.source_step
+    assert int(fields["source_step"]) == frame.event.source_step

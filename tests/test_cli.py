@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,7 +164,10 @@ def test_run_initial_record_not_formed_exit_2(tmp_path, capsys, radius):
     # the area overflows to inf at 1e200 and underflows to 0 at 1e-200
     template = f"initial.kind = icosphere\ninitial.subdiv = 1\ninitial.radius = {radius}\n"
     cfg_path, out_dir = run_config(tmp_path, template + "output.dir = {out}\n", "initial")
-    assert main(["run", str(cfg_path)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path)]) == 2
+    assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("sdflow: error:") and "at step 0" in err
     assert not out_dir.exists()
@@ -243,6 +247,37 @@ def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, ca
     assert main(["run", str(cfg_path)]) == 2
     assert f"sdflow: error: {mesh_path}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("unused_vertex", "vertex on no face"), ("nan_vertex", "non-finite vertex coordinate")],
+)
+def test_run_mesh_bad_vertex_exit_2(tmp_path, capsys, case, message):
+    sphere = make_icosphere(1.0, 1)
+    if case == "unused_vertex":
+        vertices = np.vstack([sphere.vertices, [(2.0, 0.0, 0.0)]])
+    else:
+        vertices = sphere.vertices.copy()
+        vertices[0] = (np.nan, 0.0, 0.0)
+    mesh_path = tmp_path / f"{case}.off"
+    save_off(TriangleMesh(vertices, sphere.faces), mesh_path)
+    cfg_path, out_dir = run_config(tmp_path, MESH_CFG.replace("{path}", str(mesh_path)), case)
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"sdflow: error: {mesh_path}: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_run_unwritable_out_exit_2(tmp_path, capsys):
+    template = "initial.kind = icosphere\ninitial.subdiv = 1\nsolver.max_steps = 2\n"
+    cfg_path, _ = run_config(tmp_path, template, "tiny")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    assert main(["run", str(cfg_path), "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdflow: error:") and str(blocker) in captured.err
+    assert blocker.read_text() == "a file\n"
 
 
 def test_run_into_reused_dir_replaces_snapshots_and_frames(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from sdflow import monitors
+from sdflow import flow, monitors
 from sdflow.flow import CFL, EXPLICIT, SEMI_IMPLICIT, FlowState, SolverConfig, run, step_explicit
 from sdflow.generators import (
     make_dumbbell,
@@ -224,7 +224,7 @@ def test_concentration_matches_per_ball_reference_property(r, amp):
 
 @contextlib.contextmanager
 def counting_tree_queries():
-    """Patch monitors.cKDTree with a subclass that counts its constructions
+    """Patch flow.cKDTree with a subclass that counts its constructions
     ("tree") and its query_pairs and query_ball_point calls, and
     monitors._row_sums, to count concentration's exact row-sum passes
     ("row_sums"); yields the Counter."""
@@ -249,7 +249,7 @@ def counting_tree_queries():
             return super().query_ball_point(*args, **kwargs)
 
     with (
-        mock.patch.object(monitors, "cKDTree", CountingTree),
+        mock.patch.object(flow, "cKDTree", CountingTree),
         mock.patch.object(monitors, "_row_sums", counting_row_sums),
     ):
         yield count
@@ -367,11 +367,14 @@ def test_cached_pairs_hold_a_pair_moved_together_by_the_slack():
     ],
 )
 def test_pair_set_balls_equal_query_ball_point(mesh_fn, radii):
-    pts = mesh_fn().vertices
+    mesh = mesh_fn()
+    pts = mesh.vertices
     ref_tree = cKDTree(pts)
     for r in radii:
         with counting_tree_queries() as count:
-            entry = monitors._pairs_within(pts, r, {})
+            pairs = {}
+            concentration(FlowState(mesh), r, pairs)
+            entry = pairs[r]
             assert_pair_set_invariants(entry)
             balls = [
                 members[offsets[k] : offsets[k + 1]]
@@ -401,11 +404,12 @@ def test_ball_sums_equal_per_ball_np_sum_bitwise(length):
 
 def weighted_state(pts, w):
     """A stand-in for a FlowState with vertex weights w: concentration
-    reads only mesh.vertices, curvature.A_sq and mass.m."""
+    reads only mesh.vertices, curvature.A_sq, mass.m and tree."""
     return SimpleNamespace(
         mesh=SimpleNamespace(vertices=pts),
         curvature=SimpleNamespace(A_sq=w),
         mass=SimpleNamespace(m=np.ones(len(w))),
+        tree=flow.cKDTree(pts),
     )
 
 

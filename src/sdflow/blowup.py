@@ -109,11 +109,12 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
     frame_mesh = rescale(
         trajectory.snapshots[snap_step], np.asarray(event.center), space_factor
     )
-    state = FlowState(frame_mesh)
-    tracefree = integrate(state.curvature.Ao_sq, state.mass)
-    raw, normalized = stationarity_residual(state)
-    inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
-    ball = float(np.sum((state.curvature.A_sq * state.mass.m)[inside]))
+    with np.errstate(all="ignore"):  # a tiny r overflows: checked below
+        state = FlowState(frame_mesh)
+        tracefree = integrate(state.curvature.Ao_sq, state.mass)
+        raw, normalized = stationarity_residual(state)
+        inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
+        ball = float(np.sum((state.curvature.A_sq * state.mass.m)[inside]))
     if not np.isfinite([tracefree, raw, normalized, ball]).all():
         raise NumericsError(f"non-finite blowup frame of step {snap_step}")
     return BlowupFrame(

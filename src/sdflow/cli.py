@@ -4,8 +4,11 @@ The `gen` flags and `blowup --radii/--eps1` set run-config values, so they
 go through the config file's parsers and RunConfig's checks.
 
 Exit codes: 0 clean stop, 2 usage, config, initial-data or output error (an
-initial record that cannot be formed included), 3 singularity-proxy stop
-(quality floor or curvature ceiling), 4 divergence.
+initial record or a blowup frame that is not finite included), 3
+singularity-proxy stop (quality floor or curvature ceiling), 4 divergence.
+The commands raise their input and output failures; `main` alone turns
+them into `sdflow: error: <message>` and exit 2.  The names of run-directory
+files, snapshots and blowup frames alike, belong to `runio`.
 """
 
 import os
@@ -37,11 +40,6 @@ EXIT_SINGULARITY = 3
 EXIT_DIVERGED = 4
 
 
-def _fail(message: str) -> int:
-    print(f"sdflow: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 # `gen` flags whose RunConfig field has another name
 _GEN_FIELDS = {"bulb": "bulb_radius", "neck": "neck_radius", "len": "neck_length", "mode": "modes"}
 
@@ -53,13 +51,10 @@ def cmd_gen(args) -> int:
         for key, value in vars(args).items()
         if key not in ("command", "generator", "output") and value is not None
     }
-    try:
-        if "modes" in fields:
-            fields["modes"] = tuple(runio.parse_mode(m) for m in fields["modes"])
-        mesh = runio.RunConfig(kind=args.generator, **fields).build_initial()
-        save_off(mesh, args.output)
-    except (ValueError, MeshError, runio.ConfigError) as exc:
-        return _fail(str(exc))
+    if "modes" in fields:
+        fields["modes"] = tuple(runio.parse_mode(m) for m in fields["modes"])
+    mesh = runio.RunConfig(kind=args.generator, **fields).build_initial()
+    save_off(mesh, args.output)
     report = validate(mesh)
     print(f"{args.output}: V={mesh.num_vertices} F={mesh.num_faces} {report.summary()}")
     return EXIT_OK
@@ -131,21 +126,10 @@ def cmd_run(args) -> int:
     try:
         cfg = runio.load_config(args.config)
     except (OSError, runio.ConfigError) as exc:
-        return _fail(f"bad config: {exc}")
-    out_dir = args.out or cfg.out_dir
-    try:
-        mesh = cfg.build_initial()
-    except (OSError, ValueError, MeshError, runio.ConfigError) as exc:
-        return _fail(str(exc))
-    try:
-        trajectory = flow.run(mesh, cfg)
-    except monitors.NumericsError as exc:  # only the initial record raises
-        return _fail(str(exc))
+        raise runio.ConfigError(f"bad config: {exc}") from exc
+    trajectory = flow.run(cfg.build_initial(), cfg)
     summary = _summarize(trajectory)
-    try:
-        runio.write_run_dir(out_dir, trajectory, summary)
-    except OSError as exc:
-        return _fail(str(exc))
+    runio.write_run_dir(args.out or cfg.out_dir, trajectory, summary)
     print(summary, end="")
     if trajectory.stop_reason == flow.DIVERGED:
         return EXIT_DIVERGED
@@ -164,11 +148,8 @@ def _fit_window(text: str):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        window = _fit_window(args.fit_window)
-        trajectory = runio.load_run_records(args.run_dir)
-    except (OSError, ValueError, runio.ConfigError) as exc:
-        return _fail(str(exc))
+    window = _fit_window(args.fit_window)
+    trajectory = runio.load_run_records(args.run_dir)
     if not args.json:
         print(*_record_lines(trajectory, window), sep="\n")
         return EXIT_OK
@@ -183,19 +164,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    try:
-        trajectory = runio.load_run_dir(args.run_dir)
-        overrides = {"monitor_radii": runio.parse_radii(args.radii)} if args.radii else {}
-        if args.eps1 is not None:
-            overrides["eps1"] = args.eps1
-        # the flags pass the same checks as the config values they override
-        cfg = replace(trajectory.config, **overrides)
-        if not cfg.monitor_radii:
-            return _fail("no radii given and none recorded in the run config")
-        events = blowup_mod.detect(trajectory, cfg.monitor_radii, cfg.eps1)
-    except (OSError, ValueError, runio.ConfigError, MeshError) as exc:
-        return _fail(str(exc))
-    triggered = [ev for ev in events if ev.triggered]
+    trajectory = runio.load_run_dir(args.run_dir)
+    overrides = {"monitor_radii": runio.parse_radii(args.radii)} if args.radii else {}
+    if args.eps1 is not None:
+        overrides["eps1"] = args.eps1
+    # the flags pass the same checks as the config values they override
+    cfg = replace(trajectory.config, **overrides)
+    if not cfg.monitor_radii:
+        raise runio.ConfigError("no radii given and none recorded in the run config")
+    events = blowup_mod.detect(trajectory, cfg.monitor_radii, cfg.eps1)
+    frames = [blowup_mod.rescale_frame(trajectory, ev) for ev in events if ev.triggered]
+    runio.write_frames(args.run_dir, frames)
     print(f"radius    t_j         eta          center")
     for ev in events:
         if ev.triggered:
@@ -205,17 +184,12 @@ def cmd_blowup(args) -> int:
             )
         else:
             print(f"{ev.r:<9g} untriggered")
-    if not triggered:
+    if not frames:
         print("no concentration detected")
-        return EXIT_OK
-    for i, ev in enumerate(triggered):
-        frame = blowup_mod.rescale_frame(trajectory, ev)
-        base = os.path.join(args.run_dir, f"frame_{i:02d}")
-        save_off(frame.mesh, base + ".off")
-        with open(base + ".meta", "w", encoding="utf-8") as fh:
-            fh.write(blowup_mod.frame_metadata_text(frame))
+    for i, frame in enumerate(frames):
         print(
-            f"frame_{i:02d}: r={ev.r:g} unit_ball_curvature={frame.unit_ball_curvature:.6g}"
+            f"{runio.FRAME_PATTERN % i}: r={frame.event.r:g}"
+            f" unit_ball_curvature={frame.unit_ball_curvature:.6g}"
             f" residual_normalized={frame.residual_normalized:.6g}"
         )
     return EXIT_OK
@@ -279,7 +253,11 @@ def main(argv=None) -> int:
         "analyze": cmd_analyze,
         "blowup": cmd_blowup,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError, MeshError, runio.ConfigError, monitors.NumericsError) as exc:
+        print(f"sdflow: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,8 +11,11 @@ The diagnostics CSV columns are the DiagnosticsRecord fields in
 declaration order, with eta written as one column per monitor radius in
 the config's order; only config.cfg names those radii.  A run
 directory holds config.cfg (which blowup needs), diagnostics.csv,
-snapshots step_%08d.off, and summary.txt; a run written into it replaces
-an earlier run's snapshots and blowup frames.
+snapshots step_%08d.off, summary.txt, and the blowup frames
+frame_%02d.off with their .meta sidecars.  This module alone names,
+writes and removes those files: a run written into a directory replaces
+an earlier run's snapshots and blowup frames, and a blowup replaces an
+earlier blowup's frames.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .blowup import frame_metadata_text
 from .flow import CG_RTOL, CURVATURE_SCALE_MAX, QUALITY_MIN, SolverConfig, Trajectory
 from .generators import (
     make_dumbbell,
@@ -36,9 +40,10 @@ from .mesh import TriangleMesh, face_geometry, load_mesh_path, save_off, validat
 from .monitors import EIGHT_PI, DiagnosticsRecord
 
 SNAPSHOT_PATTERN = "step_%08d.off"
-# the snapshots and blowup frames of an earlier run, which write_run_dir
-# removes from a directory it reuses
-_STALE_FILE = re.compile(r"^(step_\d{8}\.off|frame_\d{2}\.(off|meta))$")
+FRAME_PATTERN = "frame_%02d"  # + ".off" and ".meta"
+# the names those patterns print
+_SNAPSHOT_FILE = re.compile(r"^step_(\d{8,})\.off$")
+_FRAME_FILE = re.compile(r"^frame_\d{2,}\.(off|meta)$")
 CSV_NAME = "diagnostics.csv"
 CONFIG_NAME = "config.cfg"
 SUMMARY_NAME = "summary.txt"
@@ -307,13 +312,17 @@ def read_diagnostics_csv(path) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _remove_matching(directory, *patterns) -> None:
+    for name in os.listdir(directory):
+        if any(p.match(name) for p in patterns):
+            os.remove(os.path.join(directory, name))
+
+
 def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:
     """Write a run directory; trajectory.config must be the run's RunConfig.
     The snapshots and frames an earlier run left in it are removed first."""
     os.makedirs(out_dir, exist_ok=True)
-    for name in os.listdir(out_dir):
-        if _STALE_FILE.match(name):
-            os.remove(os.path.join(out_dir, name))
+    _remove_matching(out_dir, _SNAPSHOT_FILE, _FRAME_FILE)
     with open(os.path.join(out_dir, CONFIG_NAME), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(trajectory.config))
     write_diagnostics_csv(trajectory.records, os.path.join(out_dir, CSV_NAME))
@@ -368,10 +377,9 @@ def load_run_dir(run_dir) -> Trajectory:
             f"missing {CONFIG_NAME} in {run_dir}: it holds the monitor radii of the"
             f" CSV's {len(trajectory.records[0].eta)} eta columns"
         )
-    pattern = re.compile(r"^step_(\d{8})\.off$")
     first = None
     for name in sorted(os.listdir(run_dir)):
-        match = pattern.match(name)
+        match = _SNAPSHOT_FILE.match(name)
         if match:
             mesh = load_mesh_path(os.path.join(run_dir, name))
             if first is None:
@@ -380,3 +388,15 @@ def load_run_dir(run_dir) -> Trajectory:
                 mesh = first.with_vertices(mesh.vertices)
             trajectory.snapshots[int(match.group(1))] = mesh
     return trajectory
+
+
+def write_frames(run_dir, frames) -> None:
+    """Replace the blowup frames in a run directory: remove every frame an
+    earlier blowup left, then write frame_%02d.off and its .meta for each
+    of `frames` in order."""
+    _remove_matching(run_dir, _FRAME_FILE)
+    for i, frame in enumerate(frames):
+        base = os.path.join(run_dir, FRAME_PATTERN % i)
+        save_off(frame.mesh, base + ".off")
+        with open(base + ".meta", "w", encoding="utf-8") as fh:
+            fh.write(frame_metadata_text(frame))

@@ -72,6 +72,14 @@ def test_gen_malformed_mode_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_unwritable_output_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.off"
+    assert main(["gen", "icosphere", "--subdiv", "1", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdflow: error:") and str(out) in captured.err
+
+
 def run_config(tmp_path, template, name):
     out_dir = tmp_path / name
     cfg_path = tmp_path / f"{name}.cfg"
@@ -346,6 +354,60 @@ def test_blowup_corrupt_unused_snapshot_exit_2(dumbbell_cli_run, tmp_path, capsy
     assert main(["blowup", str(run_dir)]) == 2
     assert "truncated OFF file" in capsys.readouterr().err
     assert not list(run_dir.glob("frame_*"))
+
+
+def frame_radii(run_dir):
+    """frame file name -> the r_j its .meta records, for every frame file."""
+    radii = {}
+    for frame in sorted(run_dir.glob("frame_*")):
+        meta = frame.with_suffix(".meta").read_text()
+        radii[frame.name] = float(dict(ln.split(" = ", 1) for ln in meta.splitlines())["r_j"])
+    return radii
+
+
+def test_blowup_replaces_earlier_frames(dumbbell_cli_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    assert main(["blowup", str(run_dir), "--eps1", "0"]) == 0
+    assert sorted(set(frame_radii(run_dir).values())) == [0.1, 0.2, 0.4]
+    assert main(["blowup", str(run_dir), "--radii", "0.4"]) == 0
+    assert frame_radii(run_dir) == {"frame_00.meta": 0.4, "frame_00.off": 0.4}
+    capsys.readouterr()
+    assert main(["blowup", str(run_dir), "--eps1", "inf"]) == 0
+    assert "no concentration detected" in capsys.readouterr().out
+    assert not list(run_dir.glob("frame_*"))
+
+
+def test_blowup_frame_path_is_a_directory_exit_2(dumbbell_cli_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    for frame in run_dir.glob("frame_*"):
+        frame.unlink()
+    (run_dir / "frame_00.off").mkdir()
+    assert main(["blowup", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdflow: error:") and "frame_00.off" in captured.err
+
+
+def test_blowup_nonfinite_frame_exit_2(tmp_path, capsys):
+    # zoomed by 1/r = 1e300, the frame's geometry overflows
+    template = (
+        "initial.kind = icosphere\ninitial.subdiv = 1\nsolver.max_steps = 2\n"
+        "monitor.radii = 1e-300\noutput.dir = {out}\n"
+    )
+    cfg_path, out_dir = run_config(tmp_path, template, "tiny_radius")
+    assert main(["run", str(cfg_path)]) == 0
+    before = sorted(os.listdir(out_dir))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["blowup", str(out_dir), "--eps1", "0"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdflow: error: non-finite blowup frame of step 0\n"
+    assert sorted(os.listdir(out_dir)) == before
 
 
 @pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])

@@ -21,6 +21,9 @@ stops the run as diverged, except in the initial record: that one propagates.
 A run silences numpy's floating-point warnings: every non-finite value they
 would announce is caught as a broken step, a NumericsError or a divergence.
 Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
+The semi-implicit step's linear solves run `cg`, the conjugate-gradient loop
+of scipy.sparse.linalg.cg kept in this module with scipy's arithmetic, so a
+run does not import scipy.sparse.linalg (and with it scipy.linalg).
 
 SolverConfig holds the solver and monitor settings.  The run config
 (runio.RunConfig) extends it with the initial data and the output settings,
@@ -34,8 +37,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
-from scipy.spatial import cKDTree
 
 from .mesh import TriangleMesh, face_geometry
 from .geometry import (
@@ -102,6 +103,8 @@ class FlowState:
 
     @cached_property
     def tree(self):
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.mesh.vertices)
 
     def advanced(self, mesh: TriangleMesh, dt: float) -> "FlowState":
@@ -193,16 +196,50 @@ def step_explicit(state: FlowState, dt: float):
     return _accept(state, state.mesh.vertices + disp, dt)
 
 
+def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
+    """Solve A x = b for a symmetric positive definite CSR matrix A by
+    conjugate gradients, preconditioned by the vector M (z = M * r), to
+    |r| < rtol |b|.  This is the loop of scipy.sparse.linalg.cg (scipy
+    1.17.1) with atol = 0 and M = diags(M), operation for operation, so x,
+    info and the callback calls are scipy's bit for bit.  Returns (x, info):
+    info is 0 on convergence, else maxiter.  callback(x) runs after each
+    iteration; x0 is not modified."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    x = x0.copy()
+    r = b - A @ x if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M * r
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
 def step_semi_implicit(state: FlowState, dt: float):
     """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate by
-    Jacobi-preconditioned CG to relative residual CG_RTOL (10 iterations per
-    vertex at most), L frozen at x_old."""
+    Jacobi-preconditioned CG (`cg`, scipy's loop in this module) to relative
+    residual CG_RTOL (10 iterations per vertex at most), L frozen at x_old."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass.m
     L = state.lap
     A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
-    precond = sparse.diags(1.0 / A.diagonal())
+    inv_diag = 1.0 / A.diagonal()
     x_old = state.mesh.vertices
     new_vertices = np.empty_like(x_old)
     iters = 0
@@ -215,11 +252,10 @@ def step_semi_implicit(state: FlowState, dt: float):
         sol, info = cg(
             A,
             m * x_old[:, k],
-            x0=x_old[:, k].copy(),
+            x_old[:, k],
             rtol=CG_RTOL,
-            atol=0.0,
             maxiter=10 * len(m),
-            M=precond,
+            M=inv_diag,
             callback=_cb,
         )
         iters += count[0]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, lpmv
 
 from .mesh import MeshError, TriangleMesh
 
@@ -68,6 +66,8 @@ def make_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
 
 def real_sph_harm(l: int, m: int, dirs: np.ndarray) -> np.ndarray:
     """Real spherical harmonic Y_l^m at unit vectors, unit L2 norm on S2."""
+    from scipy.special import gammaln, lpmv
+
     if not (isinstance(l, (int, np.integer)) and isinstance(m, (int, np.integer))):
         raise ValueError("l and m must be integers")
     if l < 0 or abs(m) > l:
@@ -165,6 +165,8 @@ def _dumbbell_profile(bulb_radius: float, neck_radius: float, neck_length: float
     neck length; `a` and the bulb center offset are solved so the profile
     meets the bulb circle tangentially (C1 join).
     """
+    from scipy.optimize import brentq
+
     R, rn, c = bulb_radius, neck_radius, neck_length / 2.0
 
     def mismatch(a):

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 
-from sdflow import blowup, flow, monitors
+from sdflow import blowup, monitors
 from sdflow.blowup import ConcentrationEvent, detect, frame_metadata_text, rescale_frame
 from sdflow.flow import FlowState, Trajectory
 from sdflow.monitors import EIGHT_PI, NumericsError, concentration, diagnostics
@@ -84,8 +85,8 @@ def test_detect_radii_on_one_snapshot_share_one_tree(dumbbell_run, tmp_path):
     write_run_dir(tmp_path, dumbbell_run, "")
     loaded = load_run_dir(tmp_path)
     built = []
-    tree_cls = flow.cKDTree
-    with mock.patch.object(flow, "cKDTree", lambda pts: built.append(pts) or tree_cls(pts)):
+    tree_cls = scipy.spatial.cKDTree
+    with mock.patch("scipy.spatial.cKDTree", lambda pts: built.append(pts) or tree_cls(pts)):
         events = detect(loaded, [0.4, 0.2, 0.1], EPS1)
     assert [ev.source_step for ev in events] == [0, 0, 0]
     assert len(built) == 1 and built[0] is loaded.snapshots[0].vertices

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DUMBBELL_CFG, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
+from conftest import DUMBBELL_CFG, EXPERIMENTS, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
 from sdflow.cli import main
 from sdflow.generators import make_icosphere
 from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
@@ -202,6 +202,34 @@ def test_dumbbell_without_tangent_join_exits_2_at_once(tmp_path, command, flag, 
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("sdflow: error:")
     assert not (tmp_path / "x.off").exists() and not (tmp_path / "run").exists()
+
+
+IMPORT_GUARD = """
+import sys
+import sdflow.cli
+from sdflow import runio
+from sdflow.flow import FlowState
+
+runio.load_config(sys.argv[1]).build_initial()
+print(",".join(sorted(name for name in sys.argv[2:] if name in sys.modules)))
+dumbbell = runio.parse_config("initial.kind = dumbbell").build_initial()
+print(len(FlowState(dumbbell).tree.query_pairs(0.1)))
+"""
+
+
+def test_perturbed_sphere_set_up_imports_no_unused_scipy():
+    # a fresh interpreter: the pytest process has imported every module
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unused = ["scipy.spatial", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg"]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, os.path.join(EXPERIMENTS, "headline.cfg"), *unused],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, pairs = proc.stdout.splitlines()
+    assert loaded == ""
+    assert int(pairs) > 0
 
 
 MESH_CFG = """

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import cg as scipy_cg
 
 from sdflow import flow
 from sdflow.flow import (
@@ -165,6 +168,66 @@ def test_semi_implicit_preserves_axial_symmetry():
     radii = np.hypot(v[:, :, 1], v[:, :, 2])
     assert np.abs(radii - radii.mean(axis=1, keepdims=True)).max() < 1e-8
     assert np.abs(v[:, :, 0] - v[:, :, 0].mean(axis=1, keepdims=True)).max() < 1e-8
+
+
+def implicit_sphere_solves():
+    """The three (A, b, x0, kwargs) that step_semi_implicit passes to
+    flow.cg on the first step of the implicit_sphere benchmark workload
+    (s4, mode 2,0,0.3, seed 3, dt 4.5e-4)."""
+    state = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.3)], seed=3, subdivisions=4))
+    calls = []
+    real_cg = flow.cg
+
+    def recording_cg(A, b, x0, **kwargs):
+        calls.append((A, b, x0, kwargs))
+        return real_cg(A, b, x0, **kwargs)
+
+    with mock.patch.object(flow, "cg", recording_cg):
+        _, outcome = step_semi_implicit(state, 4.5e-4)
+    assert outcome.accepted and len(calls) == 3
+    return calls
+
+
+def assert_cg_matches_scipy(A, b, x0, rtol, maxiter, M):
+    """flow.cg and scipy's cg with M = diags(M) give the same x bit for
+    bit, the same info and the same number of callback calls; flow.cg
+    leaves x0 as it was.  Returns (info, callback calls)."""
+    counts = [0, 0]
+
+    def counter(i):
+        return lambda _xk: counts.__setitem__(i, counts[i] + 1)
+
+    x0_before = x0.copy()
+    x, info = flow.cg(A, b, x0, rtol=rtol, maxiter=maxiter, M=M, callback=counter(0))
+    want, want_info = scipy_cg(
+        A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=sparse.diags(M), callback=counter(1)
+    )
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+    assert info == want_info
+    assert counts[0] == counts[1]
+    assert np.array_equal(x0.view(np.int64), x0_before.view(np.int64))
+    return info, counts[0]
+
+
+def test_cg_matches_scipy_on_implicit_sphere_solves():
+    for A, b, x0, kw in implicit_sphere_solves():
+        assert kw["rtol"] == flow.CG_RTOL
+        info, iters = assert_cg_matches_scipy(A, b, x0, kw["rtol"], kw["maxiter"], kw["M"])
+        assert info == 0 and iters > 0
+
+
+def test_cg_matches_scipy_on_zero_rhs():
+    A, b, x0, kw = implicit_sphere_solves()[0]
+    info, iters = assert_cg_matches_scipy(
+        A, np.zeros_like(b), x0, kw["rtol"], kw["maxiter"], kw["M"]
+    )
+    assert (info, iters) == (0, 0)
+
+
+def test_cg_matches_scipy_when_maxiter_runs_out():
+    A, b, x0, kw = implicit_sphere_solves()[0]
+    info, iters = assert_cg_matches_scipy(A, b, x0, kw["rtol"], 5, kw["M"])
+    assert (info, iters) == (5, 5)
 
 
 def test_rejected_step_keeps_state():

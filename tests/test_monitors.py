@@ -7,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from sdflow import flow, monitors
+from sdflow import monitors
 from sdflow.flow import CFL, EXPLICIT, SEMI_IMPLICIT, FlowState, SolverConfig, run, step_explicit
 from sdflow.generators import (
     make_dumbbell,
@@ -224,7 +225,7 @@ def test_concentration_matches_per_ball_reference_property(r, amp):
 
 @contextlib.contextmanager
 def counting_tree_queries():
-    """Patch flow.cKDTree with a subclass that counts its constructions
+    """Patch scipy.spatial.cKDTree with a subclass that counts its constructions
     ("tree") and its query_pairs and query_ball_point calls, and
     monitors._row_sums, to count concentration's exact row-sum passes
     ("row_sums"); yields the Counter."""
@@ -249,7 +250,7 @@ def counting_tree_queries():
             return super().query_ball_point(*args, **kwargs)
 
     with (
-        mock.patch.object(flow, "cKDTree", CountingTree),
+        mock.patch("scipy.spatial.cKDTree", CountingTree),
         mock.patch.object(monitors, "_row_sums", counting_row_sums),
     ):
         yield count
@@ -409,7 +410,7 @@ def weighted_state(pts, w):
         mesh=SimpleNamespace(vertices=pts),
         curvature=SimpleNamespace(A_sq=w),
         mass=SimpleNamespace(m=np.ones(len(w))),
-        tree=flow.cKDTree(pts),
+        tree=scipy.spatial.cKDTree(pts),
     )
 
 

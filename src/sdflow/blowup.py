@@ -114,7 +114,7 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
         tracefree = integrate(state.curvature.Ao_sq, state.mass)
         raw, normalized = stationarity_residual(state)
         inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
-        ball = float(np.sum((state.curvature.A_sq * state.mass.m)[inside]))
+        ball = float(np.sum((state.curvature.A_sq * state.mass)[inside]))
     if not np.isfinite([tracefree, raw, normalized, ball]).all():
         raise NumericsError(f"non-finite blowup frame of step {snap_step}")
     return BlowupFrame(

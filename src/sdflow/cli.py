@@ -27,6 +27,8 @@ if _threads.isdigit() and int(_threads) > 0:
 
 import argparse
 import json
+import math
+import numbers
 from dataclasses import replace
 
 from . import blowup as blowup_mod
@@ -147,6 +149,18 @@ def _fit_window(text: str):
     return float(bits[0]), float(bits[1])
 
 
+def _null_if_not_finite(value):
+    """value with every NaN or infinite number, at any depth of its dicts
+    and lists, replaced by None: JSON has no spelling for them but null."""
+    if isinstance(value, dict):
+        return {k: _null_if_not_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_if_not_finite(v) for v in value]
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        return None
+    return value
+
+
 def cmd_analyze(args) -> int:
     window = _fit_window(args.fit_window)
     trajectory = runio.load_run_records(args.run_dir)
@@ -159,7 +173,7 @@ def cmd_analyze(args) -> int:
         "stop_reason": trajectory.stop_reason,
         **monitors.audit_report(recs, window=window),
     }
-    print(json.dumps(out, indent=2, default=float))
+    print(json.dumps(_null_if_not_finite(out), indent=2, default=float))
     return EXIT_OK
 
 

@@ -236,7 +236,7 @@ def step_semi_implicit(state: FlowState, dt: float):
     residual CG_RTOL (10 iterations per vertex at most), L frozen at x_old."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    m = state.mass.m
+    m = state.mass
     L = state.lap
     A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
     inv_diag = 1.0 / A.diagonal()
@@ -271,7 +271,7 @@ def correct_volume(state: FlowState, target_volume: float) -> FlowState:
     so Newton's method runs on its coefficients; its first iterate is the
     linear guess (target - V) / V'(0)."""
     nu, _ = vertex_normals_and_projected_areas(state.geometry)
-    c0, c1, c2, c3 = volume_cubic(state.mesh, nu)
+    c0, c1, c2, c3 = volume_cubic(state.geometry, nu)
     if abs(c0 - target_volume) > 0.1 * abs(target_volume):
         raise monitors.NumericsError(
             f"volume drifted beyond 10% at step {state.step}: {c0} vs {target_volume}"
@@ -309,7 +309,7 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
     one monitors.PairSet per monitor radius across its records."""
     with np.errstate(all="ignore"):
         state = FlowState(mesh=initial)
-        target_volume = enclosed_volume(initial)
+        target_volume = enclosed_volume(state.geometry)
         pairs = {}
         records = [monitors.diagnostics(state, config.monitor_radii, pairs=pairs)]
         snapshots = {0: initial}

@@ -9,9 +9,10 @@ Conventions (all tested):
 The operators derive from a state's one per-face pass, a mesh.FaceGeometry,
 as (3, F) per-corner arrays; mesh.corner_sum moves them onto the vertices
 in corner order a, b, c, so every sum rounds as a fixed sequence of
-np.add.at passes would.  cotan_laplacian fills L into the CSR pattern of
-the mesh's MeshTopology, built once per connectivity.
-volume_cubic gives enclosed_volume(x + s nu), exactly a cubic in s.
+np.add.at passes would.  The lumped mass is a plain (n,) array.
+cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology.
+enclosed_volume and volume_cubic, V(x + s nu) as an exact cubic in s, read
+the pass's corner positions.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import FaceGeometry, MeshError, TriangleMesh, corner_sum, face_corner_vertices
-
-
-@dataclass(frozen=True)
-class LumpedMass:
-    """Per-vertex dual areas; m sums exactly to the total face area."""
-
-    m: np.ndarray
-    total_area: float
+from .mesh import FaceGeometry, MeshError, corner_sum
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ def _require_nondegenerate(fg: FaceGeometry) -> None:
         raise MeshError("degenerate face encountered")
 
 
-def lumped_mass(fg: FaceGeometry) -> LumpedMass:
-    """Mixed Voronoi vertex areas.
+def lumped_mass(fg: FaceGeometry) -> np.ndarray:
+    """Mixed Voronoi vertex areas; they sum to fg.total_area up to rounding.
 
     Non-obtuse triangles contribute their circumcentric (Voronoi) corner
     pieces; obtuse ones fall back to area/2 at the obtuse corner and area/4
@@ -65,7 +58,7 @@ def lumped_mass(fg: FaceGeometry) -> LumpedMass:
     t = fg.sq_lengths * np.roll(cot, 1, axis=0)
     w = (t + np.roll(t, 1, axis=0)) / 8.0
     w = np.where((cot < 0).any(axis=0), np.where(cot < 0, areas / 2, areas / 4), w)
-    return LumpedMass(m=corner_sum(fg.mesh, w), total_area=float(np.sum(areas)))
+    return corner_sum(fg.mesh, w)
 
 
 def cotan_laplacian(fg: FaceGeometry) -> sparse.csr_matrix:
@@ -116,11 +109,11 @@ def angle_defects(fg: FaceGeometry) -> np.ndarray:
     return defect
 
 
-def curvature_field(fg: FaceGeometry, mass: LumpedMass, lap: sparse.csr_matrix) -> CurvatureField:
+def curvature_field(fg: FaceGeometry, mass: np.ndarray, lap: sparse.csr_matrix) -> CurvatureField:
     nu, m_proj = vertex_normals_and_projected_areas(fg)
-    mean_curv_vec = (lap @ fg.mesh.vertices) / mass.m[:, None]
+    mean_curv_vec = (lap @ fg.mesh.vertices) / mass[:, None]
     H = np.einsum("ij,ij->i", mean_curv_vec, nu)
-    K = angle_defects(fg) / mass.m
+    K = angle_defects(fg) / mass
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
     # at zero so the tracefree energy stays a nonnegative Lyapunov candidate,
     # and |A|^2 is rebuilt from the clamped value to keep Ao_sq = A_sq - H^2/2
@@ -134,12 +127,12 @@ def curvature_field(fg: FaceGeometry, mass: LumpedMass, lap: sparse.csr_matrix) 
     return CurvatureField(normal=nu, H=H, K=K, A_sq=A_sq, Ao_sq=Ao_sq, lapH=lapH)
 
 
-def integrate(field: np.ndarray, mass: LumpedMass) -> float:
+def integrate(field: np.ndarray, mass: np.ndarray) -> float:
     """Discrete integral sum(u_i m_i) with pairwise (reproducible) summation."""
     field = np.asarray(field)
-    if field.shape != mass.m.shape:
+    if field.shape != mass.shape:
         raise ValueError("field length must match vertex count")
-    return float(np.sum(field * mass.m))
+    return float(np.sum(field * mass))
 
 
 def dirichlet_energy(field: np.ndarray, lap: sparse.csr_matrix) -> float:
@@ -150,19 +143,18 @@ def dirichlet_energy(field: np.ndarray, lap: sparse.csr_matrix) -> float:
     return float(field @ (lap @ field))
 
 
-def enclosed_volume(mesh: TriangleMesh) -> float:
+def enclosed_volume(fg: FaceGeometry) -> float:
     """Signed volume (1/6) sum <a, b x c>; positive for outward orientation."""
-    va, vb, vc = face_corner_vertices(mesh)
+    va, vb, vc = fg.corners
     return float(np.sum(np.einsum("ij,ij->i", va, np.cross(vb, vc))) / 6.0)
 
 
-def volume_cubic(mesh: TriangleMesh, nu: np.ndarray):
+def volume_cubic(fg: FaceGeometry, nu: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the exact cubic
     enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3, from one pass
     over the faces; c0 is the enclosed volume itself."""
-    va, vb, vc = face_corner_vertices(mesh)
-    f = mesh.faces
-    na, nb, nc = nu[f[:, 0]], nu[f[:, 1]], nu[f[:, 2]]
+    va, vb, vc = fg.corners
+    na, nb, nc = nu.take(fg.mesh.faces.T, axis=0)
 
     def dot(p, q):
         return np.einsum("ij,ij->i", p, q)

@@ -1,5 +1,5 @@
 """Closed oriented triangle meshes: container, per-connectivity index arrays,
-validation, OFF/OBJ I/O."""
+the per-face pass (with each face's corner positions), validation, OFF/OBJ I/O."""
 
 from __future__ import annotations
 
@@ -149,15 +149,9 @@ class MeshReport:
         )
 
 
-def face_corner_vertices(mesh: TriangleMesh):
-    """The three vertex-position arrays (a, b, c) of every face."""
-    v, f = mesh.vertices, mesh.faces
-    return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-
-
 def corner_sum(mesh: TriangleMesh, values) -> np.ndarray:
     """Sum a (3, F) or (3, F, k) per-corner array onto the vertices, the
-    scatter counterpart of face_corner_vertices.  Each vertex adds its
+    scatter counterpart of FaceGeometry.corners.  Each vertex adds its
     corners a, then b, then c, in face order, as three np.add.at passes do."""
     idx = mesh.faces.T.ravel()
     columns = np.reshape(values, (idx.size, -1)).T
@@ -176,11 +170,16 @@ class FaceGeometry:
     """
 
     mesh: TriangleMesh
+    corners: np.ndarray  # (3, F, 3) positions of corners a, b, c
     areas: np.ndarray  # (F,)
     normals: np.ndarray  # (F, 3) unit outward
     cot: np.ndarray  # (3, F) cotangent at corners a, b, c
     angles: np.ndarray  # (3, F) interior angle at corners a, b, c
     sq_lengths: np.ndarray  # (3, F) squared length of edges ab, bc, ca
+
+    @property
+    def total_area(self) -> float:
+        return float(np.sum(self.areas))
 
     @property
     def h_min(self) -> float:
@@ -208,8 +207,10 @@ class FaceGeometry:
 
 
 def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
-    """Areas, normals, corner cotangents and angles, squared edge lengths."""
-    a, b, c = face_corner_vertices(mesh)
+    """Corner positions, areas, normals, corner cotangents and angles,
+    squared edge lengths."""
+    corners = mesh.vertices.take(mesh.faces.T, axis=0)
+    a, b, c = corners
     ab, bc, ca = b - a, c - b, a - c
     # the two edge vectors leaving corners a, b, c; negation is exact, so
     # -ca equals c - a bit for bit
@@ -222,6 +223,7 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
         cot = dot / nrm
     return FaceGeometry(
         mesh=mesh,
+        corners=corners,
         areas=0.5 * nrm[0],
         normals=normals,
         cot=cot,

@@ -199,7 +199,7 @@ def concentration(state, r: float, pairs: dict | None = None):
     if not r > 0:
         raise ValueError("radius must be positive")
     pts = state.mesh.vertices
-    w = state.curvature.A_sq * state.mass.m
+    w = state.curvature.A_sq * state.mass
     if not np.isfinite(w).all():
         return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
@@ -249,8 +249,8 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     caller's PairSet cache (a dict keyed by radius), which those calls fill
     and reuse."""
     mass, curv = state.mass, state.curvature
-    area = mass.total_area
-    volume = enclosed_volume(state.mesh)
+    area = state.geometry.total_area
+    volume = enclosed_volume(state.geometry)
     if area <= 0 or volume <= 0:  # sphericity_of needs both positive
         raise NumericsError(f"area or volume not positive at step {state.step}")
     willmore = 0.25 * integrate(curv.H**2, mass)
@@ -282,7 +282,7 @@ def stationarity_residual(state):
     """sqrt(int |lap H|^2) raw and normalized by area (dimensionless)."""
     lap_h = integrate(state.curvature.lapH**2, state.mass)
     raw = math.sqrt(lap_h)
-    return raw, raw * state.mass.total_area
+    return raw, raw * state.geometry.total_area
 
 
 def _slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) -> float:

@@ -101,9 +101,10 @@ def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented):
         raise ConfigError(f"{cfg.mesh_path}: not a closed oriented surface ({report.summary()})")
-    if face_geometry(mesh).degenerate:
+    fg = face_geometry(mesh)
+    if fg.degenerate:
         raise ConfigError(f"{cfg.mesh_path}: degenerate face")
-    if not enclosed_volume(mesh) > 0:
+    if not enclosed_volume(fg) > 0:
         raise ConfigError(f"{cfg.mesh_path}: enclosed volume not positive (faces wound inward?)")
     return mesh
 
@@ -122,8 +123,14 @@ _BUILDERS = {
 }
 
 
+def _fmt_float(x) -> str:
+    """repr of x as a Python float: a numpy scalar's repr, np.float64(...),
+    would not parse back."""
+    return repr(float(x))
+
+
 def _fmt_modes(modes) -> str:
-    return ";".join(f"{int(l)},{int(m)},{amp!r}" for (l, m, amp) in modes)
+    return ";".join(f"{int(l)},{int(m)},{_fmt_float(amp)}" for (l, m, amp) in modes)
 
 
 def parse_mode(text: str):
@@ -140,7 +147,7 @@ def _parse_tuple(text: str, sep: str, parse_item) -> tuple:
 
 
 def _fmt_radii(radii) -> str:
-    return ",".join(repr(float(r)) for r in radii)
+    return ",".join(_fmt_float(r) for r in radii)
 
 
 def parse_radii(text: str):
@@ -161,24 +168,24 @@ def _parse_seed(text: str):
 # key -> (attribute, to_text, from_text)
 _KEY_TABLE = {
     "initial.kind": ("kind", str, str),
-    "initial.radius": ("radius", repr, float),
+    "initial.radius": ("radius", _fmt_float, float),
     "initial.subdiv": ("subdiv", str, int),
     "initial.modes": ("modes", _fmt_modes, lambda t: _parse_tuple(t, ";", parse_mode)),
     "initial.seed": ("seed", lambda s: "none" if s is None else str(s), _parse_seed),
-    "initial.rx": ("rx", repr, float),
-    "initial.ry": ("ry", repr, float),
-    "initial.rz": ("rz", repr, float),
-    "initial.bulb_radius": ("bulb_radius", repr, float),
-    "initial.neck_radius": ("neck_radius", repr, float),
-    "initial.neck_length": ("neck_length", repr, float),
+    "initial.rx": ("rx", _fmt_float, float),
+    "initial.ry": ("ry", _fmt_float, float),
+    "initial.rz": ("rz", _fmt_float, float),
+    "initial.bulb_radius": ("bulb_radius", _fmt_float, float),
+    "initial.neck_radius": ("neck_radius", _fmt_float, float),
+    "initial.neck_length": ("neck_length", _fmt_float, float),
     "initial.n_phi": ("n_phi", str, int),
     "initial.n_rings": ("n_rings", str, int),
     "initial.path": ("mesh_path", str, str),
     "solver.scheme": ("scheme", str, str),
     "solver.dt_policy": ("dt_policy", str, str),
-    "solver.dt": ("dt", repr, float),
-    "solver.cfl_sigma": ("cfl_sigma", repr, float),
-    "solver.t_end": ("t_end", repr, float),
+    "solver.dt": ("dt", _fmt_float, float),
+    "solver.cfl_sigma": ("cfl_sigma", _fmt_float, float),
+    "solver.t_end": ("t_end", _fmt_float, float),
     "solver.max_steps": ("max_steps", str, int),
     "solver.volume_correction": (
         "volume_correction",
@@ -187,7 +194,7 @@ _KEY_TABLE = {
     ),
     "solver.snapshot_every": ("snapshot_every", str, int),
     "monitor.radii": ("monitor_radii", _fmt_radii, parse_radii),
-    "monitor.eps1": ("eps1", repr, float),
+    "monitor.eps1": ("eps1", _fmt_float, float),
     "output.dir": ("out_dir", str, str),
 }
 

@@ -601,6 +601,11 @@ def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):
     assert "audit_area: fail violations=29 first_violating_step=1" in out
 
 
+def reject_constant(name):
+    """json.loads hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"not JSON: {name}")
+
+
 @pytest.mark.parametrize("case", ["area_rises_once", "exponential"])
 def test_audit_report_is_the_audits_and_analyze_json(tmp_path, capsys, case):
     ts = np.arange(40) * 0.05
@@ -622,9 +627,11 @@ def test_audit_report_is_the_audits_and_analyze_json(tmp_path, capsys, case):
         assert area["passed"] and "first_violating_step" not in area
     assert report["decay_fit"]["lambda"] == pytest.approx(0.7, abs=1e-6)
     assert main(["analyze", str(run_dir), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert list(payload) == ["records", "stop_reason", *report]
-    assert json.dumps({k: payload[k] for k in report}) == json.dumps(report, default=float)
+    # NaN and the infinities are printed as null, so read them back as None
+    nulled = json.loads(json.dumps(report, default=float), parse_constant=lambda _: None)
+    assert json.dumps({k: payload[k] for k in report}) == json.dumps(nulled)
     assert main(["analyze", str(run_dir)]) == 0
     text = capsys.readouterr().out
     if case == "area_rises_once":

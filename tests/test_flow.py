@@ -96,11 +96,11 @@ def test_explicit_volume_drift_second_order():
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)])
     dt = 0.005 * face_geometry(mesh).h_min ** 4
     state = FlowState(mesh)
-    v0 = enclosed_volume(mesh)
+    v0 = enclosed_volume(face_geometry(mesh))
     s1, _ = step_explicit(state, dt)
     s2, _ = step_explicit(state, dt / 2)
-    d1 = abs(enclosed_volume(s1.mesh) - v0)
-    d2 = abs(enclosed_volume(s2.mesh) - v0)
+    d1 = abs(enclosed_volume(s1.geometry) - v0)
+    d2 = abs(enclosed_volume(s2.geometry) - v0)
     assert d1 / d2 >= 3.0
 
 
@@ -112,7 +112,7 @@ def test_semi_implicit_consistency_order(monkeypatch):
     monkeypatch.setattr(flow, "CG_RTOL", 1e-13)
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=3)
     state = FlowState(mesh)
-    m = state.mass.m[:, None]
+    m = state.mass[:, None]
     L = state.lap
 
     def euler_bilaplacian(dt):
@@ -263,17 +263,17 @@ def test_inverted_face_rejects_step():
 
 def test_correct_volume_noop_at_target():
     state = FlowState(make_icosphere(1.0, 2))
-    target = enclosed_volume(state.mesh)
+    target = enclosed_volume(state.geometry)
     out = correct_volume(state, target)
     assert np.array_equal(out.mesh.vertices, state.mesh.vertices)
 
 
 def test_correct_volume_restores_inflated_sphere():
     base = make_icosphere(1.0, 3)
-    target = enclosed_volume(base)
+    target = enclosed_volume(face_geometry(base))
     inflated = FlowState(base.with_vertices(base.vertices * 1.01))
     fixed = correct_volume(inflated, target)
-    assert enclosed_volume(fixed.mesh) == pytest.approx(target, rel=1e-12)
+    assert enclosed_volume(fixed.geometry) == pytest.approx(target, rel=1e-12)
     # discrete vertex normals are radial only to O(h^2), so a 1% offset
     # restores the radius to ~1e-6 at this resolution, not exactly
     assert np.abs(np.linalg.norm(fixed.mesh.vertices, axis=1) - 1.0).max() < 1e-5
@@ -283,7 +283,7 @@ def test_correct_volume_rejects_large_drift():
     base = make_icosphere(1.0, 2)
     state = FlowState(base.with_vertices(base.vertices * 1.2))
     with pytest.raises(NumericsError):
-        correct_volume(state, enclosed_volume(base))
+        correct_volume(state, enclosed_volume(face_geometry(base)))
 
 
 def _volume_cases():
@@ -300,20 +300,20 @@ VOLUME_CASES = _volume_cases()
 
 @pytest.mark.parametrize("base,moved", VOLUME_CASES)
 def test_correct_volume_reaches_target_nonspherical(base, moved):
-    target = enclosed_volume(base)
-    assert abs(enclosed_volume(moved) - target) > 0.03 * target
+    target = enclosed_volume(face_geometry(base))
+    assert abs(enclosed_volume(face_geometry(moved)) - target) > 0.03 * target
     fixed = correct_volume(FlowState(moved), target)
-    assert abs(enclosed_volume(fixed.mesh) - target) <= 1e-12 * target
+    assert abs(enclosed_volume(fixed.geometry) - target) <= 1e-12 * target
 
 
 @pytest.mark.parametrize("base,moved", VOLUME_CASES)
 def test_volume_cubic_is_exact(base, moved):
     rng = np.random.default_rng(1)
     for nu in (FlowState(base).curvature.normal, rng.standard_normal(base.vertices.shape)):
-        c0, c1, c2, c3 = volume_cubic(base, nu)
-        assert c0 == enclosed_volume(base)
+        c0, c1, c2, c3 = volume_cubic(face_geometry(base), nu)
+        assert c0 == enclosed_volume(face_geometry(base))
         for s in (-0.1, -0.02, 0.005, 0.05, 0.2):
-            exact = enclosed_volume(base.with_vertices(base.vertices + s * nu))
+            exact = enclosed_volume(face_geometry(base.with_vertices(base.vertices + s * nu)))
             cubic = c0 + c1 * s + c2 * s**2 + c3 * s**3
             assert abs(cubic - exact) <= 1e-12 * abs(exact)
 
@@ -323,7 +323,7 @@ def test_correct_volume_nonfinite_raises():
     bad = base.vertices.copy()
     bad[0] = np.nan
     with pytest.raises(NumericsError, match="converge"):
-        correct_volume(FlowState(base.with_vertices(bad)), enclosed_volume(base))
+        correct_volume(FlowState(base.with_vertices(bad)), enclosed_volume(face_geometry(base)))
 
 
 def test_run_determinism_bitwise():

@@ -22,6 +22,7 @@ from sdflow.geometry import (
     integrate,
     lumped_mass,
     vertex_normals_and_projected_areas,
+    volume_cubic,
 )
 from sdflow.mesh import MeshError, TriangleMesh, face_geometry, rescale, validate
 
@@ -31,7 +32,7 @@ def regular_tetrahedron(edge):
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * s
     faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
     mesh = TriangleMesh(verts, faces)
-    if enclosed_volume(mesh) < 0:
+    if enclosed_volume(face_geometry(mesh)) < 0:
         mesh = TriangleMesh(verts, faces[:, [0, 2, 1]])
     return mesh
 
@@ -90,10 +91,10 @@ def make_slab(n=10, thickness=0.1):
 def test_lumped_mass_regular_tetrahedron():
     edge = 1.3
     mesh = regular_tetrahedron(edge)
-    mass = lumped_mass(face_geometry(mesh))
+    fg = face_geometry(mesh)
     area = math.sqrt(3.0) * edge**2
-    assert np.allclose(mass.m, area / 4.0, rtol=1e-12)
-    assert mass.total_area == pytest.approx(area, rel=1e-12)
+    assert np.allclose(lumped_mass(fg), area / 4.0, rtol=1e-12)
+    assert fg.total_area == pytest.approx(area, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -106,14 +107,15 @@ def test_lumped_mass_regular_tetrahedron():
     ],
 )
 def test_mass_partitions_area(mesh_fn):
-    mass = lumped_mass(face_geometry(mesh_fn()))
-    assert (mass.m > 0).all()
-    assert np.sum(mass.m) == pytest.approx(mass.total_area, rel=1e-12)
+    fg = face_geometry(mesh_fn())
+    mass = lumped_mass(fg)
+    assert (mass > 0).all()
+    assert np.sum(mass) == pytest.approx(fg.total_area, rel=1e-12)
 
 
 def test_icosphere_area_near_sphere():
-    mass = lumped_mass(face_geometry(make_icosphere(1.0, 4)))
-    assert mass.total_area == pytest.approx(4 * math.pi, rel=5e-3)
+    fg = face_geometry(make_icosphere(1.0, 4))
+    assert fg.total_area == pytest.approx(4 * math.pi, rel=5e-3)
 
 
 def test_laplacian_kills_constants():
@@ -156,9 +158,10 @@ def test_laplacian_linear_functions_harmonic_on_flat_patch():
 
 
 def reference_operators(fg):
-    """Mass, vertex normals, projected areas, angle defects and L in their
-    plain forms: one np.add.at / np.subtract.at pass per corner, and L built
-    as off + diags(-row sums) after a COO -> CSR conversion."""
+    """Mass, vertex normals, projected areas, angle defects, L and the
+    enclosed volume in their plain forms: one np.add.at / np.subtract.at
+    pass per corner, L built as off + diags(-row sums) after a COO -> CSR
+    conversion, and the volume from three strided corner gathers."""
     f, n, areas = fg.mesh.faces, fg.mesh.num_vertices, fg.areas
     cot_a, cot_b, cot_c = fg.cot
     l_ab, l_bc, l_ca = fg.sq_lengths
@@ -188,7 +191,10 @@ def reference_operators(fg):
         shape=(n, n),
     ).tocsr()
     lap = (off + sparse.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
-    return m, acc / nrm[:, None], nrm / 3.0, defect, lap
+    v = fg.mesh.vertices
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    volume = float(np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0)
+    return m, acc / nrm[:, None], nrm / 3.0, defect, lap, volume
 
 
 def open_slab():
@@ -210,8 +216,8 @@ def open_slab():
 )
 def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     fg = face_geometry(mesh_fn())
-    m, normals, projected, defect, lap = reference_operators(fg)
-    assert np.array_equal(lumped_mass(fg).m, m)
+    m, normals, projected, defect, lap, volume = reference_operators(fg)
+    assert np.array_equal(lumped_mass(fg), m)
     got_normals, got_projected = vertex_normals_and_projected_areas(fg)
     assert np.array_equal(got_normals, normals)
     assert np.array_equal(got_projected, projected)
@@ -220,6 +226,8 @@ def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     assert got.format == "csr" and got.shape == lap.shape
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
+    assert enclosed_volume(fg) == volume
+    assert volume_cubic(fg, got_normals)[0] == volume
 
 
 # the meshes of test_operators_match_per_corner_reference_bitwise
@@ -323,9 +331,10 @@ def test_pointwise_tracefree_identity():
 
 def test_integrate_constant_and_identity():
     mesh = make_icosphere(1.0, 3)
-    mass = lumped_mass(face_geometry(mesh))
+    fg = face_geometry(mesh)
+    mass = lumped_mass(fg)
     assert integrate(np.ones(mesh.num_vertices), mass) == pytest.approx(
-        mass.total_area, rel=1e-14
+        fg.total_area, rel=1e-14
     )
     with pytest.raises(ValueError):
         integrate(np.ones(5), mass)
@@ -362,14 +371,16 @@ def test_refinement_pointwise_mean_curvature():
 
 
 def test_enclosed_volume_cube_and_tetra():
-    assert enclosed_volume(unit_cube()) == pytest.approx(1.0, abs=1e-14)
+    assert enclosed_volume(face_geometry(unit_cube())) == pytest.approx(1.0, abs=1e-14)
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
-    assert enclosed_volume(TriangleMesh(verts, faces)) == pytest.approx(1 / 6, abs=1e-15)
+    assert enclosed_volume(face_geometry(TriangleMesh(verts, faces))) == pytest.approx(
+        1 / 6, abs=1e-15
+    )
 
 
 def test_enclosed_volume_sphere():
-    assert enclosed_volume(make_icosphere(1.0, 4)) == pytest.approx(
+    assert enclosed_volume(face_geometry(make_icosphere(1.0, 4))) == pytest.approx(
         4 * math.pi / 3, rel=5e-3
     )
 
@@ -384,8 +395,8 @@ def test_scaling_covariance_suite():
     c1 = curvature_field(fg1, m1, l1)
     c2 = curvature_field(fg2, m2, l2)
     rel = lambda a, b: abs(a - b) / max(abs(a), 1e-300)
-    assert rel(m2.total_area, lam**2 * m1.total_area) < 1e-10
-    assert rel(enclosed_volume(scaled), lam**3 * enclosed_volume(mesh)) < 1e-10
+    assert rel(fg2.total_area, lam**2 * fg1.total_area) < 1e-10
+    assert rel(enclosed_volume(fg2), lam**3 * enclosed_volume(fg1)) < 1e-10
     assert np.abs(c2.H - c1.H / lam).max() < 1e-10
     assert np.abs(c2.K - c1.K / lam**2).max() < 1e-10
     assert rel(integrate(c2.Ao_sq, m2), integrate(c1.Ao_sq, m1)) < 1e-10

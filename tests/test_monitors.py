@@ -137,7 +137,7 @@ def reference_concentration(state, r):
     """The per-ball loop that concentration replaced: every vertex ball
     summed over its sorted indices, the first strict maximum kept."""
     pts = state.mesh.vertices
-    w = state.curvature.A_sq * state.mass.m
+    w = state.curvature.A_sq * state.mass
     if r >= bbox_diagonal(state):
         return float(np.sum(w)), pts[0].copy()
     best = -1.0
@@ -405,11 +405,11 @@ def test_ball_sums_equal_per_ball_np_sum_bitwise(length):
 
 def weighted_state(pts, w):
     """A stand-in for a FlowState with vertex weights w: concentration
-    reads only mesh.vertices, curvature.A_sq, mass.m and tree."""
+    reads only mesh.vertices, curvature.A_sq, mass and tree."""
     return SimpleNamespace(
         mesh=SimpleNamespace(vertices=pts),
         curvature=SimpleNamespace(A_sq=w),
-        mass=SimpleNamespace(m=np.ones(len(w))),
+        mass=np.ones(len(w)),
         tree=scipy.spatial.cKDTree(pts),
     )
 
@@ -417,7 +417,7 @@ def weighted_state(pts, w):
 @functools.cache
 def dumbbell_weights():
     state = default_dumbbell()
-    return state.mesh.vertices, state.curvature.A_sq * state.mass.m
+    return state.mesh.vertices, state.curvature.A_sq * state.mass
 
 
 @settings(max_examples=15, deadline=None)

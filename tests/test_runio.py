@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import RETIRED_KEYS
 from sdflow.flow import FlowState, correct_volume, run
 from sdflow.geometry import enclosed_volume
-from sdflow.mesh import rescale
+from sdflow.mesh import face_geometry, rescale
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
     _KEY_TABLE,
@@ -47,6 +48,24 @@ def test_config_roundtrip_custom():
         out_dir="some/dir",
     )
     assert parse_config(config_to_text(cfg)) == cfg
+
+
+def test_config_with_numpy_scalars_reads_back():
+    floats = dict(
+        radius=1.0, rx=1.5, ry=0.75, rz=2.0, bulb_radius=1.1, neck_radius=0.2,
+        neck_length=1.7, dt=1e-3, cfl_sigma=0.05, t_end=0.5, eps1=0.01,
+    )
+    modes = ((2, 0, 0.1), (3, -1, 0.017))
+    cfg = RunConfig(
+        kind="perturbed_sphere",
+        modes=tuple((l, m, np.float64(a)) for l, m, a in modes),
+        monitor_radii=(np.float64(0.4),),
+        **{k: np.float64(v) for k, v in floats.items()},
+    )
+    text = config_to_text(cfg)
+    assert parse_config(text) == cfg
+    plain = RunConfig(kind="perturbed_sphere", modes=modes, monitor_radii=(0.4,), **floats)
+    assert text == config_to_text(plain)
 
 
 def test_config_rejects_unknown_key():
@@ -289,7 +308,7 @@ def test_one_topology_per_connectivity(tmp_path):
     assert sorted(trajectory.snapshots) == [0, 1, 2, 3]
     assert all(m.topology is initial.topology for m in trajectory.snapshots.values())
     state = FlowState(initial)
-    corrected = correct_volume(state, 1.01 * enclosed_volume(initial))
+    corrected = correct_volume(state, 1.01 * enclosed_volume(face_geometry(initial)))
     assert corrected is not state and corrected.mesh.topology is initial.topology
     assert rescale(initial, (0.0, 0.0, 0.0), 2.0).topology is initial.topology
     write_run_dir(tmp_path, trajectory, "stop_reason: max_steps\n")

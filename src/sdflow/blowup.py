@@ -102,9 +102,9 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
     if trajectory.config is not None:
         if event.record_step - snap_step > trajectory.config.snapshot_every:
             raise ValueError("no snapshot within one snapshot interval of the event")
-    snap_time = next(
-        (rec.t for rec in trajectory.records if rec.step == snap_step), None
-    )
+    snap_time = next((rec.t for rec in trajectory.records if rec.step == snap_step), None)
+    if snap_time is None:
+        raise ValueError(f"no diagnostics record for snapshot step {snap_step}")
     space_factor = 1.0 / event.r
     frame_mesh = rescale(
         trajectory.snapshots[snap_step], np.asarray(event.center), space_factor

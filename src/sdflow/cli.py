@@ -42,14 +42,11 @@ EXIT_SINGULARITY = 3
 EXIT_DIVERGED = 4
 
 
-# `gen` flags whose RunConfig field has another name
-_GEN_FIELDS = {"bulb": "bulb_radius", "neck": "neck_radius", "len": "neck_length", "mode": "modes"}
-
-
 def cmd_gen(args) -> int:
-    # only the flags given; RunConfig holds every default
+    # only the flags given, each stored under its RunConfig field; RunConfig
+    # holds every default
     fields = {
-        _GEN_FIELDS.get(key, key): value
+        key: value
         for key, value in vars(args).items()
         if key not in ("command", "generator", "output") and value is not None
     }
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_pert.add_argument("--radius", type=float)
     g_pert.add_argument("--subdiv", type=int)
     g_pert.add_argument(
-        "--mode", action="append", metavar="l,m,amp",
+        "--mode", action="append", dest="modes", metavar="l,m,amp",
         help="spherical harmonic mode, repeatable",
     )
     g_pert.add_argument("--seed", type=int)
@@ -235,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_ell.add_argument("--rz", type=float)
     g_ell.add_argument("--subdiv", type=int)
     g_dumb = gen_sub.add_parser("dumbbell")
-    g_dumb.add_argument("--bulb", type=float)
-    g_dumb.add_argument("--neck", type=float)
-    g_dumb.add_argument("--len", type=float)
+    g_dumb.add_argument("--bulb", type=float, dest="bulb_radius", metavar="BULB")
+    g_dumb.add_argument("--neck", type=float, dest="neck_radius", metavar="NECK")
+    g_dumb.add_argument("--len", type=float, dest="neck_length", metavar="LEN")
     g_dumb.add_argument("--n-phi", type=int)
     g_dumb.add_argument("--n-rings", type=int)
     for sp in (g_ico, g_pert, g_ell, g_dumb):

@@ -23,7 +23,8 @@ would announce is caught as a broken step, a NumericsError or a divergence.
 Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
 The semi-implicit step's linear solves run `cg`, the conjugate-gradient loop
 of scipy.sparse.linalg.cg kept in this module with scipy's arithmetic, so a
-run does not import scipy.sparse.linalg (and with it scipy.linalg).
+run does not import scipy.sparse.linalg (and with it scipy.linalg); `cg`
+returns its iteration count, which the step reports as linear_iters.
 
 SolverConfig holds the solver and monitor settings.  The run config
 (runio.RunConfig) extends it with the initial data and the output settings,
@@ -107,9 +108,6 @@ class FlowState:
 
         return cKDTree(self.mesh.vertices)
 
-    def advanced(self, mesh: TriangleMesh, dt: float) -> "FlowState":
-        return FlowState(mesh=mesh, t=self.t + dt, step=self.step + 1)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -181,7 +179,7 @@ def _broken(trial: FlowState, parent: FlowState) -> bool:
 def _accept(state: FlowState, new_vertices: np.ndarray, dt: float, linear_iters: int = 0):
     """The trial state at new_vertices and its outcome, or the unchanged
     state and a rejection when the trial is broken."""
-    trial = state.advanced(state.mesh.with_vertices(new_vertices), dt)
+    trial = FlowState(state.mesh.with_vertices(new_vertices), t=state.t + dt, step=state.step + 1)
     if _broken(trial, state):
         return state, StepOutcome(False)
     return trial, StepOutcome(True, linear_iters)
@@ -200,10 +198,11 @@ def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
     """Solve A x = b for a symmetric positive definite CSR matrix A by
     conjugate gradients, preconditioned by the vector M (z = M * r), to
     |r| < rtol |b|.  This is the loop of scipy.sparse.linalg.cg (scipy
-    1.17.1) with atol = 0 and M = diags(M), operation for operation, so x,
-    info and the callback calls are scipy's bit for bit.  Returns (x, info):
-    info is 0 on convergence, else maxiter.  callback(x) runs after each
-    iteration; x0 is not modified."""
+    1.17.1) with atol = 0 and M = diags(M), operation for operation, so x
+    and the callback calls are scipy's bit for bit.  Returns (x,
+    iterations): fewer than maxiter iterations means convergence, scipy's
+    info == 0 (for maxiter >= 1).  callback(x) runs after each iteration;
+    x0 is not modified."""
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
@@ -212,7 +211,7 @@ def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
     r = b - A @ x if x.any() else b.copy()
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
-            return x, 0
+            return x, iteration
         z = M * r
         rho_cur = np.dot(r, z)
         if iteration > 0:
@@ -242,24 +241,14 @@ def step_semi_implicit(state: FlowState, dt: float):
     inv_diag = 1.0 / A.diagonal()
     x_old = state.mesh.vertices
     new_vertices = np.empty_like(x_old)
+    maxiter = 10 * len(m)
     iters = 0
     for k in range(3):
-        count = [0]
-
-        def _cb(_xk, count=count):
-            count[0] += 1
-
-        sol, info = cg(
-            A,
-            m * x_old[:, k],
-            x_old[:, k],
-            rtol=CG_RTOL,
-            maxiter=10 * len(m),
-            M=inv_diag,
-            callback=_cb,
+        sol, k_iters = cg(
+            A, m * x_old[:, k], x_old[:, k], rtol=CG_RTOL, maxiter=maxiter, M=inv_diag
         )
-        iters += count[0]
-        if info != 0:
+        iters += k_iters
+        if k_iters >= maxiter:
             return state, StepOutcome(False)
         new_vertices[:, k] = sol
     return _accept(state, new_vertices, dt, iters)

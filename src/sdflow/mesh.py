@@ -380,42 +380,36 @@ def loads_off(text: str) -> TriangleMesh:
 
 
 def loads_obj(text: str) -> TriangleMesh:
+    """Parse the `v x y z` and triangle `f i j k` records of OBJ text.
+
+    A face index is 1-based, or, when negative, counts back from the last
+    vertex read so far (-1 is that vertex); 0 is out of range.  Only the
+    vertex part of an `i/t/n` reference is read."""
     vertices = []
     faces = []
     for line in _content_lines(text.splitlines()):
         toks = line.split()
         if toks[0] == "v":
             try:
-                vertices.append([float(t) for t in toks[1:4]])
+                x, y, z = map(float, toks[1:4])
             except ValueError as exc:
                 raise MeshError("malformed OBJ vertex line") from exc
+            vertices.append((x, y, z))
         elif toks[0] == "f":
             refs = toks[1:]
             if len(refs) != 3:
                 raise MeshError("non-triangle face")
             try:
-                idx = [int(r.split("/")[0]) - 1 for r in refs]
+                idx = [int(r.split("/")[0]) for r in refs]
             except ValueError as exc:
                 raise MeshError("malformed OBJ face line") from exc
-            faces.append(idx)
+            faces.append([i - 1 if i >= 0 else len(vertices) + i for i in idx])
         # other record types (vn, vt, mtl, ...) are ignored on import
     if not vertices or not faces:
         raise MeshError("OBJ file without triangles")
     return TriangleMesh(
         np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3)
     )
-
-
-def load_mesh(data, fmt: str) -> TriangleMesh:
-    """Parse mesh bytes in the declared format ("off" or "obj")."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    fmt = fmt.lower()
-    if fmt == "off":
-        return loads_off(data)
-    if fmt == "obj":
-        return loads_obj(data)
-    raise MeshError(f"unknown mesh format: {fmt}")
 
 
 def dumps_off(mesh: TriangleMesh) -> str:
@@ -433,7 +427,9 @@ def save_off(mesh: TriangleMesh, path) -> None:
 
 
 def load_mesh_path(path) -> TriangleMesh:
+    """Read a UTF-8 mesh file: OBJ if its name ends in .obj (any case),
+    else OFF."""
     path = str(path)
-    fmt = "obj" if path.lower().endswith(".obj") else "off"
+    loads = loads_obj if path.lower().endswith(".obj") else loads_off
     with open(path, "rb") as fh:
-        return load_mesh(fh.read(), fmt)
+        return loads(fh.read().decode("utf-8"))

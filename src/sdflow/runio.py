@@ -1,12 +1,14 @@
 """Run configuration text format, diagnostics CSV, and run-directory layout.
 
 A run config is flat `key = value` text with section prefixes (initial.,
-solver., monitor., output.).  It round-trips losslessly, unknown keys are
-rejected, and a retired key is accepted at its fixed value only.  RunConfig
-extends flow.SolverConfig and checks itself when it is built, so a config
-file and a command-line flag pass the same checks; one table maps each
-generator kind to its builder; a mesh file must have finite coordinates
-and every vertex on a face, and be closed, oriented and nondegenerate.
+solver., monitor., output.).  It round-trips losslessly (RunConfig rejects
+a path that holds `#` or a line break or has surrounding whitespace),
+unknown keys are rejected, and a retired key is accepted at its fixed value
+only.  RunConfig extends flow.SolverConfig and checks itself when it is
+built, so a config file and a command-line flag pass the same checks; one
+table maps each generator kind to its builder; a mesh file must have finite
+coordinates and every vertex on a face, and be closed, oriented and
+nondegenerate.
 The diagnostics CSV columns are the DiagnosticsRecord fields in
 declaration order, with eta written as one column per monitor radius in
 the config's order; only config.cfg names those radii.  A run
@@ -85,6 +87,14 @@ class RunConfig(SolverConfig):
             raise ValueError(f"unknown generator: {self.kind}")
         if not self.eps1 >= 0:
             raise ValueError("eps1 must be nonnegative")
+        # a config line ends at a line break and a `#`, and its value is stripped
+        for name in ("mesh_path", "out_dir"):
+            value = getattr(self, name)
+            if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
+                raise ValueError(
+                    f"{name} must not hold '#' or a line break, nor begin or end with"
+                    f" whitespace: {value!r}"
+                )
 
     def build_initial(self) -> TriangleMesh:
         return _BUILDERS[self.kind](self)

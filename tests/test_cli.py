@@ -11,7 +11,7 @@ import pytest
 
 from conftest import DUMBBELL_CFG, EXPERIMENTS, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
 from sdflow.cli import main
-from sdflow.generators import make_icosphere
+from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
 from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
 from sdflow.monitors import (
     AREA,
@@ -43,6 +43,36 @@ def test_gen_dumbbell(tmp_path, capsys):
     )
     assert code == 0
     assert "chi=2" in capsys.readouterr().out
+
+
+def test_gen_flags_set_their_config_fields(tmp_path):
+    out = tmp_path / "d.off"
+    flags = ["--bulb", "0.9", "--neck", "0.2", "--len", "1.5", "--n-phi", "12", "--n-rings", "24"]
+    assert main(["gen", "dumbbell", *flags, "-o", str(out)]) == 0
+    want = make_dumbbell(0.9, 0.2, 1.5, n_phi=12, n_rings=24)
+    assert np.array_equal(load_mesh_path(out).vertices, want.vertices)
+    out = tmp_path / "p.off"
+    flags = ["--subdiv", "1", "--mode", "2,0,0.1", "--mode", "3,1,0.05", "--seed", "3"]
+    assert main(["gen", "perturbed_sphere", *flags, "-o", str(out)]) == 0
+    want = make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.05)], seed=3, subdivisions=1)
+    assert np.array_equal(load_mesh_path(out).vertices, want.vertices)
+
+
+@pytest.mark.parametrize(
+    "generator, usage",
+    [
+        ("dumbbell", "[--bulb BULB] [--neck NECK] [--len LEN]"),
+        ("perturbed_sphere", "[--mode l,m,amp]"),
+        ("perturbed_sphere", "[--seed SEED]"),
+    ],
+)
+def test_gen_help_usage_names_each_flag(monkeypatch, capsys, generator, usage):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", generator, "--help"])
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    assert usage in help_text.split("\n\n")[0]
 
 
 def test_gen_subdivision_limit_exit_2(tmp_path, capsys):
@@ -436,6 +466,26 @@ def test_blowup_nonfinite_frame_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "sdflow: error: non-finite blowup frame of step 0\n"
     assert sorted(os.listdir(out_dir)) == before
+
+
+def test_blowup_snapshot_without_csv_row_exit_2(tmp_path, capsys):
+    template = (
+        "initial.kind = icosphere\ninitial.subdiv = 1\nsolver.scheme = explicit\n"
+        "solver.cfl_sigma = 0.005\nsolver.max_steps = 3\nsolver.snapshot_every = 2\n"
+        "monitor.radii = 0.5\noutput.dir = {out}\n"
+    )
+    cfg_path, out_dir = run_config(tmp_path, template, "lost_row")
+    assert main(["run", str(cfg_path)]) == 0
+    csv_path = out_dir / "diagnostics.csv"
+    header, step0, *rest = csv_path.read_text().splitlines(keepends=True)
+    assert step0.startswith("0,")
+    csv_path.write_text(header + "".join(rest))
+    capsys.readouterr()
+    assert main(["blowup", str(out_dir), "--eps1", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdflow: error: no diagnostics record for snapshot step 0\n"
+    assert not [name for name in os.listdir(out_dir) if name.startswith("frame_")]
 
 
 @pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])

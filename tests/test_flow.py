@@ -190,23 +190,26 @@ def implicit_sphere_solves():
 
 def assert_cg_matches_scipy(A, b, x0, rtol, maxiter, M):
     """flow.cg and scipy's cg with M = diags(M) give the same x bit for
-    bit, the same info and the same number of callback calls; flow.cg
-    leaves x0 as it was.  Returns (info, callback calls)."""
+    bit and the same number of callback calls, flow.cg's iteration count
+    is scipy's callback count, and it falls short of maxiter exactly when
+    scipy's info is 0; flow.cg leaves x0 as it was.  Returns (scipy's info,
+    callback calls)."""
     counts = [0, 0]
 
     def counter(i):
         return lambda _xk: counts.__setitem__(i, counts[i] + 1)
 
     x0_before = x0.copy()
-    x, info = flow.cg(A, b, x0, rtol=rtol, maxiter=maxiter, M=M, callback=counter(0))
+    x, iterations = flow.cg(A, b, x0, rtol=rtol, maxiter=maxiter, M=M, callback=counter(0))
     want, want_info = scipy_cg(
         A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=sparse.diags(M), callback=counter(1)
     )
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
-    assert info == want_info
+    assert iterations == counts[1]
+    assert (iterations < maxiter) == (want_info == 0)
     assert counts[0] == counts[1]
     assert np.array_equal(x0.view(np.int64), x0_before.view(np.int64))
-    return info, counts[0]
+    return want_info, counts[0]
 
 
 def test_cg_matches_scipy_on_implicit_sphere_solves():

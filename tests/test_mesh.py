@@ -18,7 +18,7 @@ from sdflow.mesh import (
     corner_sum,
     dumps_off,
     face_geometry,
-    load_mesh,
+    load_mesh_path,
     loads_obj,
     loads_off,
     rescale,
@@ -39,7 +39,7 @@ TETRA_OFF = """OFF
 
 
 def test_load_off_tetrahedron():
-    mesh = load_mesh(TETRA_OFF.encode(), "off")
+    mesh = loads_off(TETRA_OFF)
     assert mesh.num_vertices == 4
     assert mesh.num_faces == 4
     assert len(mesh.edges) == 6
@@ -48,18 +48,18 @@ def test_load_off_tetrahedron():
 def test_load_obj_quad_face_rejected():
     obj = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
     with pytest.raises(MeshError, match="non-triangle"):
-        load_mesh(obj.encode(), "obj")
+        loads_obj(obj)
 
 
 def test_load_off_non_triangle_rejected():
     off = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
     with pytest.raises(MeshError, match="non-triangle"):
-        load_mesh(off, "off")
+        loads_off(off)
 
 
 def test_load_off_icosahedron_roundtrip():
     ico = make_icosphere(1.0, 0)
-    mesh = load_mesh(dumps_off(ico), "off")
+    mesh = loads_off(dumps_off(ico))
     assert mesh.num_vertices == 12
     assert mesh.num_faces == 20
     assert validate(mesh).euler_characteristic == 2
@@ -67,7 +67,7 @@ def test_load_off_icosahedron_roundtrip():
 
 def test_off_roundtrip_exact():
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.05)], subdivisions=2)
-    back = load_mesh(dumps_off(mesh), "off")
+    back = loads_off(dumps_off(mesh))
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
 
@@ -99,15 +99,58 @@ def test_load_obj_out_of_range_index(face):
         loads_obj(obj)
 
 
+def test_load_obj_relative_indices():
+    # a negative index counts back from the last vertex read so far
+    mesh = loads_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+
+
+def test_load_obj_mixed_relative_and_absolute_indices():
+    obj = (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 -2 -1\n"
+        "v 0 0 1\nf 1/1 -3/2 -1/3\nf -1 2 3\n"
+    )
+    assert loads_obj(obj).faces.tolist() == [[0, 1, 2], [0, 1, 3], [3, 1, 2]]
+
+
+def test_load_obj_relative_index_before_enough_vertices():
+    # -3 counts back from the vertices read so far: after two it points
+    # before the first one, after three it is the first
+    with pytest.raises(MeshError, match="face index out of range"):
+        loads_obj("v 0 0 0\nv 1 0 0\nf -2 -1 -3\nv 0 1 0\n")
+    assert loads_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -2 -1 -3\n").faces.tolist() == [[1, 2, 0]]
+
+
+@pytest.mark.parametrize("line", ["v 1 0", "v", "v 1 0 x"])
+def test_load_obj_malformed_vertex_line(line):
+    obj = f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\nf 1 2 3\n"
+    with pytest.raises(MeshError, match="malformed OBJ vertex line"):
+        loads_obj(obj)
+
+
+@pytest.mark.parametrize("name", ["tetra.obj", "TETRA.OBJ", "tetra.off", "tetra"])
+def test_load_mesh_path_reader_from_file_name(tmp_path, name):
+    tetra = loads_off(TETRA_OFF)
+    if name.lower().endswith(".obj"):
+        text = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in tetra.vertices.tolist())
+        text += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in tetra.faces.tolist())
+    else:
+        text = TETRA_OFF
+    (tmp_path / name).write_text(text)
+    mesh = load_mesh_path(tmp_path / name)
+    assert np.array_equal(mesh.vertices, tetra.vertices)
+    assert np.array_equal(mesh.faces, tetra.faces)
+
+
 def test_load_off_out_of_range_index():
     off = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n"
     with pytest.raises(MeshError):
-        load_mesh(off, "off")
+        loads_off(off)
 
 
 def test_load_off_malformed_counts():
     with pytest.raises(MeshError):
-        load_mesh("OFF\nnot a count line\n", "off")
+        loads_off("OFF\nnot a count line\n")
 
 
 def test_repeated_vertex_in_face_rejected():
@@ -132,14 +175,14 @@ def test_validate_torus():
 
 
 def test_validate_open_mesh():
-    tetra = load_mesh(TETRA_OFF, "off")
+    tetra = loads_off(TETRA_OFF)
     opened = TriangleMesh(tetra.vertices, tetra.faces[:-1])
     rep = validate(opened)
     assert not rep.is_closed
 
 
 def test_validate_duplicate_face_not_oriented():
-    tetra = load_mesh(TETRA_OFF, "off")
+    tetra = loads_off(TETRA_OFF)
     doubled = TriangleMesh(tetra.vertices, np.vstack([tetra.faces, tetra.faces[:1]]))
     assert not validate(doubled).is_oriented
 
@@ -176,7 +219,7 @@ def reference_validate(mesh):
 
 
 def tetra_with(faces=None, extra_vertices=()):
-    tetra = load_mesh(TETRA_OFF, "off")
+    tetra = loads_off(TETRA_OFF)
     vertices = np.vstack([tetra.vertices, np.reshape(extra_vertices, (-1, 3))])
     return TriangleMesh(vertices, tetra.faces if faces is None else faces(tetra.faces))
 

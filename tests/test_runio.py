@@ -230,6 +230,26 @@ def test_config_roundtrip_property(dt, sigma, seed, amp):
     assert parse_config(config_to_text(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("mesh_path", "runs/a#1.off"), ("out_dir", " out "), ("out_dir", "out\nsolver.dt = 1")],
+    ids=["hash", "surrounding_space", "line_break"],
+)
+def test_config_rejects_path_that_would_not_read_back(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(kind="mesh", **{field: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh_path=st.text(), out_dir=st.text())
+def test_config_roundtrip_of_every_accepted_path(mesh_path, out_dir):
+    try:
+        cfg = RunConfig(kind="mesh", mesh_path=mesh_path, out_dir=out_dir)
+    except ValueError:
+        return
+    assert parse_config(config_to_text(cfg)) == cfg
+
+
 def _record(step, t, eta=()):
     return DiagnosticsRecord(
         step=step,

@@ -1,7 +1,11 @@
 """The test suite's own settings: pytest's filterwarnings in pyproject.toml
 turns every warning into an error, and that must not take down the run
-when a test tool warns while it reports a failure."""
+when a test tool warns while it reports a failure.  And a lint the suite
+runs itself, with no linter installed: no module of the package keeps an
+import it does not use."""
 
+import ast
+import glob
 import os
 import shutil
 import subprocess
@@ -42,3 +46,34 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
     assert proc.returncode == 1
+
+
+def unused_imports(source: str) -> list:
+    """The names that the module-level import statements of `source` bind
+    and that nothing else in it reads; `from __future__` imports excepted."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def test_unused_imports_finds_a_stale_import():
+    source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: d"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
+    ids=os.path.basename,
+)
+def test_no_unused_module_level_import(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []

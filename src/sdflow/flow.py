@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh, face_geometry
+from .mesh import _PREV, TriangleMesh, _dot, face_geometry
 from .geometry import (
     cotan_laplacian,
     curvature_field,
@@ -172,7 +172,7 @@ def _broken(trial: FlowState, parent: FlowState) -> bool:
     if not np.isfinite(trial.mesh.vertices).all():
         return True
     fg = trial.geometry
-    turned = np.einsum("ij,ij->i", fg.normals, parent.geometry.normals)
+    turned = _dot(fg.normals, parent.geometry.normals)
     return fg.degenerate or bool((turned <= 0).any())
 
 
@@ -285,7 +285,7 @@ def _curvature_scale_trigger(state: FlowState) -> float:
     """max over vertices of sqrt(|A|^2) times the longest incident edge."""
     lens = np.sqrt(state.geometry.sq_lengths)  # edges ab, bc, ca
     # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
-    corner_h = np.maximum(lens, np.roll(lens, 1, axis=0))
+    corner_h = np.maximum(lens, lens[_PREV])
     local_h = np.zeros(state.mesh.num_vertices)
     # the flat (3F,) index: np.maximum.at is several times slower on faces.T
     np.maximum.at(local_h, state.mesh.faces.T.ravel(), corner_h.ravel())

@@ -12,7 +12,9 @@ in corner order a, b, c, so every sum rounds as a fixed sequence of
 np.add.at passes would.  The lumped mass is a plain (n,) array.
 cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology.
 enclosed_volume and volume_cubic, V(x + s nu) as an exact cubic in s, read
-the pass's corner positions.
+the pass's coordinate-major corner positions.  Vector sums work on x, y, z
+rows with mesh._cross, _dot and _sq_norm, in the fixed orders those keep;
+vertex normals stay an (n, 3) array.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import FaceGeometry, MeshError, corner_sum
+from .mesh import _PREV, FaceGeometry, MeshError, _cross, _dot, _sq_norm, corner_sum
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ def lumped_mass(fg: FaceGeometry) -> np.ndarray:
     areas, cot = fg.areas, fg.cot
     # squared length of edges ab, bc, ca times the cotangent opposite it;
     # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
-    t = fg.sq_lengths * np.roll(cot, 1, axis=0)
-    w = (t + np.roll(t, 1, axis=0)) / 8.0
+    t = fg.sq_lengths * cot[_PREV]
+    w = (t + t[_PREV]) / 8.0
     w = np.where((cot < 0).any(axis=0), np.where(cot < 0, areas / 2, areas / 4), w)
     return corner_sum(fg.mesh, w)
 
@@ -92,12 +94,12 @@ def vertex_normals_and_projected_areas(fg: FaceGeometry):
     weight under which sum_i m~_i (lap H)_i vanishes identically (the
     discrete divergence theorem behind volume conservation).
     """
-    w = fg.normals * fg.areas[:, None]
-    acc = corner_sum(fg.mesh, np.broadcast_to(w, (3,) + w.shape))
-    nrm = np.linalg.norm(acc, axis=1)
+    w = fg.normals * fg.areas
+    acc = np.array([corner_sum(fg.mesh, np.broadcast_to(wc, (3, wc.size))) for wc in w])
+    nrm = np.sqrt(_sq_norm(acc))
     if (nrm == 0).any():
         raise MeshError("vertex with vanishing normal")
-    return acc / nrm[:, None], nrm / 3.0
+    return np.ascontiguousarray((acc / nrm).T), nrm / 3.0
 
 
 def angle_defects(fg: FaceGeometry) -> np.ndarray:
@@ -111,8 +113,9 @@ def angle_defects(fg: FaceGeometry) -> np.ndarray:
 
 def curvature_field(fg: FaceGeometry, mass: np.ndarray, lap: sparse.csr_matrix) -> CurvatureField:
     nu, m_proj = vertex_normals_and_projected_areas(fg)
-    mean_curv_vec = (lap @ fg.mesh.vertices) / mass[:, None]
-    H = np.einsum("ij,ij->i", mean_curv_vec, nu)
+    # one matvec per coordinate row: bit for bit the columns of lap @ (n, 3)
+    mean_curv_vec = [(lap @ x) / mass for x in np.ascontiguousarray(fg.mesh.vertices.T)]
+    H = _dot(mean_curv_vec, nu.T)
     K = angle_defects(fg) / mass
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
     # at zero so the tracefree energy stays a nonnegative Lyapunov candidate,
@@ -145,26 +148,22 @@ def dirichlet_energy(field: np.ndarray, lap: sparse.csr_matrix) -> float:
 
 def enclosed_volume(fg: FaceGeometry) -> float:
     """Signed volume (1/6) sum <a, b x c>; positive for outward orientation."""
-    va, vb, vc = fg.corners
-    return float(np.sum(np.einsum("ij,ij->i", va, np.cross(vb, vc))) / 6.0)
+    va, vb, vc = fg.corners.transpose(1, 0, 2)
+    return float(np.sum(_dot(va, _cross(vb, vc))) / 6.0)
 
 
 def volume_cubic(fg: FaceGeometry, nu: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the exact cubic
     enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3, from one pass
     over the faces; c0 is the enclosed volume itself."""
-    va, vb, vc = fg.corners
-    na, nb, nc = nu.take(fg.mesh.faces.T, axis=0)
-
-    def dot(p, q):
-        return np.einsum("ij,ij->i", p, q)
-
-    x_bc, x_ca, x_ab = np.cross(vb, vc), np.cross(vc, va), np.cross(va, vb)
-    n_bc, n_ca, n_ab = np.cross(nb, nc), np.cross(nc, na), np.cross(na, nb)
+    va, vb, vc = fg.corners.transpose(1, 0, 2)
+    na, nb, nc = np.ascontiguousarray(nu.T).take(fg.mesh.faces.T, axis=1).transpose(1, 0, 2)
+    x_bc, x_ca, x_ab = _cross(vb, vc), _cross(vc, va), _cross(va, vb)
+    n_bc, n_ca, n_ab = _cross(nb, nc), _cross(nc, na), _cross(na, nb)
     terms = (
-        dot(va, x_bc),
-        dot(na, x_bc) + dot(nb, x_ca) + dot(nc, x_ab),
-        dot(va, n_bc) + dot(vb, n_ca) + dot(vc, n_ab),
-        dot(na, n_bc),
+        _dot(va, x_bc),
+        _dot(na, x_bc) + _dot(nb, x_ca) + _dot(nc, x_ab),
+        _dot(va, n_bc) + _dot(vb, n_ca) + _dot(vc, n_ab),
+        _dot(na, n_bc),
     )
     return tuple(float(np.sum(t) / 6.0) for t in terms)

@@ -401,7 +401,9 @@ def load_run_dir(run_dir) -> Trajectory:
             mesh = load_mesh_path(os.path.join(run_dir, name))
             if first is None:
                 first = mesh
-            elif np.array_equal(mesh.faces, first.faces):
+            elif mesh.num_vertices == first.num_vertices and np.array_equal(
+                mesh.faces, first.faces
+            ):
                 mesh = first.with_vertices(mesh.vertices)
             trajectory.snapshots[int(match.group(1))] = mesh
     return trajectory

@@ -178,7 +178,7 @@ def reference_operators(fg):
     np.add.at(m, f[:, 2], w_c)
     acc = np.zeros((n, 3))
     for k in range(3):
-        np.add.at(acc, f[:, k], fg.normals * areas[:, None])
+        np.add.at(acc, f[:, k], fg.normals.T * areas[:, None])
     nrm = np.linalg.norm(acc, axis=1)
     defect = np.full(n, 2.0 * np.pi)
     for k in range(3):
@@ -242,6 +242,90 @@ REFERENCE_MESHES = pytest.mark.parametrize(
     ],
     ids=["icosphere_s3", "perturbed_sphere", "dumbbell", "slab", "open_slab"],
 )
+
+
+def reference_face_geometry(mesh):
+    """face_geometry in its row-major form: (3, F, 3) corners and (F, 3)
+    normals through np.cross, np.linalg.norm(axis=1), np.einsum and
+    np.sum(e**2, axis=1)."""
+    corners = mesh.vertices.take(mesh.faces.T, axis=0)
+    a, b, c = corners
+    ab, bc, ca = b - a, c - b, a - c
+    pairs = ((ab, -ca), (bc, -ab), (ca, -bc))
+    crosses = [np.cross(u, v) for u, v in pairs]
+    nrm = np.array([np.linalg.norm(cr, axis=1) for cr in crosses])
+    dot = np.array([np.einsum("ij,ij->i", u, v) for u, v in pairs])
+    return dict(
+        corners=corners,
+        areas=0.5 * nrm[0],
+        normals=crosses[0] / nrm[0][:, None],
+        cot=dot / nrm,
+        angles=np.arctan2(nrm, dot),
+        sq_lengths=np.array([np.sum(e**2, axis=1) for e in (ab, bc, ca)]),
+    )
+
+
+def reference_volume_cubic(fg, nu):
+    """volume_cubic's four face sums from (F, 3) corners through np.cross
+    and np.einsum."""
+    va, vb, vc = fg.mesh.vertices.take(fg.mesh.faces.T, axis=0)
+    na, nb, nc = nu.take(fg.mesh.faces.T, axis=0)
+
+    def dot(p, q):
+        return np.einsum("ij,ij->i", p, q)
+
+    x_bc, x_ca, x_ab = np.cross(vb, vc), np.cross(vc, va), np.cross(va, vb)
+    n_bc, n_ca, n_ab = np.cross(nb, nc), np.cross(nc, na), np.cross(na, nb)
+    terms = (
+        dot(va, x_bc),
+        dot(na, x_bc) + dot(nb, x_ca) + dot(nc, x_ab),
+        dot(va, n_bc) + dot(vb, n_ca) + dot(vc, n_ab),
+        dot(na, n_bc),
+    )
+    return tuple(float(np.sum(t) / 6.0) for t in terms)
+
+
+# the meshes of REFERENCE_MESHES, a torus, and the explicit_sphere benchmark
+# workload's input (s4, mode 2,0,0.1, initial.seed 0)
+FIELD_MESHES = pytest.mark.parametrize(
+    "mesh_fn",
+    [
+        lambda: make_icosphere(1.0, 3),
+        lambda: make_perturbed_sphere(1.0, [(2, 1, 0.2), (3, 0, 0.1)], seed=5, subdivisions=3),
+        lambda: make_dumbbell(1.0, 0.15, 2.0),
+        make_slab,
+        open_slab,
+        lambda: make_torus(2.0, 0.6),
+        lambda: make_perturbed_sphere(1.0, [(2, 0, 0.1)], seed=0, subdivisions=4),
+    ],
+    ids=[
+        "icosphere_s3", "perturbed_sphere", "dumbbell", "slab", "open_slab", "torus",
+        "explicit_sphere_input",
+    ],
+)
+
+
+@FIELD_MESHES
+def test_face_geometry_matches_row_major_reference_bitwise(mesh_fn):
+    mesh = mesh_fn()
+    fg, ref = face_geometry(mesh), reference_face_geometry(mesh)
+    assert np.array_equal(fg.corners, ref["corners"].transpose(2, 0, 1))
+    assert np.array_equal(fg.normals, ref["normals"].T)
+    for name in ("areas", "cot", "angles", "sq_lengths"):
+        assert np.array_equal(getattr(fg, name), ref[name]), name
+
+
+@FIELD_MESHES
+def test_curvature_field_matches_row_major_reference_bitwise(mesh_fn):
+    fg = face_geometry(mesh_fn())
+    mass, lap = lumped_mass(fg), cotan_laplacian(fg)
+    nu, projected = vertex_normals_and_projected_areas(fg)
+    H = np.einsum("ij,ij->i", (lap @ fg.mesh.vertices) / mass[:, None], nu)
+    cf = curvature_field(fg, mass, lap)
+    assert np.array_equal(cf.normal, nu)
+    assert np.array_equal(cf.H, H)
+    assert np.array_equal(cf.lapH, -(lap @ H) / projected)
+    assert volume_cubic(fg, nu) == reference_volume_cubic(fg, nu)
 
 
 @REFERENCE_MESHES
@@ -386,21 +470,30 @@ def test_enclosed_volume_sphere():
 
 
 def test_scaling_covariance_suite():
+    """x -> lam x for a power of two lam scales every float by a power of
+    two, which rounding commutes with, so each quantity scales exactly."""
     mesh = make_perturbed_sphere(1.0, [(2, 1, 0.15)], subdivisions=3)
-    lam = 2.0
-    scaled = rescale(mesh, (0, 0, 0), lam)
-    fg1, fg2 = face_geometry(mesh), face_geometry(scaled)
-    m1, m2 = lumped_mass(fg1), lumped_mass(fg2)
-    l1, l2 = cotan_laplacian(fg1), cotan_laplacian(fg2)
+    fg1 = face_geometry(mesh)
+    m1, l1 = lumped_mass(fg1), cotan_laplacian(fg1)
     c1 = curvature_field(fg1, m1, l1)
-    c2 = curvature_field(fg2, m2, l2)
-    rel = lambda a, b: abs(a - b) / max(abs(a), 1e-300)
-    assert rel(fg2.total_area, lam**2 * fg1.total_area) < 1e-10
-    assert rel(enclosed_volume(fg2), lam**3 * enclosed_volume(fg1)) < 1e-10
-    assert np.abs(c2.H - c1.H / lam).max() < 1e-10
-    assert np.abs(c2.K - c1.K / lam**2).max() < 1e-10
-    assert rel(integrate(c2.Ao_sq, m2), integrate(c1.Ao_sq, m1)) < 1e-10
-    assert rel(dirichlet_energy(c2.H, l2), dirichlet_energy(c1.H, l1) / lam**2) < 1e-10
+    for lam in (2.0, 2.0**-3):
+        fg2 = face_geometry(rescale(mesh, (0, 0, 0), lam))
+        m2, l2 = lumped_mass(fg2), cotan_laplacian(fg2)
+        c2 = curvature_field(fg2, m2, l2)
+        assert np.array_equal(fg2.areas, lam**2 * fg1.areas)
+        assert np.array_equal(fg2.sq_lengths, lam**2 * fg1.sq_lengths)
+        for name in ("cot", "angles", "normals"):
+            assert np.array_equal(getattr(fg2, name), getattr(fg1, name)), name
+        assert fg2.total_area == lam**2 * fg1.total_area
+        assert np.array_equal(m2, lam**2 * m1)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(l2, attr), getattr(l1, attr)), attr
+        assert np.array_equal(c2.normal, c1.normal)
+        assert np.array_equal(c2.H, c1.H / lam)
+        assert np.array_equal(c2.K, c1.K / lam**2)
+        assert enclosed_volume(fg2) == lam**3 * enclosed_volume(fg1)
+        assert integrate(c2.Ao_sq, m2) == integrate(c1.Ao_sq, m1)
+        assert dirichlet_energy(c2.H, l2) == dirichlet_energy(c1.H, l1) / lam**2
 
 
 @settings(max_examples=15, deadline=None)

@@ -301,6 +301,24 @@ def test_rescale_roundtrip():
     assert np.abs(back.vertices - mesh.vertices).max() < 1e-12
 
 
+def test_with_vertices_shares_faces_and_topology():
+    mesh = make_icosphere(1.0, 1)
+    moved = mesh.with_vertices(mesh.vertices * 2.0)
+    assert moved.faces is mesh.faces
+    assert moved.topology is mesh.topology
+    assert np.array_equal(moved.vertices, mesh.vertices * 2.0)
+    assert not moved.vertices.flags.writeable
+    assert moved.vertices.dtype == np.float64 and moved.vertices.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(42, 2), (42, 4), (41, 3), (43, 3), (126,)])
+def test_with_vertices_rejects_wrong_shape(shape):
+    mesh = make_icosphere(1.0, 1)
+    assert mesh.num_vertices == 42
+    with pytest.raises(MeshError):
+        mesh.with_vertices(np.zeros(shape))
+
+
 def test_rescale_rejects_nonpositive_factor():
     mesh = make_icosphere(1.0, 0)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import RETIRED_KEYS
 from sdflow.flow import FlowState, correct_volume, run
 from sdflow.geometry import enclosed_volume
-from sdflow.mesh import face_geometry, rescale
+from sdflow.mesh import TriangleMesh, face_geometry, rescale, save_off
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
     _KEY_TABLE,
@@ -335,6 +335,20 @@ def test_one_topology_per_connectivity(tmp_path):
     loaded = list(load_run_dir(tmp_path).snapshots.values())
     assert len(loaded) == 4
     assert all(m.topology is loaded[0].topology for m in loaded)
+
+
+def test_snapshot_with_extra_vertex_gets_its_own_topology(tmp_path):
+    """A snapshot with the first one's faces but one more (unused) vertex
+    loads with a topology of its own vertex count."""
+    cfg = RunConfig(kind="icosphere", subdiv=1, scheme="explicit", max_steps=1, snapshot_every=1)
+    initial = cfg.build_initial()
+    write_run_dir(tmp_path, run(initial, cfg), "stop_reason: max_steps\n")
+    extra = TriangleMesh(np.vstack([initial.vertices, [[9.0, 9.0, 9.0]]]), initial.faces)
+    save_off(extra, tmp_path / "step_00000001.off")
+    loaded = load_run_dir(tmp_path).snapshots
+    assert loaded[1].num_vertices == initial.num_vertices + 1
+    assert loaded[1].topology is not loaded[0].topology
+    assert len(loaded[1].topology.indptr) == loaded[1].num_vertices + 1
 
 
 def test_run_records_equal_their_csv_round_trip(tmp_path):

@@ -2,7 +2,8 @@
 turns every warning into an error, and that must not take down the run
 when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
-import it does not use."""
+import it does not use, and the per-state modules sum their length-3
+vectors in their own fixed orders."""
 
 import ast
 import glob
@@ -77,3 +78,45 @@ def test_unused_imports_finds_a_stale_import():
 def test_no_unused_module_level_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+# numpy picks the summation order of these calls (einsum's, for one, changes
+# with its operands' memory layout), so the per-state pass sums its x, y, z
+# terms itself, in the orders mesh._dot and mesh._sq_norm fix
+PER_STATE_MODULES = ("mesh.py", "geometry.py", "flow.py")
+
+
+def numpy_ordered_reductions(source: str) -> list:
+    """The np.einsum and np.cross calls of `source`, and its np.linalg.norm
+    calls with an axis argument (a 1-D norm has one order)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        axis = len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords)
+        if name in ("np.einsum", "np.cross") or (name == "np.linalg.norm" and axis):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_numpy_ordered_reductions_finds_each_call():
+    source = (
+        "a = np.einsum('ij,ij->i', u, v)\n"
+        "b = np.cross(u, v)\n"
+        "c = np.linalg.norm(u, axis=1)\n"
+        "d = np.linalg.norm(u, None, 1)\n"
+        "e = np.linalg.norm(r)\n"
+    )
+    assert numpy_ordered_reductions(source) == [
+        "line 1: np.einsum",
+        "line 2: np.cross",
+        "line 3: np.linalg.norm",
+        "line 4: np.linalg.norm",
+    ]
+
+
+@pytest.mark.parametrize("name", PER_STATE_MODULES)
+def test_per_state_modules_fix_their_summation_order(name):
+    with open(os.path.join(ROOT, "src", "sdflow", name), encoding="utf-8") as fh:
+        assert numpy_ordered_reductions(fh.read()) == []

@@ -287,8 +287,7 @@ def _curvature_scale_trigger(state: FlowState) -> float:
     # corner a touches edges ca and ab, b touches ab and bc, c bc and ca
     corner_h = np.maximum(lens, lens[_PREV])
     local_h = np.zeros(state.mesh.num_vertices)
-    # the flat (3F,) index: np.maximum.at is several times slower on faces.T
-    np.maximum.at(local_h, state.mesh.faces.T.ravel(), corner_h.ravel())
+    np.maximum.at(local_h, state.mesh.topology.corner_index.ravel(), corner_h.ravel())
     return float((np.sqrt(state.curvature.A_sq) * local_h).max())
 
 

@@ -7,7 +7,8 @@ Conventions (all tested):
   * the discrete Laplace-Beltrami of a field u is -M^{-1} L u
 
 The operators derive from a state's one per-face pass, a mesh.FaceGeometry,
-as (3, F) per-corner arrays; mesh.corner_sum moves them onto the vertices
+as (3, F) per-corner arrays in the corner order of the mesh's
+MeshTopology.corner_index; mesh.corner_sum moves them onto the vertices
 in corner order a, b, c, so every sum rounds as a fixed sequence of
 np.add.at passes would.  The lumped mass is a plain (n,) array.
 cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology.
@@ -107,7 +108,7 @@ def angle_defects(fg: FaceGeometry) -> np.ndarray:
     # subtracting from 2*pi one angle at a time rounds differently from
     # subtracting the angle sum, so this stays a scatter, not a corner_sum
     defect = np.full(fg.mesh.num_vertices, 2.0 * np.pi)
-    np.subtract.at(defect, fg.mesh.faces.T.ravel(), fg.angles.ravel())
+    np.subtract.at(defect, fg.mesh.topology.corner_index.ravel(), fg.angles.ravel())
     return defect
 
 
@@ -156,8 +157,8 @@ def volume_cubic(fg: FaceGeometry, nu: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the exact cubic
     enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3, from one pass
     over the faces; c0 is the enclosed volume itself."""
-    va, vb, vc = fg.corners.transpose(1, 0, 2)
-    na, nb, nc = np.ascontiguousarray(nu.T).take(fg.mesh.faces.T, axis=1).transpose(1, 0, 2)
+    corner_nu = np.ascontiguousarray(nu.T).take(fg.mesh.topology.corner_index, axis=1)
+    (va, vb, vc), (na, nb, nc) = fg.corners.transpose(1, 0, 2), corner_nu.transpose(1, 0, 2)
     x_bc, x_ca, x_ab = _cross(vb, vc), _cross(vc, va), _cross(va, vb)
     n_bc, n_ca, n_ab = _cross(nb, nc), _cross(nc, na), _cross(na, nb)
     terms = (

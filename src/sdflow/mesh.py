@@ -94,8 +94,9 @@ def _vertex_array(vertices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshTopology:
-    """Index arrays fixed by the faces, built once per connectivity; all
-    are int32 and read-only.
+    """Index arrays fixed by the faces, built once per connectivity, all
+    read-only.  corner_index is C-contiguous intp, the index dtype numpy's
+    take, bincount and ufunc.at use without a cast; the CSR arrays are int32.
 
     The CSR pattern of the cotan L holds every edge (both directions) and
     the diagonal of every vertex on a face, rows and columns sorted.  The
@@ -104,6 +105,7 @@ class MeshTopology:
     of FaceGeometry.cot.ravel() twice.
     """
 
+    corner_index: np.ndarray  # (3, F) vertex at corners a, b, c: FaceGeometry's rows
     indptr: np.ndarray  # (n + 1,)
     indices: np.ndarray  # (nnz,)
     slots: np.ndarray  # (6F,) data slot of each corner contribution
@@ -114,13 +116,13 @@ class MeshTopology:
 
     def __post_init__(self):
         for name, a in list(vars(self).items()):
-            a = np.asarray(a, dtype=np.int32)
+            a = np.asarray(a, dtype=np.intp if name == "corner_index" else np.int32)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
 def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
-    f = faces.T
+    f = np.ascontiguousarray(faces.T, dtype=np.intp)
     b, c = np.roll(f, -1, axis=0).ravel(), np.roll(f, 1, axis=0).ravel()
     rows = np.flatnonzero(np.bincount(f.ravel(), minlength=n))
     keys = np.concatenate([b * n + c, c * n + b, rows * (n + 1)])
@@ -129,6 +131,7 @@ def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
     offdiag = np.flatnonzero(row != col)
     off_per_row = np.bincount(row[offdiag], minlength=n)
     return MeshTopology(
+        corner_index=f,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
         indices=col,
         slots=inverse[: 2 * b.size],
@@ -161,13 +164,9 @@ class MeshReport:
 
 
 def corner_sum(mesh: TriangleMesh, values) -> np.ndarray:
-    """Sum a (3, F) or (3, F, k) per-corner array onto the vertices, the
-    scatter counterpart of FaceGeometry.corners.  Each vertex adds its
+    """Sum a (3, F) per-corner array onto the vertices: each vertex adds its
     corners a, then b, then c, in face order, as three np.add.at passes do."""
-    idx = mesh.faces.T.ravel()
-    columns = np.reshape(values, (idx.size, -1)).T
-    sums = [np.bincount(idx, col, mesh.num_vertices) for col in columns]
-    return sums[0] if np.ndim(values) == 2 else np.column_stack(sums)
+    return np.bincount(mesh.topology.corner_index.ravel(), np.ravel(values), mesh.num_vertices)
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
     of the vertices.  Every value equals, bit for bit, the row-major pass
     through np.cross, np.linalg.norm(axis=1) and np.einsum that it replaces:
     _sq_norm and _dot keep those calls' summation orders."""
-    corners = np.ascontiguousarray(mesh.vertices.T).take(mesh.faces.T, axis=1)
+    corners = np.ascontiguousarray(mesh.vertices.T).take(mesh.topology.corner_index, axis=1)
     # edges ab, bc, ca: (3 xyz, 3, F)
     edges = corners[:, _NEXT]
     edges -= corners
@@ -488,8 +487,12 @@ def save_off(mesh: TriangleMesh, path) -> None:
 
 def load_mesh_path(path) -> TriangleMesh:
     """Read a UTF-8 mesh file: OBJ if its name ends in .obj (any case),
-    else OFF."""
+    else OFF.  A reader error names the file: `<path>: <reason>`."""
     path = str(path)
     loads = loads_obj if path.lower().endswith(".obj") else loads_off
     with open(path, "rb") as fh:
-        return loads(fh.read().decode("utf-8"))
+        data = fh.read()
+    try:
+        return loads(data.decode("utf-8"))
+    except (MeshError, UnicodeDecodeError) as exc:
+        raise MeshError(f"{path}: {exc}") from exc

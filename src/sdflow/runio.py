@@ -104,6 +104,8 @@ def _load_initial_mesh(cfg: RunConfig) -> TriangleMesh:
     if not cfg.mesh_path:
         raise ConfigError("initial.kind = mesh requires initial.path")
     mesh = load_mesh_path(cfg.mesh_path)
+    if not mesh.num_faces:
+        raise ConfigError(f"{cfg.mesh_path}: no faces")
     if not np.isfinite(mesh.vertices).all():
         raise ConfigError(f"{cfg.mesh_path}: non-finite vertex coordinate")
     if len(mesh.topology.rows) < mesh.num_vertices:

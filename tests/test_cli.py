@@ -300,11 +300,13 @@ def octahedron_with_collinear_face():
     return TriangleMesh(np.array(vertices, float), np.array(faces))
 
 
-@pytest.mark.parametrize("case", ["open", "collinear_face"])
+@pytest.mark.parametrize("case", ["open", "no_faces", "collinear_face"])
 def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, case):
     if case == "open":
         sphere = make_icosphere(1.0, 2)
         mesh, message = TriangleMesh(sphere.vertices, sphere.faces[1:]), "not a closed"
+    elif case == "no_faces":
+        mesh, message = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), "no faces"
     else:
         mesh, message = octahedron_with_collinear_face(), "degenerate face"
     mesh_path = tmp_path / f"{case}.off"
@@ -312,6 +314,27 @@ def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, ca
     cfg_path, out_dir = run_config(tmp_path, MESH_CFG.replace("{path}", str(mesh_path)), case)
     assert main(["run", str(cfg_path)]) == 2
     assert f"sdflow: error: {mesh_path}: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("vertex.off", b"OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
+        ("index.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "face index out of range"),
+        (
+            "latin1.obj",
+            b"v 0 0 0\n\xff\n",
+            "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+        ),
+    ],
+)
+def test_run_mesh_reader_error_names_the_file(tmp_path, capsys, name, data, message):
+    mesh_path = tmp_path / name
+    mesh_path.write_bytes(data)
+    cfg_path, out_dir = run_config(tmp_path, MESH_CFG.replace("{path}", str(mesh_path)), "bad")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"sdflow: error: {mesh_path}: {message}\n"
     assert not out_dir.exists()
 
 
@@ -410,7 +433,7 @@ def test_blowup_corrupt_unused_snapshot_exit_2(dumbbell_cli_run, tmp_path, capsy
     last.write_text(last.read_text()[:200])
     capsys.readouterr()
     assert main(["blowup", str(run_dir)]) == 2
-    assert "truncated OFF file" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"sdflow: error: {last}: truncated OFF file\n"
     assert not list(run_dir.glob("frame_*"))
 
 

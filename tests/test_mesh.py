@@ -334,16 +334,24 @@ def test_degenerate_face_detection():
     assert not face_geometry(make_icosphere(1.0, 1)).degenerate
 
 
-@pytest.mark.parametrize("shape", [(), (3,)])
-def test_corner_sum_equals_three_add_at_passes(shape):
+def test_corner_sum_equals_three_add_at_passes():
     mesh = make_perturbed_sphere(1.0, [(2, 1, 0.2)], seed=1, subdivisions=2)
-    values = np.random.default_rng(0).standard_normal((3, mesh.num_faces) + shape)
-    expected = np.zeros((mesh.num_vertices,) + shape)
+    values = np.random.default_rng(0).standard_normal((3, mesh.num_faces))
+    expected = np.zeros(mesh.num_vertices)
     for k in range(3):
         np.add.at(expected, mesh.faces[:, k], values[k])
     got = corner_sum(mesh, values)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+def test_corner_index_is_the_read_only_transposed_faces():
+    mesh = make_perturbed_sphere(1.0, [(2, 1, 0.2)], seed=1, subdivisions=2)
+    index = mesh.topology.corner_index
+    assert np.array_equal(index, mesh.faces.T)
+    assert index.flags.c_contiguous and not index.flags.writeable
+    assert index.dtype == np.intp
+    assert mesh.with_vertices(mesh.vertices * 2.0).topology.corner_index is index
 
 
 def reference_loads_off(text):

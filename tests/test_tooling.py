@@ -2,8 +2,8 @@
 turns every warning into an error, and that must not take down the run
 when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
-import it does not use, and the per-state modules sum their length-3
-vectors in their own fixed orders."""
+import it does not use, the per-state modules sum their length-3 vectors
+in their own fixed orders, and only mesh.py reads the transposed faces."""
 
 import ast
 import glob
@@ -120,3 +120,16 @@ def test_numpy_ordered_reductions_finds_each_call():
 def test_per_state_modules_fix_their_summation_order(name):
     with open(os.path.join(ROOT, "src", "sdflow", name), encoding="utf-8") as fh:
         assert numpy_ordered_reductions(fh.read()) == []
+
+
+# mesh.mesh_topology builds MeshTopology.corner_index from faces.T once per
+# connectivity; every other module reads that index
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
+     if os.path.basename(p) != "mesh.py"],
+    ids=os.path.basename,
+)
+def test_only_mesh_reads_the_transposed_faces(path):
+    with open(path, encoding="utf-8") as fh:
+        assert ".faces.T" not in fh.read()

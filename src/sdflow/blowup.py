@@ -51,14 +51,9 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
     on that snapshot, the one rescale_frame zooms, so a trajectory in memory
     and its reloaded run directory give the same center.  Events that share
     a snapshot share its FlowState, so their radii query its one KD-tree;
-    each radius queries its own pair set."""
+    each radius queries its own pair set.  radii and eps1 are a checked
+    RunConfig's values: distinct and nonnegative."""
     radii = sorted((float(r) for r in radii), reverse=True)
-    if len(set(radii)) != len(radii):
-        raise ValueError("radii must be distinct")
-    if not eps1 >= 0:
-        raise ValueError("eps1 must be nonnegative")
-    if not trajectory.records:
-        raise ValueError("empty trajectory")
     monitored = trajectory.config.monitor_radii
     states = {}  # snapshot step -> FlowState, shared by the events
     events = []

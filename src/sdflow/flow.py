@@ -190,8 +190,7 @@ def step_explicit(state: FlowState, dt: float):
     if not dt > 0:
         raise ValueError("dt must be positive")
     curv = state.curvature
-    disp = (dt * curv.lapH)[:, None] * curv.normal
-    return _accept(state, state.mesh.vertices + disp, dt)
+    return _accept(state, state.mesh.vertices + (dt * curv.lapH * curv.normal).T, dt)
 
 
 def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
@@ -277,7 +276,7 @@ def correct_volume(state: FlowState, target_volume: float) -> FlowState:
     if s == 0.0:
         return state
     return FlowState(
-        mesh=state.mesh.with_vertices(state.mesh.vertices + s * nu), t=state.t, step=state.step
+        mesh=state.mesh.with_vertices(state.mesh.vertices + (s * nu).T), t=state.t, step=state.step
     )
 
 

@@ -13,9 +13,9 @@ in corner order a, b, c, so every sum rounds as a fixed sequence of
 np.add.at passes would.  The lumped mass is a plain (n,) array.
 cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology.
 enclosed_volume and volume_cubic, V(x + s nu) as an exact cubic in s, read
-the pass's coordinate-major corner positions.  Vector sums work on x, y, z
-rows with mesh._cross, _dot and _sq_norm, in the fixed orders those keep;
-vertex normals stay an (n, 3) array.
+the pass's coordinate-major corner positions.  Vertex vectors are (3, n)
+x, y, z rows too, and vector sums work on rows with mesh._cross, _dot and
+_sq_norm, in the fixed orders those keep.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .mesh import _PREV, FaceGeometry, MeshError, _cross, _dot, _sq_norm, corner
 class CurvatureField:
     """Per-vertex normal, mean/Gauss curvature, |A|^2, |A^o|^2, and lap H."""
 
-    normal: np.ndarray
+    normal: np.ndarray  # (3, n) unit outward, rows x, y, z
     H: np.ndarray
     K: np.ndarray
     A_sq: np.ndarray
@@ -87,7 +87,7 @@ def cotan_laplacian(fg: FaceGeometry) -> sparse.csr_matrix:
 
 
 def vertex_normals_and_projected_areas(fg: FaceGeometry):
-    """Unit vertex normals and the projected dual areas |sum A_f n_f| / 3.
+    """Unit vertex normals, (3, n) rows, and the projected dual areas |sum A_f n_f| / 3.
 
     The normal is the area-weighted average of incident face outward
     normals.  The projected area is exactly the normal component of the
@@ -100,7 +100,7 @@ def vertex_normals_and_projected_areas(fg: FaceGeometry):
     nrm = np.sqrt(_sq_norm(acc))
     if (nrm == 0).any():
         raise MeshError("vertex with vanishing normal")
-    return np.ascontiguousarray((acc / nrm).T), nrm / 3.0
+    return acc / nrm, nrm / 3.0
 
 
 def angle_defects(fg: FaceGeometry) -> np.ndarray:
@@ -114,9 +114,9 @@ def angle_defects(fg: FaceGeometry) -> np.ndarray:
 
 def curvature_field(fg: FaceGeometry, mass: np.ndarray, lap: sparse.csr_matrix) -> CurvatureField:
     nu, m_proj = vertex_normals_and_projected_areas(fg)
-    # one matvec per coordinate row: bit for bit the columns of lap @ (n, 3)
-    mean_curv_vec = [(lap @ x) / mass for x in np.ascontiguousarray(fg.mesh.vertices.T)]
-    H = _dot(mean_curv_vec, nu.T)
+    # each column of lap @ (n, 3) is bit for bit the matvec of its row
+    mean_curv_vec = (lap @ fg.mesh.vertices).T / mass
+    H = _dot(mean_curv_vec, nu)
     K = angle_defects(fg) / mass
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
     # at zero so the tracefree energy stays a nonnegative Lyapunov candidate,
@@ -155,9 +155,9 @@ def enclosed_volume(fg: FaceGeometry) -> float:
 
 def volume_cubic(fg: FaceGeometry, nu: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the exact cubic
-    enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3, from one pass
-    over the faces; c0 is the enclosed volume itself."""
-    corner_nu = np.ascontiguousarray(nu.T).take(fg.mesh.topology.corner_index, axis=1)
+    enclosed_volume(x + s nu) = c0 + c1 s + c2 s^2 + c3 s^3 for (3, n) rows
+    nu, from one pass over the faces; c0 is the enclosed volume itself."""
+    corner_nu = nu.take(fg.mesh.topology.corner_index, axis=1)
     (va, vb, vc), (na, nb, nc) = fg.corners.transpose(1, 0, 2), corner_nu.transpose(1, 0, 2)
     x_bc, x_ca, x_ab = _cross(vb, vc), _cross(vc, va), _cross(va, vb)
     n_bc, n_ca, n_ab = _cross(nb, nc), _cross(nc, na), _cross(na, nb)

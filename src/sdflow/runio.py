@@ -259,9 +259,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _read_text(path, encoding: str) -> str:
+    """The file's text; a decode error names the file: `<path>: <reason>`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read_text(path, "utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +312,8 @@ def write_diagnostics_csv(records, path) -> None:
 
 def read_diagnostics_csv(path) -> list:
     """The records of a diagnostics CSV, eta read from its eta_r<i> columns."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    text = _read_text(path, "ascii")
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ConfigError("empty diagnostics CSV")
     header = lines[0][1].split(",")
@@ -316,7 +325,9 @@ def read_diagnostics_csv(path) -> list:
     for lineno, ln in lines[1:]:
         toks = ln.split(",")
         if len(toks) != len(header):
-            raise ConfigError("malformed diagnostics CSV row")
+            raise ConfigError(
+                f"diagnostics CSV line {lineno}: expected {len(header)} values, found {len(toks)}"
+            )
         try:
             values = {name: _FROM_TEXT[kind](tok) for (name, kind), tok in zip(_CSV_FIELDS, toks)}
             eta = tuple(map(float, toks[len(CSV_FIXED_COLUMNS) :]))
@@ -373,11 +384,10 @@ def load_run_records(run_dir) -> Trajectory:
     stop_reason = None
     summary_path = os.path.join(run_dir, SUMMARY_NAME)
     if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("stop_reason:"):
-                    stop_reason = line.split(":", 1)[1].strip()
-                    break
+        for line in _read_text(summary_path, "utf-8").splitlines():
+            if line.startswith("stop_reason:"):
+                stop_reason = line.split(":", 1)[1].strip()
+                break
     return Trajectory(
         records=records,
         snapshots={},

@@ -154,6 +154,16 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+UTF8_FF = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def test_run_config_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"sdflow: error: bad config: {cfg}: {UTF8_FF}\n"
+
+
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
@@ -514,8 +524,8 @@ def test_blowup_snapshot_without_csv_row_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])
 @pytest.mark.parametrize(
     "flag",
-    [["--radii", "abc"], ["--eps1", "nan"], ["--eps1", "-1"]],
-    ids=["radii_abc", "eps1_nan", "eps1_negative"],
+    [["--radii", "abc"], ["--radii", "0.2,0.2"], ["--eps1", "nan"], ["--eps1", "-1"]],
+    ids=["radii_abc", "radii_repeated", "eps1_nan", "eps1_negative"],
 )
 def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, recorded):
     run_dir = dumbbell_cli_run[1] if recorded else synthetic_csv(tmp_path, [1.0, 0.5])
@@ -656,6 +666,28 @@ def test_analyze_header_only_csv_exit_2(tmp_path, capsys):
     run_dir = synthetic_csv(tmp_path, [])
     assert main(["analyze", str(run_dir)]) == 2
     assert "no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "blowup"])
+@pytest.mark.parametrize(
+    "name, byte, reason",
+    [
+        ("config.cfg", b"\xff", UTF8_FF),
+        ("summary.txt", b"\xff", UTF8_FF),
+        (
+            "diagnostics.csv",
+            b"\xe9",
+            "'ascii' codec can't decode byte 0xe9 in position 0: ordinal not in range(128)",
+        ),
+    ],
+    ids=["config", "summary", "csv"],
+)
+def test_run_dir_file_not_text_names_the_file(tmp_path, capsys, command, name, byte, reason):
+    run_dir = synthetic_csv(tmp_path, [1.0, 0.5])
+    path = run_dir / name
+    path.write_bytes(byte + (path.read_bytes() if path.exists() else b""))
+    assert main([command, str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"sdflow: error: {path}: {reason}\n"
 
 
 def test_analyze_synthetic_exponential_lambda(tmp_path, capsys):

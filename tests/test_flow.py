@@ -257,7 +257,7 @@ def test_inverted_face_rejects_step():
     lapH = np.zeros_like(curv.lapH)
     lapH[0] = -1.5e3
     state.__dict__["curvature"] = replace(curv, lapH=lapH)
-    trial = state.mesh.vertices + (1e-3 * lapH)[:, None] * curv.normal
+    trial = state.mesh.vertices + (1e-3 * lapH)[:, None] * curv.normal.T
     assert not face_geometry(state.mesh.with_vertices(trial)).degenerate
     new_state, outcome = step_explicit(state, 1e-3)
     assert not outcome.accepted
@@ -312,11 +312,11 @@ def test_correct_volume_reaches_target_nonspherical(base, moved):
 @pytest.mark.parametrize("base,moved", VOLUME_CASES)
 def test_volume_cubic_is_exact(base, moved):
     rng = np.random.default_rng(1)
-    for nu in (FlowState(base).curvature.normal, rng.standard_normal(base.vertices.shape)):
+    for nu in (FlowState(base).curvature.normal, rng.standard_normal(base.vertices.shape).T):
         c0, c1, c2, c3 = volume_cubic(face_geometry(base), nu)
         assert c0 == enclosed_volume(face_geometry(base))
         for s in (-0.1, -0.02, 0.005, 0.05, 0.2):
-            exact = enclosed_volume(face_geometry(base.with_vertices(base.vertices + s * nu)))
+            exact = enclosed_volume(face_geometry(base.with_vertices(base.vertices + s * nu.T)))
             cubic = c0 + c1 * s + c2 * s**2 + c3 * s**3
             assert abs(cubic - exact) <= 1e-12 * abs(exact)
 

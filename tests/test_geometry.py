@@ -219,7 +219,7 @@ def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     m, normals, projected, defect, lap, volume = reference_operators(fg)
     assert np.array_equal(lumped_mass(fg), m)
     got_normals, got_projected = vertex_normals_and_projected_areas(fg)
-    assert np.array_equal(got_normals, normals)
+    assert np.array_equal(got_normals.T, normals)
     assert np.array_equal(got_projected, projected)
     assert np.array_equal(angle_defects(fg), defect)
     got = cotan_laplacian(fg)
@@ -320,12 +320,30 @@ def test_curvature_field_matches_row_major_reference_bitwise(mesh_fn):
     fg = face_geometry(mesh_fn())
     mass, lap = lumped_mass(fg), cotan_laplacian(fg)
     nu, projected = vertex_normals_and_projected_areas(fg)
-    H = np.einsum("ij,ij->i", (lap @ fg.mesh.vertices) / mass[:, None], nu)
+    # einsum's summation order follows the layout: the oracle reads (n, 3) rows
+    H = np.einsum("ij,ij->i", (lap @ fg.mesh.vertices) / mass[:, None], np.ascontiguousarray(nu.T))
     cf = curvature_field(fg, mass, lap)
     assert np.array_equal(cf.normal, nu)
     assert np.array_equal(cf.H, H)
     assert np.array_equal(cf.lapH, -(lap @ H) / projected)
-    assert volume_cubic(fg, nu) == reference_volume_cubic(fg, nu)
+    assert volume_cubic(fg, nu) == reference_volume_cubic(fg, nu.T)
+
+
+def test_vertex_normals_are_contiguous_rows():
+    """A state's normals are (3, n) C-contiguous rows that volume_cubic
+    reads as they come, and (n, 3) positions plus a transposed offset stay
+    C-contiguous, so with_vertices keeps them without a copy."""
+    state = FlowState(make_icosphere(1.0, 2))
+    fg, nu = state.geometry, state.curvature.normal
+    assert nu.shape == (3, state.mesh.num_vertices) and nu.flags.c_contiguous
+    normals, projected = vertex_normals_and_projected_areas(fg)
+    assert np.array_equal(nu, normals)
+    c0, c1, _, _ = volume_cubic(fg, nu)
+    # V'(0) along the unit normals is the sum of the projected areas
+    assert c0 == enclosed_volume(fg) and c1 == pytest.approx(projected.sum(), rel=1e-12)
+    moved = state.mesh.vertices + (0.01 * nu).T
+    assert moved.flags.c_contiguous
+    assert np.shares_memory(state.mesh.with_vertices(moved).vertices, moved)
 
 
 @REFERENCE_MESHES
@@ -369,7 +387,7 @@ def test_sphere_mean_curvature():
     _, _, cf = sphere_curvature(4)
     assert cf.H.mean() == pytest.approx(2.0, rel=0.02)
     assert cf.K.mean() == pytest.approx(1.0, rel=0.02)
-    assert np.abs(np.linalg.norm(cf.normal, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(cf.normal.T, axis=1) - 1.0).max() < 1e-12
 
 
 def test_sphere_tracefree_below_floor():

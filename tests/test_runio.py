@@ -316,6 +316,18 @@ def test_csv_rejects_malformed_value_with_line(tmp_path, column, token):
         read_diagnostics_csv(path)
 
 
+def test_csv_rejects_row_of_wrong_length_with_line(tmp_path):
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv([_record(i, i * 1e-3) for i in range(3)], path)
+    lines = path.read_text().splitlines()
+    lines[2] = "1,2"
+    path.write_text("\n".join(lines) + "\n")
+    expected = f"diagnostics CSV line 3: expected {len(lines[0].split(','))} values, found 2"
+    with pytest.raises(ConfigError) as info:
+        read_diagnostics_csv(path)
+    assert str(info.value) == expected
+
+
 def test_one_topology_per_connectivity(tmp_path):
     """A run, a volume correction, a rescaling and a reloaded run directory
     all keep the initial mesh's MeshTopology object."""

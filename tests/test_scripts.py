@@ -1,9 +1,10 @@
-"""The shipped experiment configs and scripts.  No other test runs
-refinement_study, so it must at least import and parse its flags.  Each
-experiments/*.cfg must parse, round-trip and run.  The benchmark's tracer
+"""The shipped experiment configs and scripts.  refinement_study reads the
+CurvatureField of each state, so it runs here on two small icospheres.
+Each experiments/*.cfg must parse, round-trip and run.  The benchmark's tracer
 patches some names of the package from outside, so those names must stay
 where it looks for them."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,18 +22,32 @@ from sdflow.runio import SUMMARY_NAME, RunConfig, config_to_text, parse_config
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["refinement_study"])
-def test_script_help_exits_0(script):
+def run_script(script, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdflow.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", f"{script}.py"), "--help"],
+        [sys.executable, os.path.join(ROOT, "scripts", f"{script}.py"), *args],
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "usage:" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", ["refinement_study"])
+def test_script_help_exits_0(script):
+    assert "usage:" in run_script(script, "--help")
+
+
+def test_refinement_study_prints_a_finite_row_per_subdivision():
+    out = run_script("refinement_study", "--min-subdiv", "1", "--max-subdiv", "2")
+    header, *rows = out.splitlines()
+    assert header.split()[:2] == ["sub", "V"]
+    assert [row.split()[:2] for row in rows] == [["1", "42"], ["2", "162"]]
+    for row in rows:
+        values = [float(tok) for tok in row.split()]
+        assert len(values) == len(header.split()) and all(map(math.isfinite, values))
 
 
 @pytest.mark.parametrize(

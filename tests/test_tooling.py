@@ -3,7 +3,8 @@ turns every warning into an error, and that must not take down the run
 when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
 import it does not use, the per-state modules sum their length-3 vectors
-in their own fixed orders, and only mesh.py reads the transposed faces."""
+in their own fixed orders, only mesh.py reads the transposed faces, and
+only face_geometry copies vertex vectors from (n, 3) to (3, n) rows."""
 
 import ast
 import glob
@@ -133,3 +134,36 @@ def test_per_state_modules_fix_their_summation_order(name):
 def test_only_mesh_reads_the_transposed_faces(path):
     with open(path, encoding="utf-8") as fh:
         assert ".faces.T" not in fh.read()
+
+
+def transposed_copies(source: str) -> list:
+    """The np.ascontiguousarray(<x>.T) calls of `source`, as their argument;
+    the transposed faces, connectivity rather than vectors, excepted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ascontiguousarray":
+            arg = node.args[0] if node.args else None
+            if isinstance(arg, ast.Attribute) and arg.attr == "T":
+                if not ast.unparse(arg.value).endswith("faces"):
+                    found.append(ast.unparse(arg))
+    return found
+
+
+def test_transposed_copies_finds_each_call():
+    source = (
+        "a = np.ascontiguousarray(mesh.vertices.T)\n"
+        "b = np.ascontiguousarray((acc / nrm).T).take(i, axis=1)\n"
+        "c = np.ascontiguousarray(faces.T, dtype=np.intp)\n"
+        "d = np.ascontiguousarray(x)\n"
+    )
+    assert transposed_copies(source) == ["mesh.vertices.T", "(acc / nrm).T"]
+
+
+# a state's vertex vectors are (3, n) rows from face_geometry's one copy of
+# the positions on; they go back to (n, 3) only where a step writes positions
+def test_only_face_geometry_copies_vectors_into_rows():
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found += [(os.path.basename(path), arg) for arg in transposed_copies(fh.read())]
+    assert found == [("mesh.py", "mesh.vertices.T")]

@@ -261,7 +261,9 @@ def test_perturbed_sphere_set_up_imports_no_unused_scipy():
     # a fresh interpreter: the pytest process has imported every module
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    unused = ["scipy.spatial", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg"]
+    unused = [
+        "scipy.spatial", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.special",
+    ]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, os.path.join(EXPERIMENTS, "headline.cfg"), *unused],
         env=env, capture_output=True, text=True, timeout=60,
@@ -521,18 +523,31 @@ def test_blowup_snapshot_without_csv_row_exit_2(tmp_path, capsys):
     assert not [name for name in os.listdir(out_dir) if name.startswith("frame_")]
 
 
+# without_config: not a recorded run but a synthetic directory whose
+# config.cfg holds only its CSV's radii, where blowup without a flag exits 0
 @pytest.mark.parametrize("recorded", [True, False], ids=["with_config", "without_config"])
 @pytest.mark.parametrize(
-    "flag",
-    [["--radii", "abc"], ["--radii", "0.2,0.2"], ["--eps1", "nan"], ["--eps1", "-1"]],
+    "flag, message",
+    [
+        (["--radii", "abc"], "could not convert string to float: 'abc'"),
+        (["--radii", "0.2,0.2"], "monitor radii must be distinct"),
+        (["--eps1", "nan"], "eps1 must be nonnegative"),
+        (["--eps1", "-1"], "eps1 must be nonnegative"),
+    ],
     ids=["radii_abc", "radii_repeated", "eps1_nan", "eps1_negative"],
 )
-def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, recorded):
-    run_dir = dumbbell_cli_run[1] if recorded else synthetic_csv(tmp_path, [1.0, 0.5])
+def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, message, recorded):
+    if recorded:
+        run_dir = dumbbell_cli_run[1]
+    else:
+        run_dir = synthetic_csv(tmp_path, [1.0, 0.5], radii=(1.0, 0.5))
     before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
     assert main(["blowup", str(run_dir), *flag]) == 2
-    assert "sdflow: error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"sdflow: error: {message}\n"
     assert sorted(os.listdir(run_dir)) == before
+    if not recorded:
+        assert main(["blowup", str(run_dir)]) == 0
 
 
 def test_blowup_without_config_exit_2(tmp_path, capsys):
@@ -644,7 +659,9 @@ def test_analyze_single_record_run(tmp_path, capsys):
     assert payload["monotonicity"]["willmore"] == {"unavailable": "need at least two records"}
 
 
-def synthetic_csv(tmp_path, tracefree, areas=None, dt=0.05):
+def synthetic_csv(tmp_path, tracefree, areas=None, dt=0.05, radii=()):
+    """A run directory with only a diagnostics.csv; with radii, also a
+    config.cfg that lists them and an eta column of zeros for each."""
     recs = []
     n = len(tracefree)
     areas = areas if areas is not None else [10.0] * n
@@ -655,10 +672,12 @@ def synthetic_csv(tmp_path, tracefree, areas=None, dt=0.05):
                 willmore=4 * math.pi, tracefree_l2=float(tracefree[i]),
                 gradH_l2=0.0, lapH_l2=0.0, max_abs_A=1.0, h_min=0.1,
                 quality=0.9, sphericity=0.999, li_yau_ok=True,
-                smallness_ok=True, eta=(),
+                smallness_ok=True, eta=(0.0,) * len(radii),
             )
         )
     write_diagnostics_csv(recs, tmp_path / "diagnostics.csv")
+    if radii:
+        (tmp_path / "config.cfg").write_text(f"monitor.radii = {','.join(map(str, radii))}\n")
     return tmp_path
 
 

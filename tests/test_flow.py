@@ -76,6 +76,42 @@ def test_explicit_sphere_near_stationary():
     assert max_displacement(state, new_state) < 1e-4
 
 
+def linearized_spectrum(mesh, eps=1e-5):
+    """Eigenvalues of J, the Jacobian of lap H with respect to a normal
+    displacement: column i is the central difference of lap H when vertex i
+    moves by +-eps along its vertex normal on `mesh`."""
+    normal = FlowState(mesh).curvature.normal
+    jac = np.empty((mesh.num_vertices, mesh.num_vertices))
+    for i in range(mesh.num_vertices):
+        lap_h = []
+        for sign in (1.0, -1.0):
+            vertices = mesh.vertices.copy()
+            vertices[i] += sign * eps * normal[:, i]
+            lap_h.append(FlowState(mesh.with_vertices(vertices)).curvature.lapH)
+        jac[:, i] = (lap_h[0] - lap_h[1]) / (2.0 * eps)
+    lam = np.linalg.eigvals(jac)
+    return lam[np.argsort(np.abs(lam), kind="stable")]
+
+
+def test_linearized_operator_spectrum_converges_to_the_round_sphere():
+    # on the unit sphere the linearization of lap H is -lap(lap + 2), with
+    # eigenvalues -l(l+1)(l(l+1)-2): a kernel of dimension 4 (l = 0 volume,
+    # l = 1 translations), then -24 five times (l = 2), -120 seven times (l = 3)
+    errors = []
+    for subdiv in (2, 3):
+        lam = linearized_spectrum(make_icosphere(1.0, subdiv))
+        assert np.abs(lam.imag).max() <= 1e-6 * np.abs(lam).max()
+        assert np.abs(lam[:4]).max() < 1e-3 < np.abs(lam[4])
+        l2, l3 = -lam.real[4:9], -lam.real[9:16]
+        assert np.ptp(l2) < 1e-3 * l2.mean()
+        errors.append((24.0 - l2.mean(), 120.0 - l3.mean()))
+    (e2_s2, e3_s2), (e2_s3, e3_s3) = errors
+    # O(h^2): the errors fall about 4x per subdivision, and on s3 are
+    # 1.0 % (l = 2) and 2.7 % (l = 3)
+    assert 0 < e2_s3 < e2_s2 / 3.5 and e2_s3 < 0.015 * 24.0
+    assert 0 < e3_s3 < e3_s2 / 3.5 and e3_s3 < 0.03 * 120.0
+
+
 def test_explicit_zero_velocity_is_identity():
     state = FlowState(make_icosphere(1.0, 2))
     curv = state.curvature

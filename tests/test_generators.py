@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdflow.generators import (
+    _lgam,
+    _lpmv,
     make_dumbbell,
     make_ellipsoid,
     make_icosphere,
@@ -91,6 +93,60 @@ def test_real_sph_harm_constant_mode():
 def test_real_sph_harm_rejects_bad_orders():
     with pytest.raises(ValueError):
         real_sph_harm(2, 3, np.array([[0.0, 0.0, 1.0]]))
+
+
+def reference_real_sph_harm(l, m, dirs):
+    """real_sph_harm in its scipy form: scipy.special's gammaln and lpmv."""
+    from scipy.special import gammaln, lpmv
+
+    dirs = np.asarray(dirs, dtype=np.float64)
+    ct = np.clip(dirs[..., 2], -1.0, 1.0)
+    phi = np.arctan2(dirs[..., 1], dirs[..., 0])
+    ma = abs(m)
+    norm = math.sqrt(
+        (2 * l + 1) / (4.0 * math.pi) * math.exp(gammaln(l - ma + 1) - gammaln(l + ma + 1))
+    )
+    p = lpmv(ma, l, ct)
+    if m > 0:
+        return math.sqrt(2.0) * norm * p * np.cos(ma * phi)
+    if m < 0:
+        return math.sqrt(2.0) * norm * p * np.sin(ma * phi)
+    return norm * p
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def oracle_z():
+    """The ends, both zeros and the float just below 1, then 10^4 uniform draws."""
+    edges = np.array([-1.0, -0.0, 0.0, 1.0, 1.0 - 2.0**-53])
+    return np.concatenate([edges, np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)])
+
+
+def test_real_sph_harm_matches_scipy_bitwise():
+    s4 = make_icosphere(1.0, 4).vertices
+    z = oracle_z()
+    # unit vectors with the oracle z, at azimuths that visit every quadrant
+    rho = np.sqrt(1.0 - z * z)
+    phi = np.linspace(-math.pi, math.pi, len(z))
+    zdirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    for dirs in (s4 / np.linalg.norm(s4, axis=1)[:, None], zdirs):
+        for l in range(21):
+            for m in range(-l, l + 1):
+                assert_same_bits(real_sph_harm(l, m, dirs), reference_real_sph_harm(l, m, dirs))
+
+
+def test_lpmv_and_lgam_match_scipy_bitwise():
+    from scipy.special import gammaln, lpmv
+
+    z = oracle_z()
+    for l in range(21):
+        for m in range(l + 1):
+            assert_same_bits(_lpmv(m, l, z), lpmv(m, l, z))
+    n = np.arange(1, 3001)
+    assert_same_bits(np.array([_lgam(int(k)) for k in n]), gammaln(n))
 
 
 def test_perturbed_sphere_scale_invariant_energy():

@@ -3,8 +3,9 @@ turns every warning into an error, and that must not take down the run
 when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
 import it does not use, the per-state modules sum their length-3 vectors
-in their own fixed orders, only mesh.py reads the transposed faces, and
-only face_geometry copies vertex vectors from (n, 3) to (3, n) rows."""
+in their own fixed orders, only mesh.py reads the transposed faces,
+only face_geometry copies vertex vectors from (n, 3) to (3, n) rows, and
+no module imports scipy.special."""
 
 import ast
 import glob
@@ -167,3 +168,45 @@ def test_only_face_geometry_copies_vectors_into_rows():
         with open(path, encoding="utf-8") as fh:
             found += [(os.path.basename(path), arg) for arg in transposed_copies(fh.read())]
     assert found == [("mesh.py", "mesh.vertices.T")]
+
+
+def scipy_special_imports(source: str) -> list:
+    """The import statements of `source`, at any depth, that load
+    scipy.special or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
+            found.append(node.lineno)
+    return [f"line {lineno}" for lineno in sorted(found)]
+
+
+def test_scipy_special_imports_finds_each_form():
+    source = (
+        "import scipy.special\n"
+        "def f():\n"
+        "    from scipy.special import lpmv\n"
+        "from scipy import special as sp\n"
+        "import scipy.special._ufuncs\n"
+        "from scipy import sparse\n"
+        "import scipy.specialist\n"
+    )
+    assert scipy_special_imports(source) == ["line 1", "line 3", "line 4", "line 5"]
+
+
+# generators.real_sph_harm does scipy.special's arithmetic itself
+# (test_generators.py checks it bit for bit), so a perturbed-sphere set-up
+# loads only numpy and scipy.sparse
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
+    ids=os.path.basename,
+)
+def test_no_module_imports_scipy_special(path):
+    with open(path, encoding="utf-8") as fh:
+        assert scipy_special_imports(fh.read()) == []

@@ -120,6 +120,14 @@ class MeshTopology:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
+    @cached_property
+    def off_faces(self) -> str:
+        """The face block of an OFF file, "3 i j k" lines in face order,
+        formatted once: every snapshot and frame of a run writes it, and
+        loads_off(..., like=) recognizes it."""
+        f = self.corner_index
+        return ("3 %d %d %d\n" * f.shape[1]) % tuple(f.T.ravel().tolist())
+
 
 def mesh_topology(faces: np.ndarray, n: int) -> MeshTopology:
     f = np.ascontiguousarray(faces.T, dtype=np.intp)
@@ -344,7 +352,8 @@ def rescale(mesh: TriangleMesh, center, factor: float) -> TriangleMesh:
 
 # ---------------------------------------------------------------------------
 # File formats.  OFF is the canonical snapshot format (ASCII, 17 significant
-# digits, counts line "V F 0").  OBJ is import-only.
+# digits, counts line "V F 0"); its face block is formatted once per
+# MeshTopology.  OBJ is import-only.
 # ---------------------------------------------------------------------------
 
 
@@ -400,20 +409,9 @@ def _body_error(text: str, nv: int, nf: int) -> MeshError:
     return MeshError("malformed OFF face line")
 
 
-def loads_off(text: str) -> TriangleMesh:
-    """Parse OFF text: the header "OFF", a counts line "V F [E]", V vertex
-    lines and F face lines "3 i j k".
-
-    `#` starts a comment anywhere, blank lines are skipped, and lines after
-    the V + F body are ignored, as are tokens after a vertex line's three
-    coordinates or a face line's "3 i j k" (colors).  Each block is read
-    by one np.loadtxt call, so numbers follow numpy's grammar: coordinates
-    are decimal floats, nan and inf included, read bit for bit as float()
-    reads them; indices are decimal int64.  Spellings only Python reads,
-    such as digit-group underscores ("1_0") or non-ASCII digits, make a
-    malformed line; OFF writers emit neither.
-    """
-    lines = iter(text.splitlines())
+def _off_head(lines):
+    """The vertex and face counts of OFF text from its first two content
+    lines, taken from the iterator `lines`."""
     head = list(itertools.islice(_content_lines(lines), 2))
     if not head:
         raise MeshError("empty OFF file")
@@ -426,6 +424,55 @@ def loads_off(text: str) -> TriangleMesh:
         raise MeshError("malformed OFF counts line") from exc
     if nv < 0 or nf < 0:
         raise MeshError("malformed OFF counts line")
+    return nv, nf
+
+
+def _loads_off_like(text: str, like: TriangleMesh):
+    """like.with_vertices of the V vertex rows of OFF text that ends, right
+    after a line break, with like's face block and whose counts line names
+    like's V and F; None for any other text.  Cut at that line break, the
+    text splits into the lines the full parse reads before the faces, and
+    like's face lines."""
+    block = like.topology.off_faces
+    cut = len(text) - len(block)
+    if cut < 1 or text[cut - 1] != "\n" or not text.endswith(block):
+        return None
+    lines = iter(text[:cut].splitlines())
+    try:
+        if _off_head(lines) != (like.num_vertices, like.num_faces):
+            return None
+        vertices = _read_block(lines, np.float64, 3, like.num_vertices)
+    except (MeshError, ValueError):
+        return None
+    if len(vertices) < like.num_vertices or next(_content_lines(lines), None) is not None:
+        return None
+    return like.with_vertices(vertices)
+
+
+def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
+    """Parse OFF text: the header "OFF", a counts line "V F [E]", V vertex
+    lines and F face lines "3 i j k".
+
+    `#` starts a comment anywhere, blank lines are skipped, and lines after
+    the V + F body are ignored, as are tokens after a vertex line's three
+    coordinates or a face line's "3 i j k" (colors).  Each block is read
+    by one np.loadtxt call, so numbers follow numpy's grammar: coordinates
+    are decimal floats, nan and inf included, read bit for bit as float()
+    reads them; indices are decimal int64.  Spellings only Python reads,
+    such as digit-group underscores ("1_0") or non-ASCII digits, make a
+    malformed line; OFF writers emit neither.
+
+    With `like`, text whose face block is like's, byte for byte as
+    save_off writes it, gives like.with_vertices of its parsed vertex
+    block: the same mesh, sharing like's faces and MeshTopology.  Any other
+    text is parsed in full, and raises what it raises without `like`.
+    """
+    if like is not None:
+        mesh = _loads_off_like(text, like)
+        if mesh is not None:
+            return mesh
+    lines = iter(text.splitlines())
+    nv, nf = _off_head(lines)
     try:
         vertices = _read_block(lines, np.float64, 3, nv)
         faces = _read_block(lines, np.int64, 4, nf)
@@ -471,28 +518,36 @@ def loads_obj(text: str) -> TriangleMesh:
     )
 
 
-def dumps_off(mesh: TriangleMesh) -> str:
-    nv, nf = mesh.num_vertices, mesh.num_faces
+def _off_parts(mesh: TriangleMesh):
+    """OFF text in three parts: the header with the counts line, the
+    vertex block at 17 significant digits, and the topology's face block."""
+    nv = mesh.num_vertices
     return (
-        f"OFF\n{nv} {nf} 0\n"
-        + ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
-        + ("3 %d %d %d\n" * nf) % tuple(mesh.faces.ravel().tolist())
+        f"OFF\n{nv} {mesh.num_faces} 0\n",
+        ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist()),
+        mesh.topology.off_faces,
     )
+
+
+def dumps_off(mesh: TriangleMesh) -> str:
+    return "".join(_off_parts(mesh))
 
 
 def save_off(mesh: TriangleMesh, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_off(mesh))
+        fh.writelines(_off_parts(mesh))
 
 
-def load_mesh_path(path) -> TriangleMesh:
+def load_mesh_path(path, like: TriangleMesh | None = None) -> TriangleMesh:
     """Read a UTF-8 mesh file: OBJ if its name ends in .obj (any case),
-    else OFF.  A reader error names the file: `<path>: <reason>`."""
+    else OFF, with loads_off's `like`.  A reader error names the file:
+    `<path>: <reason>`."""
     path = str(path)
-    loads = loads_obj if path.lower().endswith(".obj") else loads_off
+    is_obj = path.lower().endswith(".obj")
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        return loads_obj(text) if is_obj else loads_off(text, like)
     except (MeshError, UnicodeDecodeError) as exc:
         raise MeshError(f"{path}: {exc}") from exc

@@ -399,7 +399,10 @@ def load_run_records(run_dir) -> Trajectory:
 def load_run_dir(run_dir) -> Trajectory:
     """load_run_records plus the snapshot meshes, read from their OFF files;
     the run directory must hold its config.cfg.  Every snapshot with the
-    faces of the first shares the first one's MeshTopology."""
+    faces of the first shares the first one's MeshTopology: a file that
+    ends with the first's face block reuses it unparsed (loads_off's
+    `like`), and one whose face block is written otherwise is parsed and
+    compared.  Every vertex block is parsed."""
     trajectory = load_run_records(run_dir)
     if trajectory.config is None:
         raise ConfigError(
@@ -410,11 +413,13 @@ def load_run_dir(run_dir) -> Trajectory:
     for name in sorted(os.listdir(run_dir)):
         match = _SNAPSHOT_FILE.match(name)
         if match:
-            mesh = load_mesh_path(os.path.join(run_dir, name))
+            mesh = load_mesh_path(os.path.join(run_dir, name), like=first)
             if first is None:
                 first = mesh
-            elif mesh.num_vertices == first.num_vertices and np.array_equal(
-                mesh.faces, first.faces
+            elif (
+                mesh.faces is not first.faces
+                and mesh.num_vertices == first.num_vertices
+                and np.array_equal(mesh.faces, first.faces)
             ):
                 mesh = first.with_vertices(mesh.vertices)
             trajectory.snapshots[int(match.group(1))] = mesh

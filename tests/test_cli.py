@@ -449,6 +449,25 @@ def test_blowup_corrupt_unused_snapshot_exit_2(dumbbell_cli_run, tmp_path, capsy
     assert not list(run_dir.glob("frame_*"))
 
 
+def test_blowup_corrupt_vertex_of_unused_snapshot_exit_2(dumbbell_cli_run, tmp_path, capsys):
+    # a later snapshot whose face block is the first's still has its
+    # vertex block parsed
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    for frame in run_dir.glob("frame_*"):
+        frame.unlink()
+    snapshots = sorted(run_dir.glob("step_*.off"))
+    last = snapshots[-1]
+    head, counts, vertex, rest = last.read_text().split("\n", 3)
+    x, _, z = vertex.split()
+    last.write_text("\n".join([head, counts, f"{x} x {z}", rest]))
+    first_faces = snapshots[0].read_text().split("\n", 2 + int(counts.split()[0]))[-1]
+    assert rest.endswith(first_faces)
+    assert main(["blowup", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"sdflow: error: {last}: malformed OFF vertex line\n"
+    assert not list(run_dir.glob("frame_*"))
+
+
 def frame_radii(run_dir):
     """frame file name -> the r_j its .meta records, for every frame file."""
     radii = {}

@@ -22,6 +22,7 @@ from sdflow.mesh import (
     loads_obj,
     loads_off,
     rescale,
+    save_off,
     validate,
 )
 
@@ -83,6 +84,119 @@ def test_dumps_off_exact_bytes():
         "-0 0 0\n1 1e-300 0\n0 1 0\n0.10000000000000001 0 1\n"
         "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
     )
+
+
+def reference_dumps_off(mesh):
+    """The OFF writer as one expression: counts line, vertex block and face
+    block formatted from the mesh's own arrays."""
+    nv, nf = mesh.num_vertices, mesh.num_faces
+    return (
+        f"OFF\n{nv} {nf} 0\n"
+        + ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+        + ("3 %d %d %d\n" * nf) % tuple(mesh.faces.ravel().tolist())
+    )
+
+
+def perturbed_codec_mesh():
+    return make_perturbed_sphere(1.0, [(2, 0, 0.1), (3, 1, 0.05)], seed=4, subdivisions=2)
+
+
+CODEC_MESHES = {
+    "icosphere": lambda: make_icosphere(1.0, 2),
+    "perturbed": perturbed_codec_mesh,
+    "dumbbell": lambda: make_dumbbell(1.0, 0.15, 2.0),
+    "with_vertices": lambda: (m := perturbed_codec_mesh()).with_vertices(m.vertices * 1.5 + 0.25),
+    "rescaled": lambda: rescale(make_dumbbell(1.0, 0.15, 2.0), (0.1, -0.2, 0.3), 7.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CODEC_MESHES))
+def test_dumps_off_and_save_off_match_the_reference_writer(name, tmp_path):
+    mesh = CODEC_MESHES[name]()
+    want = reference_dumps_off(mesh)
+    assert dumps_off(mesh) == want
+    # save_off writes the face block dumps_off cached on the topology
+    save_off(mesh, tmp_path / "m.off")
+    assert (tmp_path / "m.off").read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("name", list(CODEC_MESHES))
+def test_loads_off_like_reuses_the_faces_bit_for_bit(name):
+    like = CODEC_MESHES[name]()
+    text = dumps_off(like.with_vertices(np.sin(7.0 * like.vertices) + 1e-300))
+    full = loads_off(text)
+    fast = loads_off(text, like=like)
+    assert np.array_equal(fast.vertices.view(np.int64), full.vertices.view(np.int64))
+    assert np.array_equal(fast.faces, full.faces)
+    assert fast.faces is like.faces and fast.topology is like.topology
+
+
+def edit_line(text, index, line):
+    lines = text.splitlines(keepends=True)
+    lines[index] = line
+    return "".join(lines)
+
+
+def crlf_from(text, index):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:index] + [ln.replace("\n", "\r\n") for ln in lines[index:]])
+
+
+# OFF texts, each made from the canonical text of `like` (icosphere s1:
+# 42 vertices, lines 2..43, then 80 faces), that the fast path must leave
+# to the full parse
+OFF_FALLBACKS = {
+    "comment_in_face_block": lambda t: t[:-1] + " # last face\n",
+    "blank_line_in_face_block": lambda t: edit_line(t, 50, "\n" + t.splitlines(True)[50]),
+    "crlf_face_block": lambda t: crlf_from(t, 44),
+    "crlf_everywhere": lambda t: crlf_from(t, 0),
+    "one_face_changed": lambda t: edit_line(t, 44, "3 0 1 2\n"),
+    "faces_reversed": lambda t: edit_line(
+        t, 44, "3 %s %s %s\n" % tuple(t.splitlines()[44].split()[:0:-1])
+    ),
+    "counts_one_more_vertex": lambda t: edit_line(t, 1, "43 80 0\n"),
+    "counts_one_less_face": lambda t: edit_line(t, 1, "42 79 0\n"),
+    "counts_with_word": lambda t: edit_line(t, 1, "42 80 edges\n"),
+    "missing_header": lambda t: edit_line(t, 0, "PLY\n"),
+    "vertex_block_truncated": lambda t: edit_line(t, 10, ""),
+    "vertex_block_malformed": lambda t: edit_line(t, 10, "0 x 0\n"),
+    "vertex_block_short_row": lambda t: edit_line(t, 10, "0 0\n"),
+    "vertex_block_overlong": lambda t: edit_line(t, 10, "0 0 0\n" + t.splitlines(True)[10]),
+    "vertex_block_then_content": lambda t: edit_line(t, 43, t.splitlines(True)[43] + "garbage\n"),
+    "content_after_faces": lambda t: t + "trailing content\n",
+    "face_block_without_final_newline": lambda t: t[:-1],
+    "face_block_only": lambda t: t[t.index("\n3 ") + 1 :],
+    "last_vertex_joined_to_faces": lambda t: t.replace("\n3 ", "3 ", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_FALLBACKS))
+def test_loads_off_like_falls_back_to_the_full_parse(name):
+    like = make_icosphere(1.0, 1)
+    canonical = dumps_off(like.with_vertices(like.vertices * 0.5))
+    text = OFF_FALLBACKS[name](canonical)
+    assert text != canonical
+    try:
+        want = loads_off(text)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as got:
+            loads_off(text, like=like)
+        assert str(got.value) == str(exc)
+    else:
+        got = loads_off(text, like=like)
+        assert_same_mesh_bits(got, want)
+        assert got.faces is not like.faces
+
+
+def test_load_mesh_path_like_names_the_file(tmp_path):
+    like = make_icosphere(1.0, 1)
+    path = tmp_path / "step.off"
+    save_off(like, path)
+    assert load_mesh_path(path, like=like).topology is like.topology
+    path.write_text(edit_line(dumps_off(like), 10, "0 x 0\n"))
+    with pytest.raises(MeshError) as got:
+        load_mesh_path(path, like=like)
+    assert str(got.value) == f"{path}: malformed OFF vertex line"
 
 
 def test_load_obj_with_attribute_indices():

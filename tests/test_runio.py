@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import RETIRED_KEYS
 from sdflow.flow import FlowState, correct_volume, run
 from sdflow.geometry import enclosed_volume
-from sdflow.mesh import TriangleMesh, face_geometry, rescale, save_off
+from sdflow.mesh import TriangleMesh, face_geometry, loads_off, rescale, save_off
 from sdflow.monitors import DiagnosticsRecord
 from sdflow.runio import (
     _KEY_TABLE,
@@ -361,6 +361,23 @@ def test_snapshot_with_extra_vertex_gets_its_own_topology(tmp_path):
     assert loaded[1].num_vertices == initial.num_vertices + 1
     assert loaded[1].topology is not loaded[0].topology
     assert len(loaded[1].topology.indptr) == loaded[1].num_vertices + 1
+
+
+def test_snapshot_with_rewritten_face_block_shares_the_topology(tmp_path):
+    """A snapshot with the first one's faces, written with comments and
+    CRLF line ends, is parsed in full and still shares the first one's
+    MeshTopology."""
+    cfg = RunConfig(kind="icosphere", subdiv=1, scheme="explicit", max_steps=2, snapshot_every=1)
+    initial = cfg.build_initial()
+    write_run_dir(tmp_path, run(initial, cfg), "stop_reason: max_steps\n")
+    path = tmp_path / "step_00000001.off"
+    text = path.read_text()
+    path.write_bytes(text.replace("\n", " # rewritten\r\n").encode("ascii"))
+    loaded = load_run_dir(tmp_path).snapshots
+    want = loads_off(text).vertices
+    assert np.array_equal(loaded[1].vertices.view(np.int64), want.view(np.int64))
+    assert all(m.topology is loaded[0].topology for m in loaded.values())
+    assert all(m.faces is loaded[0].faces for m in loaded.values())
 
 
 def test_run_records_equal_their_csv_round_trip(tmp_path):

@@ -4,8 +4,9 @@ when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
 import it does not use, the per-state modules sum their length-3 vectors
 in their own fixed orders, only mesh.py reads the transposed faces,
-only face_geometry copies vertex vectors from (n, 3) to (3, n) rows, and
-no module imports scipy.special."""
+only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
+no module imports scipy.special, and only mesh.py formats OFF face lines
+or calls np.loadtxt."""
 
 import ast
 import glob
@@ -210,3 +211,18 @@ def test_scipy_special_imports_finds_each_form():
 def test_no_module_imports_scipy_special(path):
     with open(path, encoding="utf-8") as fh:
         assert scipy_special_imports(fh.read()) == []
+
+
+# mesh.py holds the one OFF codec: the face-line format its writer caches
+# per connectivity and the np.loadtxt blocks its reader parses
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
+     if os.path.basename(p) != "mesh.py"],
+    ids=os.path.basename,
+)
+def test_only_mesh_formats_and_parses_off(path):
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    assert "3 %d %d %d" not in source
+    assert "np.loadtxt" not in source

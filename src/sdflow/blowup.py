@@ -94,9 +94,8 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
     snap_step = event.source_step
     if snap_step not in trajectory.snapshots:
         raise ValueError(f"step {snap_step} is not a snapshot of this trajectory")
-    if trajectory.config is not None:
-        if event.record_step - snap_step > trajectory.config.snapshot_every:
-            raise ValueError("no snapshot within one snapshot interval of the event")
+    if event.record_step - snap_step > trajectory.config.snapshot_every:
+        raise ValueError("no snapshot within one snapshot interval of the event")
     snap_time = next((rec.t for rec in trajectory.records if rec.step == snap_step), None)
     if snap_time is None:
         raise ValueError(f"no diagnostics record for snapshot step {snap_step}")

@@ -409,44 +409,9 @@ def _body_error(text: str, nv: int, nf: int) -> MeshError:
     return MeshError("malformed OFF face line")
 
 
-def _off_head(lines):
-    """The vertex and face counts of OFF text from its first two content
-    lines, taken from the iterator `lines`."""
-    head = list(itertools.islice(_content_lines(lines), 2))
-    if not head:
-        raise MeshError("empty OFF file")
-    if head[0].upper() != "OFF":
-        raise MeshError("missing OFF header")
-    try:
-        counts = [int(tok) for tok in head[1].split()]
-        nv, nf = counts[0], counts[1]
-    except (IndexError, ValueError) as exc:
-        raise MeshError("malformed OFF counts line") from exc
-    if nv < 0 or nf < 0:
-        raise MeshError("malformed OFF counts line")
-    return nv, nf
-
-
-def _loads_off_like(text: str, like: TriangleMesh):
-    """like.with_vertices of the V vertex rows of OFF text that ends, right
-    after a line break, with like's face block and whose counts line names
-    like's V and F; None for any other text.  Cut at that line break, the
-    text splits into the lines the full parse reads before the faces, and
-    like's face lines."""
-    block = like.topology.off_faces
-    cut = len(text) - len(block)
-    if cut < 1 or text[cut - 1] != "\n" or not text.endswith(block):
-        return None
-    lines = iter(text[:cut].splitlines())
-    try:
-        if _off_head(lines) != (like.num_vertices, like.num_faces):
-            return None
-        vertices = _read_block(lines, np.float64, 3, like.num_vertices)
-    except (MeshError, ValueError):
-        return None
-    if len(vertices) < like.num_vertices or next(_content_lines(lines), None) is not None:
-        return None
-    return like.with_vertices(vertices)
+def _lines(text: str):
+    """text.splitlines(), split when the first line is asked for."""
+    yield from text.splitlines()
 
 
 def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
@@ -462,26 +427,49 @@ def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
     such as digit-group underscores ("1_0") or non-ASCII digits, make a
     malformed line; OFF writers emit neither.
 
-    With `like`, text whose face block is like's, byte for byte as
-    save_off writes it, gives like.with_vertices of its parsed vertex
-    block: the same mesh, sharing like's faces and MeshTopology.  Any other
-    text is parsed in full, and raises what it raises without `like`.
+    With `like`, a text whose faces equal like's gives
+    like.with_vertices(its vertices): the same mesh, sharing like's faces
+    and MeshTopology.  A text whose counts line names like's V and F and
+    whose vertex block is followed, right after a line break, by like's
+    face block as save_off writes it and nothing else is recognized
+    without parsing its faces.  Every text gives the vertices, or raises
+    the error, it gives without `like`.
     """
-    if like is not None:
-        mesh = _loads_off_like(text, like)
-        if mesh is not None:
-            return mesh
-    lines = iter(text.splitlines())
-    nv, nf = _off_head(lines)
+    block = "" if like is None else like.topology.off_faces
+    cut = len(text) - len(block)
+    if not (block and cut > 0 and text[cut - 1] == "\n" and text.endswith(block)):
+        block, cut = "", len(text)
+    # the lines before like's face block and a blank line that marks where
+    # the block starts; the block is split only when a read goes past the mark
+    ahead = iter(text[:cut].splitlines() + [""])
+    lines = itertools.chain(ahead, _lines(block))
+    head = list(itertools.islice(_content_lines(lines), 2))
+    if not head:
+        raise MeshError("empty OFF file")
+    if head[0].upper() != "OFF":
+        raise MeshError("missing OFF header")
+    try:
+        counts = [int(tok) for tok in head[1].split()]
+        nv, nf = counts[0], counts[1]
+    except (IndexError, ValueError) as exc:
+        raise MeshError("malformed OFF counts line") from exc
+    if nv < 0 or nf < 0:
+        raise MeshError("malformed OFF counts line")
     try:
         vertices = _read_block(lines, np.float64, 3, nv)
-        faces = _read_block(lines, np.int64, 4, nf)
+        rest = list(ahead)
+        # the vertex block ended at the mark: like's face lines are all that is left
+        if block and rest == [""] and (nv, nf) == (like.num_vertices, like.num_faces):
+            return like.with_vertices(vertices)
+        faces = _read_block(itertools.chain(rest, lines), np.int64, 4, nf)
     except ValueError as exc:
         raise _body_error(text, nv, nf) from exc
     if len(vertices) < nv or len(faces) < nf:
         raise MeshError("truncated OFF file")
     if (faces[:, 0] != 3).any():
         raise MeshError("non-triangle face")
+    if like is not None and nv == like.num_vertices and np.array_equal(faces[:, 1:], like.faces):
+        return like.with_vertices(vertices)
     return TriangleMesh(vertices, faces[:, 1:])
 
 

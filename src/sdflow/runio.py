@@ -317,7 +317,7 @@ def read_diagnostics_csv(path) -> list:
     if not lines:
         raise ConfigError("empty diagnostics CSV")
     header = lines[0][1].split(",")
-    if tuple(header[: len(CSV_FIXED_COLUMNS)]) != CSV_FIXED_COLUMNS:
+    if lines[0][1] != csv_header(len(header) - len(CSV_FIXED_COLUMNS)):
         raise ConfigError("diagnostics CSV header does not match the frozen schema")
     if len(lines) == 1:
         raise ConfigError("diagnostics CSV has no records")
@@ -398,11 +398,9 @@ def load_run_records(run_dir) -> Trajectory:
 
 def load_run_dir(run_dir) -> Trajectory:
     """load_run_records plus the snapshot meshes, read from their OFF files;
-    the run directory must hold its config.cfg.  Every snapshot with the
-    faces of the first shares the first one's MeshTopology: a file that
-    ends with the first's face block reuses it unparsed (loads_off's
-    `like`), and one whose face block is written otherwise is parsed and
-    compared.  Every vertex block is parsed."""
+    the run directory must hold its config.cfg.  Every snapshot is read
+    with the first as loads_off's `like`, so each one with the first's
+    faces shares its faces and MeshTopology."""
     trajectory = load_run_records(run_dir)
     if trajectory.config is None:
         raise ConfigError(
@@ -416,12 +414,6 @@ def load_run_dir(run_dir) -> Trajectory:
             mesh = load_mesh_path(os.path.join(run_dir, name), like=first)
             if first is None:
                 first = mesh
-            elif (
-                mesh.faces is not first.faces
-                and mesh.num_vertices == first.num_vertices
-                and np.array_equal(mesh.faces, first.faces)
-            ):
-                mesh = first.with_vertices(mesh.vertices)
             trajectory.snapshots[int(match.group(1))] = mesh
     return trajectory
 

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+import sdflow.mesh as mesh_module
 from sdflow.cli import main
 from sdflow.generators import (
     make_dumbbell,
@@ -131,6 +132,26 @@ def test_loads_off_like_reuses_the_faces_bit_for_bit(name):
     assert fast.faces is like.faces and fast.topology is like.topology
 
 
+def test_loads_off_like_splits_and_parses_no_face_line(monkeypatch):
+    like = make_icosphere(1.0, 2)
+    text = dumps_off(like.with_vertices(like.vertices * 2.0))
+    reads, face_lines = [], []
+    read_block, lines = mesh_module._read_block, mesh_module._lines
+
+    def recorded_lines(text):
+        for line in lines(text):
+            face_lines.append(line)
+            yield line
+
+    monkeypatch.setattr(
+        mesh_module, "_read_block", lambda *args: reads.append(args[1]) or read_block(*args)
+    )
+    monkeypatch.setattr(mesh_module, "_lines", recorded_lines)
+    got = loads_off(text, like=like)
+    assert got.topology is like.topology
+    assert reads == [np.float64] and face_lines == []
+
+
 def edit_line(text, index, line):
     lines = text.splitlines(keepends=True)
     lines[index] = line
@@ -143,8 +164,8 @@ def crlf_from(text, index):
 
 
 # OFF texts, each made from the canonical text of `like` (icosphere s1:
-# 42 vertices, lines 2..43, then 80 faces), that the fast path must leave
-# to the full parse
+# 42 vertices, lines 2..43, then 80 faces), whose faces must be parsed;
+# those whose faces equal like's still share them
 OFF_FALLBACKS = {
     "comment_in_face_block": lambda t: t[:-1] + " # last face\n",
     "blank_line_in_face_block": lambda t: edit_line(t, 50, "\n" + t.splitlines(True)[50]),
@@ -185,7 +206,7 @@ def test_loads_off_like_falls_back_to_the_full_parse(name):
     else:
         got = loads_off(text, like=like)
         assert_same_mesh_bits(got, want)
-        assert got.faces is not like.faces
+        assert (got.faces is like.faces) == np.array_equal(want.faces, like.faces)
 
 
 def test_load_mesh_path_like_names_the_file(tmp_path):

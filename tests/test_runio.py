@@ -293,6 +293,22 @@ def test_csv_rejects_schema_mismatch(tmp_path):
         read_diagnostics_csv(path)
 
 
+# names after the fixed columns must be eta_r1, eta_r2, ... in order: any
+# other name would be read as an eta value, paired with the wrong radius
+@pytest.mark.parametrize(
+    "eta_columns", ["eta_r2,eta_r1,eta_r3", "eta_r1,eta_r2,volume", "eta_r1,eta_r2,"]
+)
+def test_csv_rejects_eta_columns_off_schema(tmp_path, eta_columns):
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv([_record(i, i * 1e-3, eta=(1.0, 2.0, 3.0)) for i in range(2)], path)
+    lines = path.read_text().splitlines()
+    lines[0] = csv_header(0) + "," + eta_columns
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as info:
+        read_diagnostics_csv(path)
+    assert str(info.value) == "diagnostics CSV header does not match the frozen schema"
+
+
 def test_csv_radii_count_must_match(tmp_path):
     write_diagnostics_csv([_record(0, 0.0, eta=(1.0,))], tmp_path / "diagnostics.csv")
     for radii in ((), (0.5, 0.25)):

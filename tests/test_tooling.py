@@ -125,14 +125,15 @@ def test_per_state_modules_fix_their_summation_order(name):
         assert numpy_ordered_reductions(fh.read()) == []
 
 
+NON_MESH_MODULES = [
+    p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
+    if os.path.basename(p) != "mesh.py"
+]
+
+
 # mesh.mesh_topology builds MeshTopology.corner_index from faces.T once per
 # connectivity; every other module reads that index
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
-     if os.path.basename(p) != "mesh.py"],
-    ids=os.path.basename,
-)
+@pytest.mark.parametrize("path", NON_MESH_MODULES, ids=os.path.basename)
 def test_only_mesh_reads_the_transposed_faces(path):
     with open(path, encoding="utf-8") as fh:
         assert ".faces.T" not in fh.read()
@@ -215,14 +216,16 @@ def test_no_module_imports_scipy_special(path):
 
 # mesh.py holds the one OFF codec: the face-line format its writer caches
 # per connectivity and the np.loadtxt blocks its reader parses
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
-     if os.path.basename(p) != "mesh.py"],
-    ids=os.path.basename,
-)
+@pytest.mark.parametrize("path", NON_MESH_MODULES, ids=os.path.basename)
 def test_only_mesh_formats_and_parses_off(path):
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     assert "3 %d %d %d" not in source
     assert "np.loadtxt" not in source
+
+
+# which loaded meshes share a connectivity is decided in mesh.loads_off only
+@pytest.mark.parametrize("path", NON_MESH_MODULES, ids=os.path.basename)
+def test_only_mesh_compares_faces(path):
+    with open(path, encoding="utf-8") as fh:
+        assert "np.array_equal(" not in fh.read()

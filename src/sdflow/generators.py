@@ -176,7 +176,7 @@ def make_perturbed_sphere(
     dirs = base.vertices / np.linalg.norm(base.vertices, axis=1)[:, None]
     offset = np.zeros(base.num_vertices)
     for (l, m, _), a in zip(modes, amps):
-        offset += a * real_sph_harm(int(l), int(m), dirs)
+        offset += a * real_sph_harm(l, m, dirs)
     scale = (radius + offset) / radius
     return TriangleMesh(base.vertices * scale[:, None], base.faces)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .geometry import dirichlet_energy, enclosed_volume, integrate
 
@@ -78,7 +77,7 @@ class PairSet:
     widened row sums and how many candidates they admitted (None until then)."""
 
     anchor: np.ndarray  # a mesh's read-only vertex array
-    indptr: np.ndarray
+    indptr: np.ndarray  # int32
     nbrs: np.ndarray  # int32
     w0: np.ndarray | None = None
     bound: np.ndarray | None = None
@@ -86,28 +85,23 @@ class PairSet:
 
 
 def _query_pair_set(pts, radius, tree):
-    """The PairSet of the pairs within radius: one query_pairs, then two
-    counting sorts, COO -> CSR and CSR -> CSC.  The second lists each
-    column's rows in ascending order, and the matrix is symmetric, so the
-    columns are the sorted rows."""
+    """The PairSet of the pairs within radius: one query_pairs, then one
+    np.sort of a key v * n + u per entry, each pair both ways round and
+    (v, v) for every v.  Row v is then the keys in [v * n, (v + 1) * n),
+    ascending in u.  The keys are int32 while n * n fits, int64 above."""
     n = len(pts)
     ij = tree.query_pairs(radius, output_type="ndarray")
     m = len(ij)
-    rows = np.empty(2 * m + n, np.int32)
-    cols = np.empty_like(rows)
-    rows[:m], rows[m : 2 * m], rows[2 * m :] = ij[:, 0], ij[:, 1], np.arange(n)
-    cols[:m], cols[m : 2 * m], cols[2 * m :] = ij[:, 1], ij[:, 0], np.arange(n)
+    keys = np.empty(2 * m + n, np.int32 if n * n <= np.iinfo(np.int32).max else np.int64)
+    for out, v, u in ((keys[:m], 0, 1), (keys[m : 2 * m], 1, 0)):
+        np.multiply(ij[:, v], n, out=out)  # in place: no int64 copy of a column
+        out += ij[:, u]
     del ij
-    nnz = len(rows)
-    # sparsetools carries a data array through both sorts; its values are
-    # all 0, so one int8 array serves as input and output of both
-    data = np.zeros(nnz, np.int8)
-    csr_ptr, csr_idx = np.empty(n + 1, np.int32), np.empty(nnz, np.int32)
-    _sparsetools.coo_tocsr(n, n, nnz, rows, cols, data, csr_ptr, csr_idx, data)
-    del cols
-    indptr, nbrs = np.empty(n + 1, np.int32), rows  # rows is free again
-    _sparsetools.csr_tocsc(n, n, csr_ptr, csr_idx, data, indptr, nbrs, data)
-    return PairSet(anchor=pts, indptr=indptr, nbrs=nbrs)
+    keys[2 * m :] = np.arange(n) * (n + 1)
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n).astype(np.int32)
+    keys %= n
+    return PairSet(anchor=pts, indptr=indptr, nbrs=keys.astype(np.int32, copy=False))
 
 
 def _balls(pts, r, entry, centers):

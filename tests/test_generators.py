@@ -69,6 +69,13 @@ def test_perturbed_sphere_amplitude_guard():
         make_perturbed_sphere(1.0, [(2, 0, 0.6)], subdivisions=1)
 
 
+@pytest.mark.parametrize("mode", [(2.7, 0, 0.1), (2, 0.5, 0.1)], ids=["float_l", "float_m"])
+def test_perturbed_sphere_rejects_a_non_integer_degree_or_order(mode):
+    # truncated to (2, 0), these would build the l = 2 surface silently
+    with pytest.raises(ValueError, match="integers"):
+        make_perturbed_sphere(1.0, [mode], subdivisions=1)
+
+
 def test_perturbed_sphere_seed_reproducible():
     a = make_perturbed_sphere(1.0, [(2, 0, 0.2), (3, 1, 0.1)], seed=7, subdivisions=2)
     b = make_perturbed_sphere(1.0, [(2, 0, 0.2), (3, 1, 0.1)], seed=7, subdivisions=2)

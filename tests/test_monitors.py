@@ -458,16 +458,25 @@ def test_carried_bound_matches_reference_bitwise(r, seed, down, up, zeros, spike
 
 
 @pytest.mark.parametrize(
-    "mesh_fn,radii",
+    "points_fn,radii",
     [
-        pytest.param(lambda: make_dumbbell(1.0, 0.15, 2.0), (0.4, 0.2, 0.1), id="dumbbell"),
-        pytest.param(lambda: make_icosphere(1.0, 3), (0.4,), id="icosphere_s3"),
+        pytest.param(
+            lambda: make_dumbbell(1.0, 0.15, 2.0).vertices, (0.4, 0.2, 0.1), id="dumbbell"
+        ),
+        pytest.param(lambda: make_icosphere(1.0, 3).vertices, (0.4,), id="icosphere_s3"),
+        # either side of n * n = 2**31: int32 keys, then int64 keys
+        pytest.param(
+            lambda: np.random.default_rng(0).random((46340, 3)), (0.01,), id="random_46340"
+        ),
+        pytest.param(
+            lambda: np.random.default_rng(0).random((46341, 3)), (0.01,), id="random_46341"
+        ),
     ],
 )
-def test_pair_set_csr_equals_public_scipy_build(mesh_fn, radii):
-    # _query_pair_set calls scipy's private sparsetools routines; the public
+def test_pair_set_csr_equals_public_scipy_build(points_fn, radii):
+    # _query_pair_set sorts packed keys v * n + u itself; scipy's public
     # COO -> CSR build of the same symmetric pattern must give its arrays
-    pts = mesh_fn().vertices
+    pts = points_fn()
     n = len(pts)
     tree = cKDTree(pts)
     for r in radii:
@@ -477,6 +486,7 @@ def test_pair_set_csr_equals_public_scipy_build(mesh_fn, radii):
         cols = np.concatenate([ij[:, 1], ij[:, 0], np.arange(n)])
         ref = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         ref.sort_indices()
+        assert entry.indptr.dtype == entry.nbrs.dtype == np.int32, r
         assert np.array_equal(entry.indptr, ref.indptr), r
         assert np.array_equal(entry.nbrs, ref.indices), r
 

@@ -5,8 +5,8 @@ runs itself, with no linter installed: no module of the package keeps an
 import it does not use, the per-state modules sum their length-3 vectors
 in their own fixed orders, only mesh.py reads the transposed faces,
 only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
-no module imports scipy.special, and only mesh.py formats OFF face lines
-or calls np.loadtxt."""
+no module imports scipy.special or uses a private scipy name, and only
+mesh.py formats OFF face lines or calls np.loadtxt."""
 
 import ast
 import glob
@@ -212,6 +212,68 @@ def test_scipy_special_imports_finds_each_form():
 def test_no_module_imports_scipy_special(path):
     with open(path, encoding="utf-8") as fh:
         assert scipy_special_imports(fh.read()) == []
+
+
+def private_scipy_names(source: str) -> list:
+    """The imports of `source`, at any depth, that name a `_`-prefixed
+    module or member under scipy, and its `._x` attributes on a name that
+    a scipy import bound."""
+    found, bound = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
+        else:
+            continue
+        names = [(name, local) for name, local in names if name.split(".")[0] == "scipy"]
+        bound.update(local for _, local in names)
+        if any(part.startswith("_") for name, _ in names for part in name.split(".")):
+            found.append((node.lineno, ast.unparse(node)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"line {lineno}: {text}" for lineno, text in sorted(found)]
+
+
+def test_private_scipy_names_finds_each_form():
+    source = (
+        "from scipy.sparse import _sparsetools\n"
+        "import scipy.sparse._sparsetools\n"
+        "from scipy.sparse._sparsetools import coo_tocsr\n"
+        "from scipy import sparse\n"
+        "def f():\n"
+        "    import scipy.sparse as sp\n"
+        "    return sparse._sparsetools, sp._base.x, scipy.sparse._csr\n"
+        "import numpy as np\n"
+        "import numpy._core\n"
+        "np._core, sparse.csr_array, x._private\n"
+    )
+    assert private_scipy_names(source) == [
+        "line 1: from scipy.sparse import _sparsetools",
+        "line 2: import scipy.sparse._sparsetools",
+        "line 3: from scipy.sparse._sparsetools import coo_tocsr",
+        "line 7: scipy.sparse._csr",
+        "line 7: sp._base",
+        "line 7: sparse._sparsetools",
+    ]
+
+
+# scipy's private modules and members may change in any release; src uses
+# scipy only through its public API
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
+    ids=os.path.basename,
+)
+def test_no_module_uses_a_private_scipy_name(path):
+    with open(path, encoding="utf-8") as fh:
+        assert private_scipy_names(fh.read()) == []
 
 
 # mesh.py holds the one OFF codec: the face-line format its writer caches

@@ -5,8 +5,8 @@ tracefree floor, and the stationarity residual across subdivisions."""
 import argparse
 import math
 
+import sdflow  # first, so SDFLOW_THREADS caps the pools numpy starts on import
 import numpy as np
-
 from sdflow.flow import FlowState
 from sdflow.generators import make_icosphere
 from sdflow.geometry import dirichlet_energy, integrate

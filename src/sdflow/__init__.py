@@ -13,4 +13,17 @@ Submodules:
     cli         command-line front end (gen / run / analyze / blowup)
 """
 
+import os
+
+# Honor SDFLOW_THREADS before any numerics library spins up its pools.
+_threads = os.environ.get("SDFLOW_THREADS", "").strip()
+if _threads.isdigit() and int(_threads) > 0:
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ.setdefault(_var, _threads)
+
 __version__ = "0.1.0"

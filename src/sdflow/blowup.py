@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowState, Trajectory
-from .mesh import TriangleMesh, rescale
+from .mesh import TriangleMesh, _sq_norm, rescale
 from .geometry import integrate
 from .monitors import NumericsError, concentration, stationarity_residual
 
@@ -107,7 +107,7 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
         state = FlowState(frame_mesh)
         tracefree = integrate(state.curvature.Ao_sq, state.mass)
         raw, normalized = stationarity_residual(state)
-        inside = np.linalg.norm(frame_mesh.vertices, axis=1) <= 1.0
+        inside = np.sqrt(_sq_norm(frame_mesh.vertices.T)) <= 1.0
         ball = float(np.sum((state.curvature.A_sq * state.mass)[inside]))
     if not np.isfinite([tracefree, raw, normalized, ball]).all():
         raise NumericsError(f"non-finite blowup frame of step {snap_step}")

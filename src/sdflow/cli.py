@@ -11,24 +11,11 @@ them into `sdflow: error: <message>` and exit 2.  The names of run-directory
 files, snapshots and blowup frames alike, belong to `runio`.
 """
 
-import os
-import sys
-
-# Honor SDFLOW_THREADS before any numerics library spins up its pools.
-_threads = os.environ.get("SDFLOW_THREADS", "").strip()
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math
 import numbers
+import sys
 from dataclasses import replace
 
 from . import blowup as blowup_mod

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh
+from .mesh import MeshError, TriangleMesh, _sq_norm
 
 MAX_SUBDIVISIONS = 8
 
@@ -37,7 +37,7 @@ def _subdivide_on_sphere(verts: np.ndarray, faces: np.ndarray):
     und = np.sort(he, axis=1)
     uniq, inverse = np.unique(und, axis=0, return_inverse=True)
     mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
-    mid /= np.linalg.norm(mid, axis=1)[:, None]
+    mid /= np.sqrt(_sq_norm(mid.T))[:, None]
     new_verts = np.concatenate([verts, mid])
     m01, m12, m20 = np.split(len(verts) + inverse, 3)
     a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
@@ -173,7 +173,7 @@ def make_perturbed_sphere(
     for a in amps:
         if not abs(a) < radius / 2.0:
             raise ValueError("mode amplitude must satisfy |amp| < radius/2")
-    dirs = base.vertices / np.linalg.norm(base.vertices, axis=1)[:, None]
+    dirs = base.vertices / np.sqrt(_sq_norm(base.vertices.T))[:, None]
     offset = np.zeros(base.num_vertices)
     for (l, m, _), a in zip(modes, amps):
         offset += a * real_sph_harm(l, m, dirs)
@@ -303,19 +303,17 @@ def make_dumbbell(
         [[[-(xc + R), 0.0, 0.0]], ring_pts.reshape(-1, 3), [[xc + R, 0.0, 0.0]]]
     )
 
-    faces = []
     jj = np.arange(n_phi)
     j1 = (jj + 1) % n_phi
-    ring0 = 1 + jj  # first ring (next to the -x pole)
-    faces.append(np.column_stack([np.zeros(n_phi, dtype=np.int64), 1 + j1, ring0]))
-    for k in range(n_rings - 1):
-        lo = 1 + k * n_phi
-        hi = lo + n_phi
-        faces.append(np.column_stack([lo + jj, lo + j1, hi + j1]))
-        faces.append(np.column_stack([lo + jj, hi + j1, hi + jj]))
+    # ring k (k = 0 next to the -x pole) is vertices 1 + k * n_phi + j; the band
+    # from ring lo to ring hi is (lo j, lo j1, hi j1) then (lo j, hi j1, hi j)
+    lo = 1 + n_phi * np.arange(n_rings - 1)[:, None]
+    hi = lo + n_phi
+    band = [np.stack([lo + jj, lo + j1, hi + j1], -1), np.stack([lo + jj, hi + j1, hi + jj], -1)]
     last = 1 + (n_rings - 1) * n_phi
-    pole = len(verts) - 1
-    faces.append(
-        np.column_stack([np.full(n_phi, pole, dtype=np.int64), last + jj, last + j1])
-    )
+    faces = [
+        np.column_stack([np.zeros(n_phi, dtype=np.int64), 1 + j1, 1 + jj]),
+        np.stack(band, 1).reshape(-1, 3),
+        np.column_stack([np.full(n_phi, len(verts) - 1, dtype=np.int64), last + jj, last + j1]),
+    ]
     return TriangleMesh(verts, np.concatenate(faces))

@@ -234,10 +234,11 @@ class FaceGeometry:
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 # Vector helpers on coordinate-major arrays: the first axis holds x, y, z.
-# Each sums its three products in a fixed order, the order numpy 2.4's
-# row-major calls used, so the pass keeps their bits: _sq_norm adds
-# (x + y) + z like np.linalg.norm(axis=1) and np.sum(axis=1), _dot adds
-# (x + z) + y like np.einsum("ij,ij->i").  _cross is np.cross's formula.
+# Every module takes its 3-vector sums from these.  Each sums its three
+# products in a fixed order, the order numpy 2.4's row-major calls used, so
+# the outputs keep their bits: _sq_norm adds (x + y) + z like
+# np.linalg.norm(axis=1) and np.sum(axis=1), _dot adds (x + z) + y like
+# np.einsum("ij,ij->i").  _cross is np.cross's formula.
 # They work in place where they can: a (3, 3, F) temporary is a fresh
 # allocation of about 370 kB on an s4 sphere, and fewer of them make the
 # explicit s4 step about 10 % faster.

@@ -18,6 +18,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .geometry import dirichlet_energy, enclosed_volume, integrate
+from .mesh import _sq_norm
 
 EIGHT_PI = 8.0 * math.pi
 # a PairSet is reused while no vertex has moved more than PAIR_SLACK * r
@@ -106,7 +107,7 @@ def _query_pair_set(pts, radius, tree):
 
 def _balls(pts, r, entry, centers):
     """Each center's ball |x_i - x_c| <= r as its sorted vertex indices:
-    the center's PairSet row, kept where d2 = dx*dx + dy*dy + dz*dz <= r*r.
+    the center's PairSet row, kept where mesh._sq_norm(x_i - x_c) <= r*r.
     Rows are gathered in chunks of about GATHER_CHUNK entries, and each
     chunk yields (members, offsets): its k-th center's ball is
     members[offsets[k]:offsets[k + 1]]."""
@@ -120,8 +121,7 @@ def _balls(pts, r, entry, centers):
         ends = np.cumsum(ln)
         members = entry.nbrs.take(np.repeat(st - (ends - ln), ln) + np.arange(ends[-1]))
         d = pts.take(members, axis=0) - np.repeat(pts.take(c, axis=0), ln, axis=0)
-        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-        inside = d2 <= r2
+        inside = _sq_norm(d.T) <= r2
         yield members[inside], np.concatenate(([0], np.cumsum(inside)[ends - 1]))
 
 
@@ -198,7 +198,7 @@ def concentration(state, r: float, pairs: dict | None = None):
         return math.nan, pts[0].copy()
     # a ball at any vertex covers the whole mesh once r reaches the
     # bounding-box diagonal; the sum then equals integrate(|A|^2) bit for bit
-    if r >= float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))):
+    if r >= float(np.sqrt(_sq_norm(pts.max(axis=0) - pts.min(axis=0)))):
         return float(np.sum(w)), pts[0].copy()
     pairs = {} if pairs is None else pairs
     delta = PAIR_SLACK * r
@@ -206,7 +206,7 @@ def concentration(state, r: float, pairs: dict | None = None):
     if (
         entry is None
         or entry.anchor.shape != pts.shape
-        or np.sqrt(np.sum((pts - entry.anchor) ** 2, axis=1)).max() > delta
+        or np.sqrt(_sq_norm((pts - entry.anchor).T)).max() > delta
     ):
         entry = pairs[r] = _query_pair_set(pts, (r + 2.0 * delta) * (1.0 + 1e-9), state.tree)
     gamma = 4 * (len(pts) + 1) * np.finfo(float).eps

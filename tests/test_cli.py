@@ -274,6 +274,41 @@ def test_perturbed_sphere_set_up_imports_no_unused_scipy():
     assert int(pairs) > 0
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def thread_vars_after(statement, **preset):
+    """The four pool variables, '-' where unset, in a fresh interpreter after
+    `statement`; its environment has no SDFLOW_THREADS or pool variable but
+    those in `preset`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("SDFLOW_THREADS",)}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import os\n{statement}\nprint(*(os.environ.get(v, '-') for v in {THREAD_VARS!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# the package sets the pool variables before any submodule imports numpy
+@pytest.mark.parametrize(
+    "statement", ["import sdflow.flow", "import sdflow.cli"], ids=["flow", "cli"]
+)
+def test_sdflow_threads_sets_the_pool_variables_on_any_import(statement):
+    assert thread_vars_after(statement, SDFLOW_THREADS="3") == ["3"] * 4
+
+
+def test_sdflow_threads_keeps_a_preset_pool_variable():
+    preset = dict(SDFLOW_THREADS="3", OMP_NUM_THREADS="1")
+    assert thread_vars_after("import sdflow.flow", **preset) == ["1", "3", "3", "3"]
+
+
+def test_sdflow_threads_not_a_positive_integer_sets_nothing():
+    assert thread_vars_after("import sdflow.flow", SDFLOW_THREADS="abc") == ["-"] * 4
+
+
 MESH_CFG = """
 initial.kind = mesh
 initial.path = {path}

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdflow.generators import (
+    _ICO_FACES,
+    _ICO_VERTS,
     _lgam,
     _lpmv,
     make_dumbbell,
@@ -172,6 +174,83 @@ def test_perturbed_sphere_scale_invariant_energy():
     assert abs(ea - eb) < 1e-12 * max(ea, 1.0)
 
 
+def reference_icosphere(radius, subdivisions):
+    """Icosphere vertices and faces with each midpoint projected through
+    np.linalg.norm(axis=1), as the generators did before mesh._sq_norm."""
+    verts, faces = _ICO_VERTS, _ICO_FACES
+    for _ in range(subdivisions):
+        he = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        uniq, inverse = np.unique(np.sort(he, axis=1), axis=0, return_inverse=True)
+        mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
+        mid /= np.linalg.norm(mid, axis=1)[:, None]
+        m01, m12, m20 = np.split(len(verts) + inverse, 3)
+        a, b, c = faces.T
+        verts = np.concatenate([verts, mid])
+        corners = ([a, m01, m20], [b, m12, m01], [c, m20, m12], [m01, m12, m20])
+        faces = np.concatenate([np.column_stack(t) for t in corners])
+    return verts * radius, faces
+
+
+def reference_perturbed_sphere(radius, modes, seed, subdivisions):
+    verts, faces = reference_icosphere(radius, subdivisions)
+    amps = [float(a) for (_, _, a) in modes]
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        amps = [rng.uniform(-abs(a), abs(a)) for a in amps]
+    dirs = verts / np.linalg.norm(verts, axis=1)[:, None]
+    offset = np.zeros(len(verts))
+    for (l, m, _), a in zip(modes, amps):
+        offset += a * real_sph_harm(l, m, dirs)
+    return verts * ((radius + offset) / radius)[:, None], faces
+
+
+def reference_ellipsoid(rx, ry, rz, subdivisions):
+    verts, faces = reference_icosphere(1.0, subdivisions)
+    return verts * np.array([rx, ry, rz]), faces
+
+
+# the initial vertices sum each squared length in mesh._sq_norm's fixed
+# order, and that order is numpy 2.4's np.linalg.norm(axis=1) order, so every
+# written initial mesh keeps its bits
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        *[
+            pytest.param(
+                lambda s=s: make_icosphere(1.7, s),
+                lambda s=s: reference_icosphere(1.7, s),
+                id=f"icosphere_s{s}",
+            )
+            for s in range(6)
+        ],
+        *[
+            pytest.param(
+                lambda seed=seed, amp=amp: make_perturbed_sphere(1.0, [(2, 0, amp)], seed, 4),
+                lambda seed=seed, amp=amp: reference_perturbed_sphere(1.0, [(2, 0, amp)], seed, 4),
+                id=f"{name}_seed{seed}",
+            )
+            for name, amp in (("explicit_sphere", 0.1), ("implicit_sphere", 0.3))
+            for seed in (0, 3)
+        ],
+        pytest.param(
+            lambda: make_perturbed_sphere(1.3, [(2, 0, 0.1), (3, -2, 0.05)], None, 3),
+            lambda: reference_perturbed_sphere(1.3, [(2, 0, 0.1), (3, -2, 0.05)], None, 3),
+            id="perturbed_unseeded",
+        ),
+        pytest.param(
+            lambda: make_ellipsoid(1.0, 2.0, 0.5, 3),
+            lambda: reference_ellipsoid(1.0, 2.0, 0.5, 3),
+            id="ellipsoid",
+        ),
+    ],
+)
+def test_initial_vertices_match_the_linalg_norm_reference_bitwise(build, reference):
+    mesh = build()
+    verts, faces = reference()
+    assert_same_bits(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, faces)
+
+
 @pytest.mark.parametrize(
     "bulb,neck,length", [(1.0, 0.9, 0.5), (1.0, 0.5, 1.0), (1.0, 0.15, 2.0)]
 )
@@ -222,6 +301,30 @@ def test_generators_reject_sizes_not_positive_and_finite(size):
 def test_dumbbell_positive_volume():
     mesh = make_dumbbell(1.0, 0.3, 1.0, n_phi=24, n_rings=48)
     assert enclosed_volume(face_geometry(mesh)) > 0
+
+
+def reference_dumbbell_faces(n_phi, n_rings, n_verts):
+    """make_dumbbell's faces built ring by ring, as a per-ring loop did."""
+    jj = np.arange(n_phi)
+    j1 = (jj + 1) % n_phi
+    faces = [np.column_stack([np.zeros(n_phi, dtype=np.int64), 1 + j1, 1 + jj])]
+    for k in range(n_rings - 1):
+        lo = 1 + k * n_phi
+        hi = lo + n_phi
+        faces.append(np.column_stack([lo + jj, lo + j1, hi + j1]))
+        faces.append(np.column_stack([lo + jj, hi + j1, hi + jj]))
+    last = 1 + (n_rings - 1) * n_phi
+    pole = np.full(n_phi, n_verts - 1, dtype=np.int64)
+    faces.append(np.column_stack([pole, last + jj, last + j1]))
+    return np.concatenate(faces)
+
+
+@pytest.mark.parametrize("n_phi, n_rings", [(48, 96), (3, 4), (32, 64)])
+def test_dumbbell_faces_match_the_per_ring_reference(n_phi, n_rings):
+    mesh = make_dumbbell(1.0, 0.15, 2.0, n_phi=n_phi, n_rings=n_rings)
+    reference = reference_dumbbell_faces(n_phi, n_rings, mesh.num_vertices)
+    assert mesh.faces.dtype == reference.dtype
+    assert np.array_equal(mesh.faces, reference)
 
 
 def test_torus_geometry():

@@ -22,7 +22,7 @@ from sdflow.generators import (
     make_perturbed_sphere,
     make_torus,
 )
-from sdflow.mesh import rescale
+from sdflow.mesh import _sq_norm, rescale
 from sdflow.monitors import (
     AREA,
     AREA_RATE,
@@ -129,8 +129,9 @@ def test_concentration_center_on_dumbbell_neck():
 
 
 def bbox_diagonal(state):
+    """concentration's covering bound, summed in the same fixed order."""
     pts = state.mesh.vertices
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return float(np.sqrt(_sq_norm(pts.max(axis=0) - pts.min(axis=0))))
 
 
 def reference_concentration(state, r):

@@ -2,8 +2,8 @@
 turns every warning into an error, and that must not take down the run
 when a test tool warns while it reports a failure.  And a lint the suite
 runs itself, with no linter installed: no module of the package keeps an
-import it does not use, the per-state modules sum their length-3 vectors
-in their own fixed orders, only mesh.py reads the transposed faces,
+import it does not use, every module sums its length-3 vectors in
+mesh's fixed orders, only mesh.py reads the transposed faces,
 only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
 no module imports scipy.special or uses a private scipy name, and only
 mesh.py formats OFF face lines or calls np.loadtxt."""
@@ -19,6 +19,8 @@ import textwrap
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# every module of the package, each lint's input
+MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
 
 FAILING_AND_PASSING = """
 from hypothesis import given, strategies as st
@@ -73,25 +75,16 @@ def test_unused_imports_finds_a_stale_import():
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
-    ids=os.path.basename,
-)
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_no_unused_module_level_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 
-# numpy picks the summation order of these calls (einsum's, for one, changes
-# with its operands' memory layout), so the per-state pass sums its x, y, z
-# terms itself, in the orders mesh._dot and mesh._sq_norm fix
-PER_STATE_MODULES = ("mesh.py", "geometry.py", "flow.py")
-
-
 def numpy_ordered_reductions(source: str) -> list:
     """The np.einsum and np.cross calls of `source`, and its np.linalg.norm
-    calls with an axis argument (a 1-D norm has one order)."""
+    calls with an axis argument (a 1-D norm is BLAS's dot, which flow.cg
+    keeps so that it matches scipy's cg)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -119,16 +112,16 @@ def test_numpy_ordered_reductions_finds_each_call():
     ]
 
 
-@pytest.mark.parametrize("name", PER_STATE_MODULES)
-def test_per_state_modules_fix_their_summation_order(name):
-    with open(os.path.join(ROOT, "src", "sdflow", name), encoding="utf-8") as fh:
+# numpy picks the summation order of these calls (einsum's, for one, changes
+# with its operands' memory layout), so every module sums its x, y, z terms
+# in the orders mesh._dot and mesh._sq_norm fix
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_per_state_modules_fix_their_summation_order(path):
+    with open(path, encoding="utf-8") as fh:
         assert numpy_ordered_reductions(fh.read()) == []
 
 
-NON_MESH_MODULES = [
-    p for p in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py")))
-    if os.path.basename(p) != "mesh.py"
-]
+NON_MESH_MODULES = [p for p in MODULES if os.path.basename(p) != "mesh.py"]
 
 
 # mesh.mesh_topology builds MeshTopology.corner_index from faces.T once per
@@ -166,7 +159,7 @@ def test_transposed_copies_finds_each_call():
 # the positions on; they go back to (n, 3) only where a step writes positions
 def test_only_face_geometry_copies_vectors_into_rows():
     found = []
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))):
+    for path in MODULES:
         with open(path, encoding="utf-8") as fh:
             found += [(os.path.basename(path), arg) for arg in transposed_copies(fh.read())]
     assert found == [("mesh.py", "mesh.vertices.T")]
@@ -204,11 +197,7 @@ def test_scipy_special_imports_finds_each_form():
 # generators.real_sph_harm does scipy.special's arithmetic itself
 # (test_generators.py checks it bit for bit), so a perturbed-sphere set-up
 # loads only numpy and scipy.sparse
-@pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
-    ids=os.path.basename,
-)
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_no_module_imports_scipy_special(path):
     with open(path, encoding="utf-8") as fh:
         assert scipy_special_imports(fh.read()) == []
@@ -266,11 +255,7 @@ def test_private_scipy_names_finds_each_form():
 
 # scipy's private modules and members may change in any release; src uses
 # scipy only through its public API
-@pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(ROOT, "src", "sdflow", "*.py"))),
-    ids=os.path.basename,
-)
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_no_module_uses_a_private_scipy_name(path):
     with open(path, encoding="utf-8") as fh:
         assert private_scipy_names(fh.read()) == []

@@ -130,7 +130,10 @@ def _fit_window(text: str):
     bits = text.split(":")
     if len(bits) != 2:
         raise ValueError("fit window must be 'auto' or 't0:t1'")
-    return float(bits[0]), float(bits[1])
+    t0, t1 = float(bits[0]), float(bits[1])
+    if not t1 > t0:
+        raise ValueError("fit window must satisfy t1 > t0")
+    return t0, t1
 
 
 def _null_if_not_finite(value):

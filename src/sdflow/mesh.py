@@ -410,11 +410,6 @@ def _body_error(text: str, nv: int, nf: int) -> MeshError:
     return MeshError("malformed OFF face line")
 
 
-def _lines(text: str):
-    """text.splitlines(), split when the first line is asked for."""
-    yield from text.splitlines()
-
-
 def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
     """Parse OFF text: the header "OFF", a counts line "V F [E]", V vertex
     lines and F face lines "3 i j k".
@@ -428,23 +423,22 @@ def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
     such as digit-group underscores ("1_0") or non-ASCII digits, make a
     malformed line; OFF writers emit neither.
 
-    With `like`, a text whose faces equal like's gives
-    like.with_vertices(its vertices): the same mesh, sharing like's faces
-    and MeshTopology.  A text whose counts line names like's V and F and
-    whose vertex block is followed, right after a line break, by like's
-    face block as save_off writes it and nothing else is recognized
-    without parsing its faces.  Every text gives the vertices, or raises
-    the error, it gives without `like`.
+    With `like`, a text shares like's faces and MeshTopology, as
+    like.with_vertices(its vertices), only when it holds the face block
+    save_off wrote: its counts line names like's V and F, and its V vertex
+    lines are followed, right after a line break, by like's face block and
+    nothing else.  That block is neither split nor parsed.  Every other
+    text is parsed as it is without `like`, and gets a topology of its own.
     """
     block = "" if like is None else like.topology.off_faces
     cut = len(text) - len(block)
     if not (block and cut > 0 and text[cut - 1] == "\n" and text.endswith(block)):
         block, cut = "", len(text)
-    # the lines before like's face block and a blank line that marks where
-    # the block starts; the block is split only when a read goes past the mark
-    ahead = iter(text[:cut].splitlines() + [""])
-    lines = itertools.chain(ahead, _lines(block))
+    # like's face block cut off; any other layout is parsed again without like
+    lines = iter(text[:cut].splitlines())
     head = list(itertools.islice(_content_lines(lines), 2))
+    if block and len(head) < 2:
+        return loads_off(text)
     if not head:
         raise MeshError("empty OFF file")
     if head[0].upper() != "OFF":
@@ -458,19 +452,16 @@ def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
         raise MeshError("malformed OFF counts line")
     try:
         vertices = _read_block(lines, np.float64, 3, nv)
-        rest = list(ahead)
-        # the vertex block ended at the mark: like's face lines are all that is left
-        if block and rest == [""] and (nv, nf) == (like.num_vertices, like.num_faces):
-            return like.with_vertices(vertices)
-        faces = _read_block(itertools.chain(rest, lines), np.int64, 4, nf)
+        if block:
+            same = (nv, len(vertices), nf) == (like.num_vertices, nv, like.num_faces)
+            return like.with_vertices(vertices) if same and not list(lines) else loads_off(text)
+        faces = _read_block(lines, np.int64, 4, nf)
     except ValueError as exc:
         raise _body_error(text, nv, nf) from exc
     if len(vertices) < nv or len(faces) < nf:
         raise MeshError("truncated OFF file")
     if (faces[:, 0] != 3).any():
         raise MeshError("non-triangle face")
-    if like is not None and nv == like.num_vertices and np.array_equal(faces[:, 1:], like.faces):
-        return like.with_vertices(vertices)
     return TriangleMesh(vertices, faces[:, 1:])
 
 

@@ -393,11 +393,7 @@ def fit_decay(records, window=None) -> dict:
         above = np.nonzero(es > es[0] / 32.0)[0]
         sel = slice(below[0], above[-1] + 1)
     else:
-        t0, t1 = window
-        if not t1 > t0:
-            raise ValueError("window must satisfy t1 > t0")
-        mask = (ts >= t0) & (ts <= t1)
-        sel = np.nonzero(mask)[0]
+        sel = np.nonzero((ts >= window[0]) & (ts <= window[1]))[0]
         if len(sel) == 0:
             raise ValueError("empty fit window")
         sel = slice(sel[0], sel[-1] + 1)

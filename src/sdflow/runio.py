@@ -399,8 +399,8 @@ def load_run_records(run_dir) -> Trajectory:
 def load_run_dir(run_dir) -> Trajectory:
     """load_run_records plus the snapshot meshes, read from their OFF files;
     the run directory must hold its config.cfg.  Every snapshot is read
-    with the first as loads_off's `like`, so each one with the first's
-    faces shares its faces and MeshTopology."""
+    with the first as loads_off's `like`: it shares the first's faces and
+    MeshTopology only if it holds their face block as save_off wrote it."""
     trajectory = load_run_records(run_dir)
     if trajectory.config is None:
         raise ConfigError(

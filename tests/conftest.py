@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from sdflow import monitors
 from sdflow.flow import CFL, EXPLICIT, SolverConfig, run
 from sdflow.generators import make_icosphere
 from sdflow.runio import load_config
@@ -69,6 +70,21 @@ RETIRED_KEYS = {
     "solver.curvature_ceiling": "2.0",
     "monitor.eps0": "25.132741228718345",
 }
+
+
+@pytest.fixture
+def third_record_fails(monkeypatch):
+    """monitors.diagnostics raises NumericsError on its third call: a run's
+    second step, after one accepted step, diverges."""
+    calls, diagnostics = [], monitors.diagnostics
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise monitors.NumericsError("non-finite record")
+        return diagnostics(*args, **kwargs)
+
+    monkeypatch.setattr(monitors, "diagnostics", third_call_fails)
 
 
 def experiment(name):

@@ -138,6 +138,37 @@ def test_run_sphere_clean_exit(tmp_path, capsys):
     assert capsys.readouterr().out == summary
 
 
+# a flattened ellipsoid whose first step falls below the quality floor
+QUALITY_FLOOR_CFG = """
+initial.kind = ellipsoid
+initial.rx = 1.0
+initial.ry = 1.0
+initial.rz = 0.01
+initial.subdiv = 2
+solver.scheme = explicit
+solver.dt_policy = cfl
+solver.cfl_sigma = 0.005
+solver.max_steps = 3
+output.dir = {out}
+"""
+
+
+def test_run_quality_floor_exit_3(tmp_path, capsys):
+    cfg_path, out_dir = run_config(tmp_path, QUALITY_FLOOR_CFG, "flat")
+    assert main(["run", str(cfg_path)]) == 3
+    summary = (out_dir / "summary.txt").read_text()
+    assert "stop_reason: quality_floor\nsteps: 1\n" in summary
+    assert capsys.readouterr().out == summary
+
+
+def test_run_diverged_exit_4(tmp_path, capsys, third_record_fails):
+    cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG, "diverged")
+    assert main(["run", str(cfg_path)]) == 4
+    summary = (out_dir / "summary.txt").read_text()
+    assert "stop_reason: diverged\nsteps: 1\n" in summary
+    assert capsys.readouterr().out == summary
+
+
 def test_run_determinism_byte_identical(tmp_path):
     cfg_path, out_dir = run_config(tmp_path, MINI_SEMI_CFG, "mini")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
@@ -769,6 +800,30 @@ def test_analyze_synthetic_exponential_lambda(tmp_path, capsys):
     assert main(["analyze", str(run_dir), "--json", "--fit-window", "auto"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["decay_fit"]["lambda"] - 0.7) < 1e-6
+
+
+@pytest.mark.parametrize("window", ["5:1", "nan:1", "1:1"])
+def test_analyze_impossible_fit_window_exit_2(tmp_path, capsys, window):
+    run_dir = synthetic_csv(tmp_path, np.exp(-np.arange(40) * 0.1))
+    assert main(["analyze", str(run_dir), "--fit-window", window]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "sdflow: error: fit window must satisfy t1 > t0\n"
+
+
+@pytest.mark.parametrize("window", ["0.01:0.05", "0:inf"])
+def test_analyze_fit_window_is_fit_decays_window(tmp_path, capsys, window):
+    ts = np.arange(60) * 0.002
+    tracefree = np.exp(-1.4 * ts) * (1.0 + 0.01 * np.sin(37.0 * ts))
+    run_dir = synthetic_csv(tmp_path, tracefree, dt=0.002)
+    recs = read_diagnostics_csv(run_dir / "diagnostics.csv")
+    fit = fit_decay(recs, window=tuple(map(float, window.split(":"))))
+    assert main(["analyze", str(run_dir), "--fit-window", window]) == 0
+    assert (
+        f"decay_fit: lambda={fit['lambda']:.17g} r_squared={fit['r_squared']:.6f}"
+        f" samples={fit['samples']} window=[{fit['t0']:.6g},{fit['t1']:.6g}]\n"
+    ) in capsys.readouterr().out
+    assert main(["analyze", str(run_dir), "--json", "--fit-window", window]) == 0
+    assert json.loads(capsys.readouterr().out)["decay_fit"] == fit
 
 
 def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):

@@ -23,7 +23,7 @@ from sdflow.flow import (
     step_explicit,
     step_semi_implicit,
 )
-from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
+from sdflow.generators import make_dumbbell, make_ellipsoid, make_icosphere, make_perturbed_sphere
 from sdflow.geometry import CurvatureField, enclosed_volume, volume_cubic
 from sdflow.mesh import face_geometry, rescale
 from sdflow.monitors import NumericsError
@@ -436,6 +436,25 @@ def test_run_abort_after_rejection_cascade(monkeypatch):
     # a deterministic stepper cannot succeed on an identical retry
     assert calls == [1e-6, 5e-7, 2.5e-7]
     assert len(traj.records) == 1  # only the initial record
+
+
+def test_run_stops_at_the_quality_floor_before_the_curvature_ceiling():
+    # the flattened ellipsoid starts just under QUALITY_MIN (0.019998) and
+    # past CURVATURE_SCALE_MAX; at rz = 0.02 or 0.05 only the ceiling trips
+    cfg = SolverConfig(scheme=EXPLICIT, dt_policy=CFL, cfl_sigma=0.005, max_steps=3)
+    traj = run(make_ellipsoid(1.0, 1.0, 0.01, 2), cfg)
+    assert traj.stop_reason == flow.QUALITY_FLOOR
+    assert len(traj.records) == 2 and traj.records[-1].quality < flow.QUALITY_MIN
+    assert flow._curvature_scale_trigger(FlowState(traj.snapshots[1])) > flow.CURVATURE_SCALE_MAX
+    for rz in (0.02, 0.05):
+        assert run(make_ellipsoid(1.0, 1.0, rz, 2), cfg).stop_reason == flow.CURVATURE_CEILING
+
+
+def test_run_numerics_error_mid_run_is_a_divergence(third_record_fails):
+    cfg = SolverConfig(scheme=EXPLICIT, dt_policy=CFL, cfl_sigma=0.005, max_steps=5)
+    traj = run(make_icosphere(1.0, 2), cfg)
+    assert traj.stop_reason == DIVERGED
+    assert len(traj.records) == 2 and sorted(traj.snapshots) == [0, 1]
 
 
 def test_run_sphere_stationary(sphere_run):

@@ -132,24 +132,28 @@ def test_loads_off_like_reuses_the_faces_bit_for_bit(name):
     assert fast.faces is like.faces and fast.topology is like.topology
 
 
+class SplitCounter(str):
+    """A str that counts its splitlines calls."""
+
+    splits = 0
+
+    def splitlines(self, keepends=False):
+        self.splits += 1
+        return super().splitlines(keepends)
+
+
 def test_loads_off_like_splits_and_parses_no_face_line(monkeypatch):
     like = make_icosphere(1.0, 2)
     text = dumps_off(like.with_vertices(like.vertices * 2.0))
-    reads, face_lines = [], []
-    read_block, lines = mesh_module._read_block, mesh_module._lines
-
-    def recorded_lines(text):
-        for line in lines(text):
-            face_lines.append(line)
-            yield line
-
+    block = SplitCounter(like.topology.off_faces)
+    like.topology.__dict__["off_faces"] = block
+    reads, read_block = [], mesh_module._read_block
     monkeypatch.setattr(
         mesh_module, "_read_block", lambda *args: reads.append(args[1]) or read_block(*args)
     )
-    monkeypatch.setattr(mesh_module, "_lines", recorded_lines)
     got = loads_off(text, like=like)
-    assert got.topology is like.topology
-    assert reads == [np.float64] and face_lines == []
+    assert got.faces is like.faces and got.topology is like.topology
+    assert reads == [np.float64] and block.splits == 0
 
 
 def edit_line(text, index, line):
@@ -164,8 +168,8 @@ def crlf_from(text, index):
 
 
 # OFF texts, each made from the canonical text of `like` (icosphere s1:
-# 42 vertices, lines 2..43, then 80 faces), whose faces must be parsed;
-# those whose faces equal like's still share them
+# 42 vertices, lines 2..43, then 80 faces), that are not save_off's layout:
+# each is parsed in full, even where its faces equal like's
 OFF_FALLBACKS = {
     "comment_in_face_block": lambda t: t[:-1] + " # last face\n",
     "blank_line_in_face_block": lambda t: edit_line(t, 50, "\n" + t.splitlines(True)[50]),
@@ -188,6 +192,10 @@ OFF_FALLBACKS = {
     "face_block_without_final_newline": lambda t: t[:-1],
     "face_block_only": lambda t: t[t.index("\n3 ") + 1 :],
     "last_vertex_joined_to_faces": lambda t: t.replace("\n3 ", "3 ", 1),
+    # like's face block ends the text, but the counts or the header run into it
+    "counts_more_vertices_fewer_faces": lambda t: edit_line(t, 1, "43 79 0\n"),
+    "header_then_face_block": lambda t: "OFF\n" + t[t.index("\n3 ") + 1 :],
+    "comment_then_face_block": lambda t: "# no header\n" + t[t.index("\n3 ") + 1 :],
 }
 
 
@@ -206,7 +214,7 @@ def test_loads_off_like_falls_back_to_the_full_parse(name):
     else:
         got = loads_off(text, like=like)
         assert_same_mesh_bits(got, want)
-        assert (got.faces is like.faces) == np.array_equal(want.faces, like.faces)
+        assert got.faces is not like.faces and got.topology is not like.topology
 
 
 def test_load_mesh_path_like_names_the_file(tmp_path):

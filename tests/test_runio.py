@@ -379,10 +379,10 @@ def test_snapshot_with_extra_vertex_gets_its_own_topology(tmp_path):
     assert len(loaded[1].topology.indptr) == loaded[1].num_vertices + 1
 
 
-def test_snapshot_with_rewritten_face_block_shares_the_topology(tmp_path):
+def test_snapshot_with_rewritten_face_block_gets_an_equal_topology(tmp_path):
     """A snapshot with the first one's faces, written with comments and
-    CRLF line ends, is parsed in full and still shares the first one's
-    MeshTopology."""
+    CRLF line ends, is parsed in full: its faces and MeshTopology are equal
+    to the first one's, and its own."""
     cfg = RunConfig(kind="icosphere", subdiv=1, scheme="explicit", max_steps=2, snapshot_every=1)
     initial = cfg.build_initial()
     write_run_dir(tmp_path, run(initial, cfg), "stop_reason: max_steps\n")
@@ -392,8 +392,12 @@ def test_snapshot_with_rewritten_face_block_shares_the_topology(tmp_path):
     loaded = load_run_dir(tmp_path).snapshots
     want = loads_off(text).vertices
     assert np.array_equal(loaded[1].vertices.view(np.int64), want.view(np.int64))
-    assert all(m.topology is loaded[0].topology for m in loaded.values())
-    assert all(m.faces is loaded[0].faces for m in loaded.values())
+    assert loaded[2].faces is loaded[0].faces and loaded[2].topology is loaded[0].topology
+    assert loaded[1].faces is not loaded[0].faces
+    assert np.array_equal(loaded[1].faces, loaded[0].faces)
+    own, first = loaded[1].topology, loaded[0].topology
+    assert own is not first and own.off_faces == first.off_faces
+    assert all(np.array_equal(getattr(own, k), getattr(first, k)) for k in vars(first))
 
 
 def test_run_records_equal_their_csv_round_trip(tmp_path):

@@ -200,33 +200,12 @@ class FaceGeometry:
     angles: np.ndarray  # (3, F) interior angle at corners a, b, c
     sq_lengths: np.ndarray  # (3, F) squared length of edges ab, bc, ca
 
-    @property
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
-
-    @property
-    def h_min(self) -> float:
-        """Shortest edge; every edge lies on a face, so this equals the
-        minimum over the unique edges exactly (h_max likewise)."""
-        return float(np.sqrt(self.sq_lengths.min()))
-
-    @property
-    def h_max(self) -> float:
-        return float(np.sqrt(self.sq_lengths.max()))
-
-    @property
-    def qualities(self) -> np.ndarray:
-        """4*sqrt(3)*area / sum of squared edge lengths; 1 for equilateral."""
-        l2 = self.sq_lengths[0] + self.sq_lengths[1] + self.sq_lengths[2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = 4.0 * np.sqrt(3.0) * self.areas / l2
-        return np.where(l2 > 0, q, 0.0)
-
-    @property
-    def degenerate(self) -> bool:
-        """Some face area falls below DEGENERATE_AREA_FACTOR * h_max^2.
-        Non-finite geometry compares false and is left to the caller."""
-        return bool((self.areas < DEGENERATE_AREA_FACTOR * self.h_max**2).any())
+    # the pass's scalars, each reduced once; 0.0 and False without faces
+    total_area: float
+    h_min: float  # shortest edge; every edge lies on a face, so exact (h_max likewise)
+    h_max: float
+    quality: float  # smallest 4*sqrt(3)*area / sum of squared edge lengths; 1 is equilateral
+    degenerate: bool  # some area below DEGENERATE_AREA_FACTOR * h_max^2 (non-finite: False)
 
 
 # Row permutations of a corner or edge axis: row k goes to row k + 1 or
@@ -270,10 +249,11 @@ def _sq_norm(u):
 def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
     """Corner positions, areas, normals, corner cotangents and angles,
     squared edge lengths, on the coordinate-major rows FaceGeometry
-    describes.  The corners are gathered once, from a contiguous (3, V) copy
-    of the vertices.  Every value equals, bit for bit, the row-major pass
-    through np.cross, np.linalg.norm(axis=1) and np.einsum that it replaces:
-    _sq_norm and _dot keep those calls' summation orders."""
+    describes, and the scalars reduced from them.  The corners are gathered
+    once, from a contiguous (3, V) copy of the vertices.  Every value equals,
+    bit for bit, the row-major pass through np.cross, np.linalg.norm(axis=1)
+    and np.einsum that it replaces: _sq_norm and _dot keep those calls'
+    summation orders."""
     corners = np.ascontiguousarray(mesh.vertices.T).take(mesh.topology.corner_index, axis=1)
     # edges ab, bc, ca: (3 xyz, 3, F)
     edges = corners[:, _NEXT]
@@ -286,17 +266,29 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
     nrm = _sq_norm(crosses)
     np.sqrt(nrm, out=nrm)
     dot = _dot(edges, back)
+    areas, sq_lengths = 0.5 * nrm[0], _sq_norm(edges)
+    l2 = sq_lengths[0] + sq_lengths[1] + sq_lengths[2]
     with np.errstate(invalid="ignore", divide="ignore"):
         normals = crosses[:, 0] / nrm[0]
         cot = dot / nrm
+        q = np.where(l2 > 0, 4.0 * np.sqrt(3.0) * areas / l2, 0.0)
+    h_min = h_max = quality = 0.0
+    if mesh.num_faces:
+        h_min, h_max = float(np.sqrt(sq_lengths.min())), float(np.sqrt(sq_lengths.max()))
+        quality = float(q.min())
     return FaceGeometry(
         mesh=mesh,
         corners=corners,
-        areas=0.5 * nrm[0],
+        areas=areas,
         normals=normals,
         cot=cot,
         angles=np.arctan2(nrm, dot),
-        sq_lengths=_sq_norm(edges),
+        sq_lengths=sq_lengths,
+        total_area=float(np.sum(areas)),
+        h_min=h_min,
+        h_max=h_max,
+        quality=quality,
+        degenerate=bool((areas < DEGENERATE_AREA_FACTOR * h_max**2).any()),
     )
 
 
@@ -330,16 +322,15 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     chi_f = len(topo.rows) - n_e + mesh.num_faces
     genus = (2 * k - chi_f) // 2 if (is_closed and is_oriented and mesh.num_faces) else -1
     fg = face_geometry(mesh)
-    empty = mesh.num_faces == 0
     return MeshReport(
         is_closed=is_closed,
         is_oriented=is_oriented,
         euler_characteristic=int(chi),
         genus=int(genus),
-        min_face_area=0.0 if empty else float(fg.areas.min()),
-        min_edge_length=0.0 if empty else fg.h_min,
-        max_edge_length=0.0 if empty else fg.h_max,
-        aspect_quality=0.0 if empty else float(fg.qualities.min()),
+        min_face_area=float(fg.areas.min()) if mesh.num_faces else 0.0,
+        min_edge_length=fg.h_min,
+        max_edge_length=fg.h_max,
+        aspect_quality=fg.quality,
     )
 
 

@@ -260,7 +260,7 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         lapH_l2=integrate(curv.lapH**2, mass),
         max_abs_A=float(np.sqrt(curv.A_sq.max())),
         h_min=state.geometry.h_min,
-        quality=float(state.geometry.qualities.min()),
+        quality=state.geometry.quality,
         sphericity=sphericity_of(area, volume),
         li_yau_ok=bool(willmore < EIGHT_PI),
         smallness_ok=bool(tracefree < EIGHT_PI),

@@ -161,6 +161,22 @@ def test_run_quality_floor_exit_3(tmp_path, capsys):
     assert capsys.readouterr().out == summary
 
 
+def test_run_summary_names_an_untriggered_radius(tmp_path, capsys):
+    # eta at t = 0 is 113.128 in r = 0.5 and 51.26 in r = 0.05: only the
+    # first passes eps1 = 60
+    template = QUALITY_FLOOR_CFG + "monitor.radii = 0.5,0.05\nmonitor.eps1 = 60\n"
+    cfg_path, out_dir = run_config(tmp_path, template, "one_untriggered")
+    assert main(["run", str(cfg_path)]) == 3
+    summary = (out_dir / "summary.txt").read_text()
+    assert capsys.readouterr().out == summary
+    assert "stop_reason: quality_floor\nsteps: 1\n" in summary
+    events = [ln for ln in summary.splitlines() if ln.startswith("concentration_event:")]
+    assert len(events) == 2
+    assert events[0].startswith("concentration_event: r=0.5 t_j=0 x_j=(")
+    assert events[0].endswith(" eta=113.128")
+    assert events[1] == "concentration_event: r=0.05 untriggered"
+
+
 def test_run_diverged_exit_4(tmp_path, capsys, third_record_fails):
     cfg_path, out_dir = run_config(tmp_path, SPHERE_CFG, "diverged")
     assert main(["run", str(cfg_path)]) == 4
@@ -183,6 +199,22 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     cfg.write_text("solver.nonsense = 1\n")
     assert main(["run", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("initial.kind\n", "bad config: line 1: expected key = value"),
+        ("initial.kind = mesh\n", "initial.kind = mesh requires initial.path"),
+    ],
+    ids=["no_equals", "mesh_without_path"],
+)
+def test_run_config_error_message_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"sdflow: error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 UTF8_FF = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -400,6 +432,8 @@ def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, ca
     [
         ("vertex.off", b"OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
         ("index.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "face index out of range"),
+        ("no_faces.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n", "OBJ file without triangles"),
+        ("face.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "malformed OBJ face line"),
         (
             "latin1.obj",
             b"v 0 0 0\n\xff\n",
@@ -433,6 +467,51 @@ def test_run_mesh_bad_vertex_exit_2(tmp_path, capsys, case, message):
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"sdflow: error: {mesh_path}: {message}\n"
     assert not out_dir.exists()
+
+
+STEPS_CFG = """
+solver.scheme = explicit
+solver.dt_policy = cfl
+solver.cfl_sigma = 0.005
+solver.max_steps = 4
+solver.snapshot_every = 2
+output.dir = {out}
+"""
+
+
+def run_outputs(tmp_path, capsys, name, initial):
+    """Stdout and every file but config.cfg of a STEPS_CFG run from the
+    given initial.* lines."""
+    cfg_path, out_dir = run_config(tmp_path, initial + STEPS_CFG, name)
+    assert main(["run", str(cfg_path)]) == 0
+    files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir()) if f.name != "config.cfg"}
+    return capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("suffix", ["off", "obj"])
+def test_run_mesh_file_runs_as_its_generator(tmp_path, capsys, suffix):
+    off_path, mesh_path = tmp_path / "p.off", tmp_path / f"p.{suffix}"
+    gen = ["gen", "perturbed_sphere", "--subdiv", "2", "--mode", "2,0,0.1", "-o", str(off_path)]
+    assert main(gen) == 0
+    if suffix == "obj":
+        mesh = load_mesh_path(off_path)
+        mesh_path.write_text(
+            "".join("v %r %r %r\n" % tuple(v) for v in mesh.vertices.tolist())
+            + "".join("f %d %d %d\n" % tuple(f) for f in (mesh.faces + 1).tolist())
+        )
+    capsys.readouterr()
+    generated = run_outputs(
+        tmp_path, capsys, "generated",
+        "initial.kind = perturbed_sphere\ninitial.subdiv = 2\ninitial.modes = 2,0,0.1\n",
+    )
+    loaded = run_outputs(
+        tmp_path, capsys, "loaded", f"initial.kind = mesh\ninitial.path = {mesh_path}\n"
+    )
+    assert sorted(generated[1]) == [
+        "diagnostics.csv", "step_00000000.off", "step_00000002.off", "step_00000004.off",
+        "summary.txt",
+    ]
+    assert loaded == generated
 
 
 def test_run_unwritable_out_exit_2(tmp_path, capsys):
@@ -588,24 +667,39 @@ def test_blowup_nonfinite_frame_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(out_dir)) == before
 
 
-def test_blowup_snapshot_without_csv_row_exit_2(tmp_path, capsys):
+def blowup_step_0_run(tmp_path):
+    """A 3-step icosphere run whose blowup at eps1 = 0 triggers at t = 0:
+    its event needs step 0's record and snapshot."""
     template = (
         "initial.kind = icosphere\ninitial.subdiv = 1\nsolver.scheme = explicit\n"
         "solver.cfl_sigma = 0.005\nsolver.max_steps = 3\nsolver.snapshot_every = 2\n"
         "monitor.radii = 0.5\noutput.dir = {out}\n"
     )
-    cfg_path, out_dir = run_config(tmp_path, template, "lost_row")
+    cfg_path, out_dir = run_config(tmp_path, template, "lost_step_0")
     assert main(["run", str(cfg_path)]) == 0
+    return out_dir
+
+
+def assert_blowup_step_0_fails(out_dir, capsys, message):
+    capsys.readouterr()
+    assert main(["blowup", str(out_dir), "--eps1", "0"]) == 2
+    assert capsys.readouterr() == ("", f"sdflow: error: {message}\n")
+    assert not [name for name in os.listdir(out_dir) if name.startswith("frame_")]
+
+
+def test_blowup_snapshot_without_csv_row_exit_2(tmp_path, capsys):
+    out_dir = blowup_step_0_run(tmp_path)
     csv_path = out_dir / "diagnostics.csv"
     header, step0, *rest = csv_path.read_text().splitlines(keepends=True)
     assert step0.startswith("0,")
     csv_path.write_text(header + "".join(rest))
-    capsys.readouterr()
-    assert main(["blowup", str(out_dir), "--eps1", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "sdflow: error: no diagnostics record for snapshot step 0\n"
-    assert not [name for name in os.listdir(out_dir) if name.startswith("frame_")]
+    assert_blowup_step_0_fails(out_dir, capsys, "no diagnostics record for snapshot step 0")
+
+
+def test_blowup_without_the_event_snapshot_exit_2(tmp_path, capsys):
+    out_dir = blowup_step_0_run(tmp_path)
+    (out_dir / "step_00000000.off").unlink()
+    assert_blowup_step_0_fails(out_dir, capsys, "no snapshot at or before the event")
 
 
 # without_config: not a recorded run but a synthetic directory whose
@@ -772,6 +866,12 @@ def test_analyze_header_only_csv_exit_2(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_analyze_empty_csv_exit_2(tmp_path, capsys):
+    (tmp_path / "diagnostics.csv").write_text("")
+    assert main(["analyze", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "sdflow: error: empty diagnostics CSV\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "blowup"])
 @pytest.mark.parametrize(
     "name, byte, reason",
@@ -808,6 +908,15 @@ def test_analyze_impossible_fit_window_exit_2(tmp_path, capsys, window):
     assert main(["analyze", str(run_dir), "--fit-window", window]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "sdflow: error: fit window must satisfy t1 > t0\n"
+
+
+def test_analyze_fit_window_past_the_run_is_unavailable(tmp_path, capsys):
+    run_dir = synthetic_csv(tmp_path, np.exp(-np.arange(40) * 0.1))
+    assert main(["analyze", str(run_dir), "--fit-window", "5:6"]) == 0
+    assert "decay_fit: unavailable (empty fit window)\n" in capsys.readouterr().out
+    assert main(["analyze", str(run_dir), "--json", "--fit-window", "5:6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["decay_fit"] == {"unavailable": "empty fit window"}
 
 
 @pytest.mark.parametrize("window", ["0.01:0.05", "0:inf"])

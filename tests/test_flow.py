@@ -438,6 +438,25 @@ def test_run_abort_after_rejection_cascade(monkeypatch):
     assert len(traj.records) == 1  # only the initial record
 
 
+@pytest.mark.parametrize("failing, times", [(1, [0.0, 0.001, 0.003]), (3, [0.0])])
+def test_run_retries_a_cg_solve_that_does_not_converge(monkeypatch, failing, times):
+    # a solve that reaches maxiter rejects the step; the run retries at half
+    # the dt, and the third rejection in a row is a divergence
+    calls, real_cg = [], flow.cg
+
+    def first_calls_fail(A, b, x0, *, maxiter, **kwargs):
+        calls.append(None)
+        if len(calls) <= failing:
+            return x0.copy(), maxiter
+        return real_cg(A, b, x0, maxiter=maxiter, **kwargs)
+
+    monkeypatch.setattr(flow, "cg", first_calls_fail)
+    cfg = SolverConfig(scheme=SEMI_IMPLICIT, dt_policy=FIXED, dt=0.002, max_steps=2)
+    traj = run(make_perturbed_sphere(1.0, [(2, 0, 0.2)], subdivisions=2), cfg)
+    assert traj.stop_reason == (DIVERGED if failing == 3 else flow.MAX_STEPS)
+    assert [rec.t for rec in traj.records] == pytest.approx(times, abs=1e-15)
+
+
 def test_run_stops_at_the_quality_floor_before_the_curvature_ceiling():
     # the flattened ellipsoid starts just under QUALITY_MIN (0.019998) and
     # past CURVATURE_SCALE_MAX; at rz = 0.02 or 0.05 only the ceiling trips

@@ -247,7 +247,8 @@ REFERENCE_MESHES = pytest.mark.parametrize(
 def reference_face_geometry(mesh):
     """face_geometry in its row-major form: (3, F, 3) corners and (F, 3)
     normals through np.cross, np.linalg.norm(axis=1), np.einsum and
-    np.sum(e**2, axis=1)."""
+    np.sum(e**2, axis=1), and its scalars with the qualities and the
+    degeneracy test taken one face at a time."""
     corners = mesh.vertices.take(mesh.faces.T, axis=0)
     a, b, c = corners
     ab, bc, ca = b - a, c - b, a - c
@@ -255,13 +256,25 @@ def reference_face_geometry(mesh):
     crosses = [np.cross(u, v) for u, v in pairs]
     nrm = np.array([np.linalg.norm(cr, axis=1) for cr in crosses])
     dot = np.array([np.einsum("ij,ij->i", u, v) for u, v in pairs])
+    areas = 0.5 * nrm[0]
+    sq_lengths = np.array([np.sum(e**2, axis=1) for e in (ab, bc, ca)])
+    h_max = float(np.sqrt(sq_lengths.max()))
+    qualities = [
+        4.0 * math.sqrt(3.0) * a / (s0 + s1 + s2) if s0 + s1 + s2 > 0 else 0.0
+        for a, s0, s1, s2 in zip(areas, *sq_lengths)
+    ]
     return dict(
         corners=corners,
-        areas=0.5 * nrm[0],
+        areas=areas,
         normals=crosses[0] / nrm[0][:, None],
         cot=dot / nrm,
         angles=np.arctan2(nrm, dot),
-        sq_lengths=np.array([np.sum(e**2, axis=1) for e in (ab, bc, ca)]),
+        sq_lengths=sq_lengths,
+        total_area=float(np.sum(areas)),
+        h_min=float(np.sqrt(sq_lengths.min())),
+        h_max=h_max,
+        quality=min(qualities),
+        degenerate=any(a < 1e-12 * h_max**2 for a in areas),
     )
 
 
@@ -313,6 +326,8 @@ def test_face_geometry_matches_row_major_reference_bitwise(mesh_fn):
     assert np.array_equal(fg.normals, ref["normals"].T)
     for name in ("areas", "cot", "angles", "sq_lengths"):
         assert np.array_equal(getattr(fg, name), ref[name]), name
+    for name in ("total_area", "h_min", "h_max", "quality", "degenerate"):
+        assert getattr(fg, name) == ref[name], name
 
 
 @FIELD_MESHES

@@ -357,7 +357,7 @@ def reference_validate(mesh):
         min_face_area=0.0 if empty else float(fg.areas.min()),
         min_edge_length=0.0 if empty else fg.h_min,
         max_edge_length=0.0 if empty else fg.h_max,
-        aspect_quality=0.0 if empty else float(fg.qualities.min()),
+        aspect_quality=0.0 if empty else fg.quality,
     )
 
 
@@ -475,6 +475,13 @@ def test_degenerate_face_detection():
     mesh = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [0, 3, 1]])
     assert face_geometry(mesh).degenerate
     assert not face_geometry(make_icosphere(1.0, 1)).degenerate
+
+
+def test_face_geometry_scalars_without_faces():
+    fg = face_geometry(TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int64)))
+    scalars = (fg.total_area, fg.h_min, fg.h_max, fg.quality, fg.degenerate)
+    assert scalars == (0.0, 0.0, 0.0, 0.0, False)
+    assert [type(x) for x in scalars] == [float] * 4 + [bool]
 
 
 def test_corner_sum_equals_three_add_at_passes():

@@ -1,7 +1,8 @@
 """Command-line front end: gen, run, analyze, blowup.
 
-The `gen` flags and `blowup --radii/--eps1` set run-config values, so they
-go through the config file's parsers and RunConfig's checks.
+The `gen` flags and `blowup --radii/--eps1` set run-config values, which
+RunConfig (and for `gen` the generator) checks.  `--mode` and `--radii` go
+through the config file's parsers; the numeric flags are argparse's.
 
 Exit codes: 0 clean stop, 2 usage, config, initial-data or output error (an
 initial record or a blowup frame that is not finite included), 3
@@ -13,8 +14,6 @@ files, snapshots and blowup frames alike, belong to `runio`.
 
 import argparse
 import json
-import math
-import numbers
 import sys
 from dataclasses import replace
 
@@ -136,18 +135,6 @@ def _fit_window(text: str):
     return t0, t1
 
 
-def _null_if_not_finite(value):
-    """value with every NaN or infinite number, at any depth of its dicts
-    and lists, replaced by None: JSON has no spelling for them but null."""
-    if isinstance(value, dict):
-        return {k: _null_if_not_finite(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_null_if_not_finite(v) for v in value]
-    if isinstance(value, numbers.Real) and not math.isfinite(value):
-        return None
-    return value
-
-
 def cmd_analyze(args) -> int:
     window = _fit_window(args.fit_window)
     trajectory = runio.load_run_records(args.run_dir)
@@ -160,7 +147,8 @@ def cmd_analyze(args) -> int:
         "stop_reason": trajectory.stop_reason,
         **monitors.audit_report(recs, window=window),
     }
-    print(json.dumps(_null_if_not_finite(out), indent=2, default=float))
+    # parse_constant reads json's NaN, Infinity and -Infinity back as null
+    print(json.dumps(json.loads(json.dumps(out), parse_constant=lambda _: None), indent=2))
     return EXIT_OK
 
 

@@ -441,6 +441,9 @@ def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:
         raise MeshError("malformed OFF counts line") from exc
     if nv < 0 or nf < 0:
         raise MeshError("malformed OFF counts line")
+    # nv + nf lines cannot fit in fewer characters; max_rows overflows past a C long
+    if nv + nf > len(text):
+        raise MeshError("truncated OFF file")
     try:
         vertices = _read_block(lines, np.float64, 3, nv)
         if block:
@@ -484,9 +487,11 @@ def loads_obj(text: str) -> TriangleMesh:
         # other record types (vn, vt, mtl, ...) are ignored on import
     if not vertices or not faces:
         raise MeshError("OBJ file without triangles")
-    return TriangleMesh(
-        np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3)
-    )
+    try:
+        faces = np.array(faces, dtype=np.int64)
+    except OverflowError as exc:
+        raise MeshError("face index out of range") from exc
+    return TriangleMesh(np.array(vertices), faces)
 
 
 def _off_parts(mesh: TriangleMesh):

@@ -165,6 +165,16 @@ def test_rescale_frame_requires_snapshot_source(dumbbell_run):
         rescale_frame(dumbbell_run, dataclasses.replace(ev, source_step=missing))
 
 
+def test_rescale_frame_requires_a_snapshot_within_one_interval(sphere_run):
+    event = ConcentrationEvent(
+        r=1.0, triggered=True, t=0.0, center=(0.0, 0.0, 0.0),
+        eta_at_t=0.0, record_step=sphere_run.config.snapshot_every + 1, source_step=0,
+    )
+    with pytest.raises(ValueError) as got:
+        rescale_frame(sphere_run, event)
+    assert str(got.value) == "no snapshot within one snapshot interval of the event"
+
+
 def test_frame_metadata_roundtrip_values(dumbbell_run):
     ev = detect(dumbbell_run, [0.2], EPS1)[0]
     frame = rescale_frame(dumbbell_run, ev)

@@ -83,6 +83,13 @@ def test_gen_subdivision_limit_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_dumbbell_too_coarse_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.off"
+    assert main(["gen", "dumbbell", "--n-phi", "2", "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "sdflow: error: resolution too coarse\n")
+    assert not out.exists()
+
+
 def test_gen_perturbed_and_ellipsoid(tmp_path):
     assert main([
         "gen", "perturbed_sphere", "--radius", "1", "--subdiv", "2",
@@ -206,8 +213,10 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     [
         ("initial.kind\n", "bad config: line 1: expected key = value"),
         ("initial.kind = mesh\n", "initial.kind = mesh requires initial.path"),
+        ("solver.dt_policy = adaptive\n", "bad config: unknown dt policy: adaptive"),
+        ("solver.snapshot_every = 0\n", "bad config: snapshot_every must be >= 1"),
     ],
-    ids=["no_equals", "mesh_without_path"],
+    ids=["no_equals", "mesh_without_path", "dt_policy", "snapshot_every"],
 )
 def test_run_config_error_message_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -432,6 +441,13 @@ def test_run_mesh_not_a_closed_nondegenerate_surface_exit_2(tmp_path, capsys, ca
     [
         ("vertex.off", b"OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
         ("index.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "face index out of range"),
+        # a count or an index beyond int64
+        ("count.off", b"OFF\n99999999999999999999 1 0\n", "truncated OFF file"),
+        (
+            "index.obj",
+            b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+            "face index out of range",
+        ),
         ("no_faces.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n", "OBJ file without triangles"),
         ("face.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "malformed OBJ face line"),
         (
@@ -729,6 +745,22 @@ def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, messag
         assert main(["blowup", str(run_dir)]) == 0
 
 
+def test_blowup_without_any_radius_exit_2(tmp_path, capsys):
+    template = (
+        "initial.kind = icosphere\ninitial.subdiv = 1\nsolver.max_steps = 2\n"
+        "output.dir = {out}\n"
+    )
+    cfg_path, out_dir = run_config(tmp_path, template, "no_radii")
+    assert main(["run", str(cfg_path)]) == 0
+    before = sorted(os.listdir(out_dir))
+    capsys.readouterr()
+    assert main(["blowup", str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", "sdflow: error: no radii given and none recorded in the run config\n"
+    )
+    assert sorted(os.listdir(out_dir)) == before
+
+
 def test_blowup_without_config_exit_2(tmp_path, capsys):
     run_dir = synthetic_csv(tmp_path, [1.0, 0.5])
     assert main(["blowup", str(run_dir), "--radii", "0.5", "--eps1", "0"]) == 2
@@ -902,12 +934,20 @@ def test_analyze_synthetic_exponential_lambda(tmp_path, capsys):
     assert abs(payload["decay_fit"]["lambda"] - 0.7) < 1e-6
 
 
-@pytest.mark.parametrize("window", ["5:1", "nan:1", "1:1"])
-def test_analyze_impossible_fit_window_exit_2(tmp_path, capsys, window):
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("5:1", "fit window must satisfy t1 > t0"),
+        ("nan:1", "fit window must satisfy t1 > t0"),
+        ("1:1", "fit window must satisfy t1 > t0"),
+        ("1:2:3", "fit window must be 'auto' or 't0:t1'"),
+    ],
+    ids=["5:1", "nan:1", "1:1", "1:2:3"],
+)
+def test_analyze_impossible_fit_window_exit_2(tmp_path, capsys, window, message):
     run_dir = synthetic_csv(tmp_path, np.exp(-np.arange(40) * 0.1))
     assert main(["analyze", str(run_dir), "--fit-window", window]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "sdflow: error: fit window must satisfy t1 > t0\n"
+    assert capsys.readouterr() == ("", f"sdflow: error: {message}\n")
 
 
 def test_analyze_fit_window_past_the_run_is_unavailable(tmp_path, capsys):
@@ -980,6 +1020,32 @@ def test_audit_report_is_the_audits_and_analyze_json(tmp_path, capsys, case):
         assert "\naudit_area: fail violations=1 first_violating_step=20\n" in text
     else:
         assert "\naudit_area: pass violations=0\n" in text
+
+
+def test_analyze_json_prints_nonfinite_numbers_as_null(tmp_path, capsys, monkeypatch):
+    run_dir = synthetic_csv(tmp_path, [1.0, 0.5])
+    report = {
+        "nan": math.nan,
+        "inner": {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf, "finite": 0.5},
+        "minus_inf": -math.inf,
+    }
+    monkeypatch.setattr("sdflow.monitors.audit_report", lambda recs, window: report)
+    assert main(["analyze", str(run_dir), "--json"]) == 0
+    assert capsys.readouterr() == (
+        "{\n"
+        '  "records": 2,\n'
+        '  "stop_reason": null,\n'
+        '  "nan": null,\n'
+        '  "inner": {\n'
+        '    "nan": null,\n'
+        '    "inf": null,\n'
+        '    "minus_inf": null,\n'
+        '    "finite": 0.5\n'
+        "  },\n"
+        '  "minus_inf": null\n'
+        "}\n",
+        "",
+    )
 
 
 def test_analyze_and_blowup_garbled_csv_value_exit_2(tmp_path, capsys):

@@ -69,6 +69,13 @@ def test_solver_config_validation():
         SolverConfig(dt=-1.0)
 
 
+@pytest.mark.parametrize("step", [step_explicit, step_semi_implicit])
+def test_step_rejects_a_zero_dt(step):
+    with pytest.raises(ValueError) as got:
+        step(FlowState(make_icosphere(1.0, 1)), 0.0)
+    assert str(got.value) == "dt must be positive"
+
+
 def test_explicit_sphere_near_stationary():
     state = FlowState(make_icosphere(1.0, 4))
     new_state, outcome = step_explicit(state, 1e-6)

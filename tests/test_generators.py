@@ -335,6 +335,12 @@ def test_torus_geometry():
     assert volume == pytest.approx(2 * math.pi**2 * 2.0 * 0.25, rel=0.03)
 
 
+def test_torus_rejects_fewer_than_3_segments():
+    with pytest.raises(ValueError) as got:
+        make_torus(2.0, 0.5, 2, 8)
+    assert str(got.value) == "need at least 3 segments in each direction"
+
+
 def test_ellipsoid_volume():
     mesh = make_ellipsoid(1.0, 2.0, 0.5, subdivisions=4)
     assert validate(mesh).euler_characteristic == 2

@@ -391,6 +391,14 @@ def test_laplacian_rejects_degenerate_faces():
         cotan_laplacian(face_geometry(mesh))
 
 
+def test_vertex_normals_reject_a_pillow():
+    # the two faces of a pillow cancel: every vertex's normal sum is zero
+    mesh = TriangleMesh(np.eye(3), [[0, 1, 2], [0, 2, 1]])
+    with pytest.raises(MeshError) as got:
+        vertex_normals_and_projected_areas(face_geometry(mesh))
+    assert str(got.value) == "vertex with vanishing normal"
+
+
 def sphere_curvature(subdiv, radius=1.0):
     mesh = make_icosphere(radius, subdiv)
     fg = face_geometry(mesh)
@@ -472,6 +480,13 @@ def test_dirichlet_energy_properties():
     assert dirichlet_energy(u, lap) == pytest.approx(
         dirichlet_energy(u + 5.0, lap), abs=1e-12 * max(dirichlet_energy(u, lap), 1)
     )
+
+
+def test_dirichlet_energy_rejects_a_field_of_another_length():
+    lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 1)))
+    with pytest.raises(ValueError) as got:
+        dirichlet_energy(np.zeros(3), lap)
+    assert str(got.value) == "field length must match vertex count"
 
 
 def test_dirichlet_energy_of_H_decreases_under_refinement():

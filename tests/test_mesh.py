@@ -235,7 +235,9 @@ def test_load_obj_with_attribute_indices():
     assert list(mesh.faces[0]) == [0, 1, 2]
 
 
-@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 9"])
+@pytest.mark.parametrize(
+    "face", ["f 0 1 2", "f 1 2 9", "f 1 2 99999999999999999999", "f -99999999999999999999 1 2"]
+)
 def test_load_obj_out_of_range_index(face):
     obj = f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n"
     with pytest.raises(MeshError, match="face index out of range"):
@@ -299,6 +301,12 @@ def test_load_off_malformed_counts():
 def test_repeated_vertex_in_face_rejected():
     with pytest.raises(MeshError, match="repeated"):
         TriangleMesh(np.eye(3), [[0, 1, 1]])
+
+
+def test_faces_not_m_by_3_rejected():
+    with pytest.raises(MeshError) as got:
+        TriangleMesh(np.eye(4)[:, :3], [[0, 1, 2, 3], [0, 2, 3, 1]])
+    assert str(got.value) == "faces must be an (m, 3) array"
 
 
 def test_validate_icosphere():
@@ -633,6 +641,11 @@ def test_loads_off_special_floats_bitwise():
         ("OFF\nthree 1 0\n", "malformed OFF counts line"),
         ("OFF\n3 1 0\n" + TRI, "truncated OFF file"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n3 0 1 2\n", "truncated OFF file"),
+        # truncation is checked before the malformed vertex line is read
+        ("OFF\n3 2 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "truncated OFF file"),
+        # counts beyond a C long, which np.loadtxt's max_rows cannot take
+        ("OFF\n99999999999999999999 1 0\n", "truncated OFF file"),
+        ("OFF\n4 99999999999999999999 0\n" + TRI + "0 0 1\n3 0 1 2\n", "truncated OFF file"),
         ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
         ("OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
         ("OFF\n3 1 0\n0 0 0\n0x1p0 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF vertex line"),
@@ -660,6 +673,9 @@ def test_loads_off_special_floats_bitwise():
         "word_count",
         "missing_face",
         "missing_vertex",
+        "truncated_before_malformed_vertex",
+        "huge_vertex_count",
+        "huge_face_count",
         "short_vertex",
         "word_vertex",
         "hex_vertex",

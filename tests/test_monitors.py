@@ -644,6 +644,27 @@ def test_audit_dissipation_rejects_mixed_dt():
         audit_dissipation(recs, AREA_RATE)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: concentration(FlowState(make_icosphere(1.0, 1)), 0.0), "radius must be positive"),
+        (
+            lambda: audit_monotone(synthetic_records(np.arange(2.0)), "volume"),
+            "unknown audit quantity: volume",
+        ),
+        (
+            lambda: audit_dissipation(synthetic_records(np.arange(10.0)), "volume"),
+            "unknown dissipation audit: volume",
+        ),
+    ],
+    ids=["concentration_radius_zero", "audit_monotone_volume", "audit_dissipation_volume"],
+)
+def test_monitors_reject_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
 def test_fit_decay_exact_exponential():
     ts = np.linspace(0.0, 10.0, 200)
     recs = synthetic_records(ts, tracefree=np.exp(-2 * 0.7 * ts))

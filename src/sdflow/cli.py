@@ -14,18 +14,27 @@ files, snapshots and blowup frames alike, belong to `runio`.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
 from .mesh import MeshError, save_off, validate
-from .monitors import AREA_RATE, TRACEFREE_RATE
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULARITY = 3
 EXIT_DIVERGED = 4
+
+# an audit line's fields after pass or fail, in order, each with its format;
+# a line prints the ones its audit's dict holds
+_AUDIT_FIELDS = (
+    ("median_rel_error", ".6g"),
+    ("violations", ""),
+    ("best_constant", ".6g"),
+    ("first_violating_step", ""),
+)
 
 
 def cmd_gen(args) -> int:
@@ -69,16 +78,8 @@ def _record_lines(trajectory: flow.Trajectory, window=None) -> list:
         if "unavailable" in audit:
             lines.append(f"audit_{name}: unavailable ({audit['unavailable']})")
             continue
-        line = f"audit_{name}: {'pass' if audit['passed'] else 'fail'}"
-        if name == AREA_RATE:
-            line += f" median_rel_error={audit['median_rel_error']:.6g}"
-        else:
-            line += f" violations={audit['violations']}"
-        if name == TRACEFREE_RATE:
-            line += f" best_constant={audit['best_constant']:.6g}"
-        if "first_violating_step" in audit:
-            line += f" first_violating_step={audit['first_violating_step']}"
-        lines.append(line)
+        fields = "".join(f" {k}={audit[k]:{spec}}" for k, spec in _AUDIT_FIELDS if k in audit)
+        lines.append(f"audit_{name}: {'pass' if audit['passed'] else 'fail'}{fields}")
     fit = report["decay_fit"]
     if "unavailable" in fit:
         lines.append(f"decay_fit: unavailable ({fit['unavailable']})")
@@ -153,11 +154,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    trajectory = runio.load_run_dir(args.run_dir)
     overrides = {"monitor_radii": runio.parse_radii(args.radii)} if args.radii else {}
     if args.eps1 is not None:
         overrides["eps1"] = args.eps1
-    # the flags pass the same checks as the config values they override
+    # the flags pass the checks of the config values they override before a
+    # run directory's earlier frames go, so a blowup that fails leaves none
+    runio.RunConfig(**overrides)
+    if os.path.isfile(os.path.join(args.run_dir, runio.CSV_NAME)):
+        runio.write_frames(args.run_dir, [])
+    trajectory = runio.load_run_dir(args.run_dir)
     cfg = replace(trajectory.config, **overrides)
     if not cfg.monitor_radii:
         raise runio.ConfigError("no radii given and none recorded in the run config")

@@ -360,6 +360,7 @@ def _content_lines(lines):
 
 
 _OFF_INT = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
 def _read_block(lines, dtype, ncols: int, nrows: int) -> np.ndarray:
@@ -384,7 +385,8 @@ def _body_error(text: str, nv: int, nf: int) -> MeshError:
     counts line is truncated; otherwise the vertex block is malformed if it
     fails alone; otherwise the first bad face line decides: a token among
     its first four that is no integer makes it malformed; fewer than four
-    integers, or a count other than 3, a non-triangle face."""
+    integers, or a count other than 3, a non-triangle face.  With no such
+    line, an index beyond int64 is out of range."""
     body = list(_content_lines(text.splitlines()))[2:]
     if len(body) < nv + nf:
         return MeshError("truncated OFF file")
@@ -392,13 +394,15 @@ def _body_error(text: str, nv: int, nf: int) -> MeshError:
         _read_block(body[:nv], np.float64, 3, nv)
     except ValueError:
         return MeshError("malformed OFF vertex line")
+    beyond_int64 = False
     for line in body[nv : nv + nf]:
         toks = line.split()[:4]
         if not all(_OFF_INT.fullmatch(t) for t in toks):
-            break
+            return MeshError("malformed OFF face line")
         if len(toks) < 4 or int(toks[0]) != 3:
             return MeshError("non-triangle face")
-    return MeshError("malformed OFF face line")
+        beyond_int64 |= any(not _INT64.min <= int(t) <= _INT64.max for t in toks[1:])
+    return MeshError("face index out of range" if beyond_int64 else "malformed OFF face line")
 
 
 def loads_off(text: str, like: TriangleMesh | None = None) -> TriangleMesh:

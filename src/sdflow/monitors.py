@@ -310,14 +310,30 @@ def audit_monotone(records, quantity: str) -> dict:
 _RATE_FLOOR = 1e-10
 
 
+def _rate_steps(records, quantity: str, integral: str, weight: float, floor):
+    """Each step between consecutive records that is not vacuous, as (rate,
+    integral, floor rate): the rate (q_after - q_before) / dt of `quantity`,
+    the `integral` field at the earlier record, and the vacuity floor,
+    floor(earlier record), over dt.  A step is vacuous when neither
+    |rate| dt nor weight * integral * dt reaches the floor (stationary
+    states are all noise)."""
+    for before, after in zip(records, records[1:]):
+        dt = after.t - before.t
+        rate = (getattr(after, quantity) - getattr(before, quantity)) / dt
+        rhs = getattr(before, integral)
+        step_floor = floor(before)
+        if abs(rate) * dt < step_floor and weight * rhs * dt < step_floor:
+            continue
+        yield rate, rhs, step_floor / dt
+
+
 def audit_dissipation(records, which: str) -> dict:
-    """AREA_RATE checks dArea/dt against -int |grad H|^2; TRACEFREE_RATE
-    checks dE/dt <= -(1/8) int |lap H|^2.  Both return {passed,
-    median_rel_error, violations, best_constant, samples}: the median
-    relative error of the AREA_RATE balance (nan for TRACEFREE_RATE), the
-    TRACEFREE_RATE steps that break the bound (0 for AREA_RATE), the
-    largest c with dE/dt <= -c int |lap H|^2 (nan for AREA_RATE), and the
-    number of steps that were not vacuous."""
+    """AREA_RATE checks dArea/dt against -int |grad H|^2: {passed,
+    median_rel_error, samples}.  TRACEFREE_RATE checks dE/dt <= -(1/8)
+    int |lap H|^2: {passed, violations, best_constant, samples}, the steps
+    that break the bound and the largest c with dE/dt <= -c int |lap H|^2
+    (nan when no step was sampled).  samples counts the steps that were
+    not vacuous.  The records need comparable, increasing times."""
     records = list(records)
     if len(records) < 10:
         raise ValueError("need a window of at least 10 records")
@@ -326,48 +342,23 @@ def audit_dissipation(records, which: str) -> dict:
     dts = np.diff([r.t for r in records])
     if dts.max() - dts.min() > 0.25 * dts.max():
         raise ValueError("nonuniform dt window")
+    if not (dts > 0).all():
+        raise ValueError("record times must increase")
     if which == AREA_RATE:
-        errs = []
-        for before, after in zip(records, records[1:]):
-            dt = after.t - before.t
-            lhs = (after.area - before.area) / dt
-            rhs = before.gradH_l2
-            # vacuous when neither side would change the area measurably
-            # over one step (stationary states are all noise)
-            floor = _RATE_FLOOR * before.area
-            if abs(lhs) * dt < floor and rhs * dt < floor:
-                continue
-            errs.append(abs(lhs + rhs) / max(rhs, _RATE_FLOOR))
+        steps = _rate_steps(records, AREA, "gradH_l2", 1.0, lambda r: _RATE_FLOOR * r.area)
+        errs = [abs(rate + rhs) / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps]
         med = float(np.median(errs)) if errs else 0.0
-        return {
-            "passed": med < 0.15,
-            "median_rel_error": med,
-            "violations": 0,
-            "best_constant": math.nan,
-            "samples": len(errs),
-        }
+        return {"passed": med < 0.15, "median_rel_error": med, "samples": len(errs)}
     if which == TRACEFREE_RATE:
-        violations = 0
-        best = math.inf
-        samples = 0
-        scale = max(records[0].tracefree_l2, 1.0)
-        for before, after in zip(records, records[1:]):
-            dt = after.t - before.t
-            lhs = (after.tracefree_l2 - before.tracefree_l2) / dt
-            rhs = before.lapH_l2
-            floor = _RATE_FLOOR * scale
-            if abs(lhs) * dt < floor and 0.125 * rhs * dt < floor:
-                continue
-            samples += 1
-            best = min(best, -lhs / max(rhs, _RATE_FLOOR))
-            if lhs > -0.125 * rhs + floor / dt:
-                violations += 1
+        floor = _RATE_FLOOR * max(records[0].tracefree_l2, 1.0)
+        steps = list(_rate_steps(records, TRACEFREE_L2, "lapH_l2", 0.125, lambda r: floor))
+        violations = sum(rate > -0.125 * rhs + floor_rate for rate, rhs, floor_rate in steps)
+        best = min((-rate / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps), default=math.inf)
         return {
             "passed": violations == 0,
-            "median_rel_error": math.nan,
             "violations": violations,
-            "best_constant": float(best) if np.isfinite(best) else math.nan,
-            "samples": samples,
+            "best_constant": float(best) if math.isfinite(best) else math.nan,
+            "samples": len(steps),
         }
     raise ValueError(f"unknown dissipation audit: {which}")
 

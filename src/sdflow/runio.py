@@ -311,7 +311,8 @@ def write_diagnostics_csv(records, path) -> None:
 
 
 def read_diagnostics_csv(path) -> list:
-    """The records of a diagnostics CSV, eta read from its eta_r<i> columns."""
+    """The records of a diagnostics CSV, eta read from its eta_r<i> columns;
+    each record's area and volume must be positive."""
     text = _read_text(path, "ascii")
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -333,6 +334,9 @@ def read_diagnostics_csv(path) -> list:
             eta = tuple(map(float, toks[len(CSV_FIXED_COLUMNS) :]))
         except ValueError as exc:
             raise ConfigError(f"diagnostics CSV line {lineno}: {exc}") from exc
+        # monitors.diagnostics records neither: the run stops first
+        if not (values["area"] > 0 and values["volume"] > 0):
+            raise ConfigError(f"diagnostics CSV line {lineno}: area and volume must be positive")
         records.append(DiagnosticsRecord(**values, eta=eta))
     return records
 

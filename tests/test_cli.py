@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DUMBBELL_CFG, EXPERIMENTS, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
-from sdflow.cli import main
+from sdflow.cli import _record_lines, main
 from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
 from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
 from sdflow.monitors import (
@@ -25,7 +25,12 @@ from sdflow.monitors import (
     audit_report,
     fit_decay,
 )
-from sdflow.runio import load_run_dir, read_diagnostics_csv, write_diagnostics_csv
+from sdflow.runio import (
+    load_run_dir,
+    load_run_records,
+    read_diagnostics_csv,
+    write_diagnostics_csv,
+)
 
 
 def test_gen_icosphere(tmp_path, capsys):
@@ -1058,3 +1063,127 @@ def test_analyze_and_blowup_garbled_csv_value_exit_2(tmp_path, capsys):
     for command in ("analyze", "blowup"):
         assert main([command, str(run_dir)]) == 2
         assert "diagnostics CSV line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["area", "volume"])
+def test_analyze_csv_row_without_positive_area_or_volume_exit_2(tmp_path, capsys, field):
+    run_dir = synthetic_csv(tmp_path, [1.0, 0.5, 0.25])
+    path = run_dir / "diagnostics.csv"
+    header, *rows = path.read_text().splitlines()
+    column = header.split(",").index(field)
+    cells = rows[0].split(",")
+    cells[column] = "0"
+    path.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
+    assert main(["analyze", str(run_dir)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "sdflow: error: diagnostics CSV line 2: area and volume must be positive\n",
+    )
+
+
+def test_analyze_records_at_one_time_exit_0(tmp_path, capsys):
+    run_dir = synthetic_csv(tmp_path, np.ones(25), dt=0.0)
+    assert main(["analyze", str(run_dir)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "audit_area_rate: unavailable (record times must increase)" in out
+    assert "audit_tracefree_rate: unavailable (record times must increase)" in out
+
+
+# one audit dict of each kind that audit_report collects, for every audit
+# name, and the audit lines that _record_lines prints for them
+RECORD_LINE_CASES = {
+    "pass": (
+        {"passed": True, "violations": 0, "max_violation": 0.0},
+        {"passed": True, "median_rel_error": 0.0022727249, "samples": 30},
+        {"passed": True, "violations": 0, "best_constant": 0.96435912, "samples": 30},
+        [
+            "audit_area: pass violations=0",
+            "audit_tracefree_l2: pass violations=0",
+            "audit_willmore: pass violations=0",
+            "audit_area_rate: pass median_rel_error=0.00227272",
+            "audit_tracefree_rate: pass violations=0 best_constant=0.964359",
+        ],
+    ),
+    "violating": (
+        {"passed": False, "violations": 2, "max_violation": 0.5, "first_violating_step": 7},
+        {"passed": False, "median_rel_error": 0.86734712, "samples": 85},
+        {"passed": False, "violations": 85, "best_constant": -0.0, "samples": 85},
+        [
+            "audit_area: fail violations=2 first_violating_step=7",
+            "audit_tracefree_l2: fail violations=2 first_violating_step=7",
+            "audit_willmore: fail violations=2 first_violating_step=7",
+            "audit_area_rate: fail median_rel_error=0.867347",
+            "audit_tracefree_rate: fail violations=85 best_constant=-0",
+        ],
+    ),
+    "unavailable": (
+        {"unavailable": "need at least two records"},
+        {"unavailable": "record times must increase"},
+        {"unavailable": "nonuniform dt window"},
+        [
+            "audit_area: unavailable (need at least two records)",
+            "audit_tracefree_l2: unavailable (need at least two records)",
+            "audit_willmore: unavailable (need at least two records)",
+            "audit_area_rate: unavailable (record times must increase)",
+            "audit_tracefree_rate: unavailable (nonuniform dt window)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_LINE_CASES))
+def test_record_lines_print_each_audit_field_its_dict_holds(tmp_path, monkeypatch, case):
+    monotone, area_rate, tracefree_rate, audit_lines = RECORD_LINE_CASES[case]
+    report = {
+        "monotonicity": {q: monotone for q in (AREA, TRACEFREE_L2, WILLMORE)},
+        "dissipation": {AREA_RATE: area_rate, TRACEFREE_RATE: tracefree_rate},
+        "decay_fit": {"unavailable": "no post-transient tail: energy never halved"},
+    }
+    monkeypatch.setattr("sdflow.monitors.audit_report", lambda recs, window: report)
+    trajectory = load_run_records(synthetic_csv(tmp_path, [1.0, 0.5, 0.25]))
+    assert _record_lines(trajectory) == [
+        "stop_reason: None",
+        "steps: 2",
+        "t_final: 0.10000000000000001",
+        "area_initial: 10",
+        "area_final: 10",
+        "area_drift_rel: 0.000000e+00",
+        "volume_drift_rel: 0.000000e+00",
+        "tracefree_initial: 1",
+        "tracefree_final: 0.25",
+        "sphericity_final: 0.999",
+        "li_yau_ok_all: True",
+        "smallness_ok_all: True",
+        *audit_lines,
+        "decay_fit: unavailable (no post-transient tail: energy never halved)",
+    ]
+
+
+@pytest.mark.parametrize("failure", ["unreadable_snapshot", "missing_config"])
+def test_failed_blowup_leaves_no_earlier_frames(dumbbell_cli_run, tmp_path, capsys, failure):
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    assert main(["blowup", str(run_dir), "--eps1", "0"]) == 0
+    assert len(list(run_dir.glob("frame_*.off"))) == len(list(run_dir.glob("frame_*.meta"))) == 3
+    if failure == "unreadable_snapshot":
+        last = sorted(run_dir.glob("step_*.off"))[-1]
+        last.write_text("OFF\n99999999999999999999 1 0\n")
+        message = f"{last}: truncated OFF file"
+    else:
+        (run_dir / "config.cfg").unlink()
+        message = f"missing config.cfg in {run_dir}: it holds the monitor radii"
+    capsys.readouterr()
+    assert main(["blowup", str(run_dir), "--eps1", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"sdflow: error: {message}")
+    assert not list(run_dir.glob("frame_*"))
+
+
+def test_blowup_leaves_a_directory_without_a_csv_as_it_is(dumbbell_cli_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumbbell_cli_run[1], run_dir)
+    assert main(["blowup", str(run_dir), "--eps1", "0"]) == 0
+    (run_dir / "diagnostics.csv").unlink()
+    before = sorted(os.listdir(run_dir))
+    assert main(["blowup", str(run_dir), "--eps1", "0"]) == 2
+    assert f"missing diagnostics.csv in {run_dir}" in capsys.readouterr().err
+    assert sorted(os.listdir(run_dir)) == before

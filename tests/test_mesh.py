@@ -545,7 +545,11 @@ def reference_loads_off(text):
         if k != 3 or len(idx) != 3:
             raise MeshError("non-triangle face")
         faces.append(idx)
-    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    try:
+        faces = np.array(faces, dtype=np.int64)
+    except OverflowError as exc:
+        raise MeshError("face index out of range") from exc
+    return TriangleMesh(vertices, faces.reshape(-1, 3))
 
 
 def assert_same_mesh_bits(got, want):
@@ -662,6 +666,13 @@ def test_loads_off_special_floats_bitwise():
         ("OFF\n3 2 0\n" + TRI + "3 0 1 x\n3 0 1\n", "malformed OFF face line"),
         ("OFF\n3 1 0\n" + TRI + "3 0 1 3\n", "face index out of range"),
         ("OFF\n3 1 0\n" + TRI + "3 0 -1 2\n", "face index out of range"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 99999999999999999999\n", "face index out of range"),
+        ("OFF\n3 1 0\n" + TRI + "3 0 1 -99999999999999999999\n", "face index out of range"),
+        # the per-line reader reads every line before it converts the indices
+        (
+            "OFF\n3 2 0\n" + TRI + "3 0 1 99999999999999999999\n3 0 1 x\n",
+            "malformed OFF face line",
+        ),
     ],
     ids=[
         "empty",
@@ -692,6 +703,9 @@ def test_loads_off_special_floats_bitwise():
         "malformed_before_short",
         "index_too_large",
         "negative_index",
+        "index_beyond_int64",
+        "negative_index_beyond_int64",
+        "index_beyond_int64_before_malformed",
     ],
 )
 def test_loads_off_malformed_messages(text, message):

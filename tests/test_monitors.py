@@ -644,6 +644,28 @@ def test_audit_dissipation_rejects_mixed_dt():
         audit_dissipation(recs, AREA_RATE)
 
 
+def test_audit_dissipation_returns_only_what_it_measured():
+    ts = np.linspace(0.0, 1.0, 20)
+    recs = synthetic_records(ts, areas=10.0 * np.exp(-ts), tracefree=np.exp(-ts), laph=[1.0] * 20)
+    assert list(audit_dissipation(recs, AREA_RATE)) == ["passed", "median_rel_error", "samples"]
+    assert list(audit_dissipation(recs, TRACEFREE_RATE)) == [
+        "passed",
+        "violations",
+        "best_constant",
+        "samples",
+    ]
+
+
+def test_audit_dissipation_without_a_sample():
+    # constant quantities and zero integrals: every step is vacuous
+    recs = synthetic_records(np.linspace(0.0, 1.0, 20))
+    area = audit_dissipation(recs, AREA_RATE)
+    assert area == {"passed": True, "median_rel_error": 0.0, "samples": 0}
+    tracefree = audit_dissipation(recs, TRACEFREE_RATE)
+    assert math.isnan(tracefree.pop("best_constant"))
+    assert tracefree == {"passed": True, "violations": 0, "samples": 0}
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -656,8 +678,23 @@ def test_audit_dissipation_rejects_mixed_dt():
             lambda: audit_dissipation(synthetic_records(np.arange(10.0)), "volume"),
             "unknown dissipation audit: volume",
         ),
+        # every dt 0, a uniform window, where each rate would divide by 0
+        (
+            lambda: audit_dissipation(synthetic_records(np.full(12, 0.5)), AREA_RATE),
+            "record times must increase",
+        ),
+        (
+            lambda: audit_dissipation(synthetic_records(np.full(12, 0.5)), TRACEFREE_RATE),
+            "record times must increase",
+        ),
     ],
-    ids=["concentration_radius_zero", "audit_monotone_volume", "audit_dissipation_volume"],
+    ids=[
+        "concentration_radius_zero",
+        "audit_monotone_volume",
+        "audit_dissipation_volume",
+        "area_rate_at_one_time",
+        "tracefree_rate_at_one_time",
+    ],
 )
 def test_monitors_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError) as got:

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import blowup as blowup_mod
 from . import flow, monitors, runio
-from .mesh import MeshError, save_off, validate
+from .mesh import MeshError, is_obj_path, save_off, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,6 +38,9 @@ _AUDIT_FIELDS = (
 
 
 def cmd_gen(args) -> int:
+    # gen writes OFF, which a name that reads as OBJ could not load back
+    if is_obj_path(args.output):
+        raise MeshError(f"{args.output}: gen writes OFF; an .obj name is read as OBJ")
     # only the flags given, each stored under its RunConfig field; RunConfig
     # holds every default
     fields = {

@@ -12,6 +12,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from . import g17
+
 # Scale-free degeneracy guard: a face is degenerate when its area falls
 # below this factor times the squared longest edge of the mesh.
 DEGENERATE_AREA_FACTOR = 1e-12
@@ -499,14 +501,16 @@ def loads_obj(text: str) -> TriangleMesh:
 
 
 def _off_parts(mesh: TriangleMesh):
-    """OFF text in three parts: the header with the counts line, the
-    vertex block at 17 significant digits, and the topology's face block."""
-    nv = mesh.num_vertices
-    return (
-        f"OFF\n{nv} {mesh.num_faces} 0\n",
-        ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist()),
-        mesh.topology.off_faces,
-    )
+    """OFF text in parts, one at a time: the header with the counts line,
+    the vertex block chunk by chunk, and the topology's face block.
+
+    The vertex block is the lines "%.17g %.17g %.17g\n", byte for byte what
+    Python's % writes, so a snapshot reads back bit for bit; g17.lines
+    writes them with numpy.
+    """
+    yield f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n"
+    yield from g17.lines(mesh.vertices)
+    yield mesh.topology.off_faces
 
 
 def dumps_off(mesh: TriangleMesh) -> str:
@@ -514,20 +518,26 @@ def dumps_off(mesh: TriangleMesh) -> str:
 
 
 def save_off(mesh: TriangleMesh, path) -> None:
+    """Write `mesh` as OFF text (_off_parts): the counts line, one vertex
+    per line at %.17g, written chunk by chunk, and the cached face block."""
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(_off_parts(mesh))
 
 
+def is_obj_path(path) -> bool:
+    """Whether load_mesh_path reads `path` as OBJ: its name ends in .obj,
+    in any case."""
+    return str(path).lower().endswith(".obj")
+
+
 def load_mesh_path(path, like: TriangleMesh | None = None) -> TriangleMesh:
-    """Read a UTF-8 mesh file: OBJ if its name ends in .obj (any case),
-    else OFF, with loads_off's `like`.  A reader error names the file:
-    `<path>: <reason>`."""
+    """Read a UTF-8 mesh file: OBJ if is_obj_path, else OFF, with loads_off's
+    `like`.  A reader error names the file: `<path>: <reason>`."""
     path = str(path)
-    is_obj = path.lower().endswith(".obj")
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
-        return loads_obj(text) if is_obj else loads_off(text, like)
+        return loads_obj(text) if is_obj_path(path) else loads_off(text, like)
     except (MeshError, UnicodeDecodeError) as exc:
         raise MeshError(f"{path}: {exc}") from exc

@@ -327,6 +327,13 @@ def _rate_steps(records, quantity: str, integral: str, weight: float, floor):
         yield rate, rhs, step_floor / dt
 
 
+def _require_increasing_times(dts) -> None:
+    """The rule of every rate and fit over records: the steps between their
+    times must all be positive."""
+    if not (dts > 0).all():
+        raise ValueError("record times must increase")
+
+
 def audit_dissipation(records, which: str) -> dict:
     """AREA_RATE checks dArea/dt against -int |grad H|^2: {passed,
     median_rel_error, samples}.  TRACEFREE_RATE checks dE/dt <= -(1/8)
@@ -342,8 +349,7 @@ def audit_dissipation(records, which: str) -> dict:
     dts = np.diff([r.t for r in records])
     if dts.max() - dts.min() > 0.25 * dts.max():
         raise ValueError("nonuniform dt window")
-    if not (dts > 0).all():
-        raise ValueError("record times must increase")
+    _require_increasing_times(dts)
     if which == AREA_RATE:
         steps = _rate_steps(records, AREA, "gradH_l2", 1.0, lambda r: _RATE_FLOOR * r.area)
         errs = [abs(rate + rhs) / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps]
@@ -372,7 +378,8 @@ def fit_decay(records, window=None) -> dict:
     value (post-transient tail) and ends where it last exceeds 1/32 of the
     initial value, keeping the fit above the discrete floor; both bounds are
     relative, so the window commutes with parabolic rescaling.  Pass an
-    explicit (t0, t1) to override.
+    explicit (t0, t1) to override.  The window's record times must
+    increase.
     """
     records = list(records)
     ts = np.array([r.t for r in records])
@@ -393,6 +400,7 @@ def fit_decay(records, window=None) -> dict:
         raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples in the window")
     if (es <= 0).any():
         raise ValueError("nonpositive energy in fit window")
+    _require_increasing_times(np.diff(ts))
     y = np.log(es)
     slope, intercept = np.polyfit(ts, y, 1)
     resid = y - (slope * ts + intercept)

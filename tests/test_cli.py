@@ -26,6 +26,7 @@ from sdflow.monitors import (
     fit_decay,
 )
 from sdflow.runio import (
+    RunConfig,
     load_run_dir,
     load_run_records,
     read_diagnostics_csv,
@@ -120,6 +121,20 @@ def test_gen_unwritable_output_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sdflow: error:") and str(out) in captured.err
+
+
+# gen writes OFF, so it refuses a name that load_mesh_path reads as OBJ,
+# before it builds the mesh
+@pytest.mark.parametrize("name", ["x.obj", "X.OBJ", "m.Obj"])
+def test_gen_obj_name_exit_2(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(RunConfig, "build_initial", lambda self: pytest.fail("built"))
+    out = tmp_path / name
+    assert main(["gen", "icosphere", "--subdiv", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"sdflow: error: {out}: gen writes OFF; an .obj name is read as OBJ\n",
+    )
+    assert not out.exists()
 
 
 def run_config(tmp_path, template, name):
@@ -1087,6 +1102,16 @@ def test_analyze_records_at_one_time_exit_0(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "audit_area_rate: unavailable (record times must increase)" in out
     assert "audit_tracefree_rate: unavailable (record times must increase)" in out
+
+
+# the fit is refused before np.polyfit, whose LAPACK call would print to the
+# process's stderr (capfd reads the file descriptors)
+def test_analyze_fit_over_records_at_one_time_exit_0(tmp_path, capfd):
+    run_dir = synthetic_csv(tmp_path, np.exp(-0.2 * np.arange(40)), dt=0.0)
+    assert main(["analyze", str(run_dir)]) == 0
+    out, err = capfd.readouterr()
+    assert "decay_fit: unavailable (record times must increase)" in out.splitlines()
+    assert err == ""
 
 
 # one audit dict of each kind that audit_report collects, for every audit

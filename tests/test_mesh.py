@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+import sdflow.g17 as g17_module
 import sdflow.mesh as mesh_module
 from sdflow.cli import main
 from sdflow.generators import (
@@ -119,6 +124,111 @@ def test_dumps_off_and_save_off_match_the_reference_writer(name, tmp_path):
     # save_off writes the face block dumps_off cached on the topology
     save_off(mesh, tmp_path / "m.off")
     assert (tmp_path / "m.off").read_bytes() == want.encode("ascii")
+
+
+def vertex_block_mesh(values):
+    """A mesh without faces whose coordinates are `values` in order, padded
+    with 0.5 to whole vertices."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.concatenate([v, np.full(-len(v) % 3, 0.5)])
+    return TriangleMesh(v.reshape(-1, 3), np.empty((0, 3), np.int64))
+
+
+def assert_writes_the_reference(values):
+    """dumps_off of vertex_block_mesh(values) is the reference writer's text;
+    returns its coordinates as written.  A failure names the first line that
+    differs (pytest's own diff of two long texts would take minutes)."""
+    mesh = vertex_block_mesh(values)
+    text, want = dumps_off(mesh), reference_dumps_off(mesh)
+    same = text == want
+    if not same:
+        line = next(
+            (g, w) for g, w in zip(text.splitlines(), want.splitlines()) if g != w
+        )
+    assert same, f"first line that differs, written and reference: {line}"
+    return text.split("\n", 2)[2].split()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(width=64), max_size=30))
+@example([5e-324, -5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308])
+@example([1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+@example([0.0, -0.0, 1e-268, 1e268, 9.9999999999999997e-269, 9.9999999999999997e267])
+def test_off_vertex_block_of_any_float_is_the_reference(values):
+    assert_writes_the_reference(values)
+
+
+# %.17g at the writer's edges: the decade and format switches, ties (half to
+# even), integers near 2**53 and values that round up into the next decade
+G17_TABLE = [
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (100.0, "100"),
+    (-2.5, "-2.5"),
+    (123.456, "123.456"),
+    (0.1, "0.10000000000000001"),
+    (0.3, "0.29999999999999999"),
+    (4.35, "4.3499999999999996"),
+    (1000000000000000.5, "1000000000000000.5"),
+    (1234567890123456.75, "1234567890123456.8"),  # tie, up to even
+    (1234567890123456.25, "1234567890123456.2"),  # tie, down to even
+    (9007199254740991.0, "9007199254740991"),  # 2**53 - 1
+    (9007199254740992.0, "9007199254740992"),
+    (9007199254740994.0, "9007199254740994"),
+    (1e16, "10000000000000000"),
+    (12345678901234568.0, "12345678901234568"),  # k = 16: every digit whole
+    (18014398509481984.0, "18014398509481984"),  # 2**54
+    (9.9999999999999984e16, "99999999999999984"),
+    (1e17, "1e+17"),
+    (1.2345678901234568e17, "1.2345678901234568e+17"),  # k = 17: exponent
+    (0.0001, "0.0001"),  # k = -4: still fixed
+    (0.00012345, "0.00012344999999999999"),
+    (1e-05, "1.0000000000000001e-05"),  # k = -5: exponent
+    (1.2345e-05, "1.2345e-05"),
+    (1e-14, "1e-14"),  # below 1e-14, rounds up into its decade
+    (1e98, "1e+98"),  # below 1e98, the same
+    (1e22, "1e+22"),
+    (1e23, "9.9999999999999992e+22"),
+    (1e-300, "1e-300"),
+    (5e-324, "4.9406564584124654e-324"),
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (math.nan, "nan"),
+]
+
+
+def test_off_vertex_block_at_the_writers_edges():
+    values, want = zip(*G17_TABLE)
+    assert assert_writes_the_reference(values)[: len(want)] == list(want)
+    # every power of ten in float64 and its neighbours one ulp away
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    around = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    assert_writes_the_reference(np.concatenate([around, -around]))
+
+
+def test_off_vertex_block_of_random_bit_patterns():
+    bits = np.random.default_rng(35).integers(0, 2**64, 3 * 300_000, dtype=np.uint64)
+    assert_writes_the_reference(bits.view(np.float64))
+
+
+def test_off_vertex_block_of_an_empty_mesh():
+    mesh = TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int64))
+    assert dumps_off(mesh) == reference_dumps_off(mesh) == "OFF\n0 0 0\n"
+
+
+# the numpy pass leaves only a non-finite value, a magnitude outside its
+# exponent table or a near-tie to Python's %, one value at a time
+def test_off_vertex_block_formats_only_the_undecided_values_alone(monkeypatch):
+    alone = []
+    exact = g17_module._exact
+    monkeypatch.setattr(g17_module, "_exact", lambda v: alone.append(v) or exact(v))
+    undecided = [math.nan, math.inf, -math.inf, 1234567890123456.75, 5e-324, 1e-300, 1e300]
+    decided = [0.0, -0.0, 1e-14, 1e98, 0.1, 1e16, 1e17, 1e-05, 123.456, -1e-268]
+    coords = perturbed_codec_mesh().vertices.ravel().tolist()
+    assert_writes_the_reference(decided + undecided + coords)
+    assert [repr(v) for v in alone] == [repr(v) for v in undecided]
 
 
 @pytest.mark.parametrize("name", list(CODEC_MESHES))

@@ -687,6 +687,11 @@ def test_audit_dissipation_without_a_sample():
             lambda: audit_dissipation(synthetic_records(np.full(12, 0.5)), TRACEFREE_RATE),
             "record times must increase",
         ),
+        # a halving energy at one time: np.polyfit would fail in LAPACK
+        (
+            lambda: fit_decay(synthetic_records(np.zeros(40), tracefree=np.exp(-0.2 * np.arange(40)))),
+            "record times must increase",
+        ),
     ],
     ids=[
         "concentration_radius_zero",
@@ -694,6 +699,7 @@ def test_audit_dissipation_without_a_sample():
         "audit_dissipation_volume",
         "area_rate_at_one_time",
         "tracefree_rate_at_one_time",
+        "fit_decay_at_one_time",
     ],
 )
 def test_monitors_reject_a_bad_argument(call, message):

@@ -9,8 +9,8 @@ import sdflow  # first, so SDFLOW_THREADS caps the pools numpy starts on import
 import numpy as np
 from sdflow.flow import FlowState
 from sdflow.generators import make_icosphere
-from sdflow.geometry import dirichlet_energy, integrate
-from sdflow.monitors import stationarity_residual
+from sdflow.geometry import integrate
+from sdflow.monitors import diagnostics
 
 
 def main():
@@ -25,17 +25,17 @@ def main():
     for s in range(args.min_subdiv, args.max_subdiv + 1):
         mesh = make_icosphere(args.radius, s)
         state = FlowState(mesh)
-        mass, lap, cf = state.mass, state.lap, state.curvature
-        gb = abs(integrate(cf.K, mass) - 4 * math.pi) / (4 * math.pi)
-        raw, _ = stationarity_residual(state)
+        cf = state.curvature
+        gb = abs(integrate(cf.K, state.mass) - 4 * math.pi) / (4 * math.pi)
+        rec = diagnostics(state)
         print(
             f"{s:3d} {mesh.num_vertices:6d}   "
             f"{cf.H.mean() * args.radius / 2:.8f}   "
             f"{np.abs(cf.H - 2 / args.radius).max() * args.radius:.3e}     "
             f"{gb:.3e}          "
-            f"{integrate(cf.Ao_sq, mass):.3e}    "
-            f"{dirichlet_energy(cf.H, lap):.3e}      "
-            f"{raw:.4e}"
+            f"{rec.tracefree_l2:.3e}    "
+            f"{rec.gradH_l2:.3e}      "
+            f"{math.sqrt(rec.lapH_l2):.4e}"
         )
 
 

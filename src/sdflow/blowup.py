@@ -9,14 +9,14 @@ group of the fourth-order flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import FlowState, Trajectory
 from .mesh import TriangleMesh, _sq_norm, rescale
-from .geometry import integrate
-from .monitors import NumericsError, concentration, stationarity_residual
+from .monitors import NumericsError, concentration, diagnostics
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class BlowupFrame:
     time_offset: float  # t_j minus the source snapshot time
     event: ConcentrationEvent
     tracefree_l2: float  # integral of |A^o|^2
-    residual_raw: float
-    residual_normalized: float
+    residual_raw: float  # sqrt of the integral of |lap H|^2
+    residual_normalized: float  # residual_raw times the area, dimensionless
     unit_ball_curvature: float  # integral of |A|^2 over the ball |x| <= 1
 
 
@@ -86,9 +86,9 @@ def detect(trajectory: Trajectory, radii, eps1: float) -> list:
 
 
 def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFrame:
-    """Zoom the event's source snapshot about the concentration center and
-    attach its tracefree energy, stationarity residual and unit-ball
-    curvature mass; NumericsError if one is not finite (a tiny r overflows)."""
+    """Zoom the event's source snapshot about the concentration center, and
+    attach its unit-ball curvature mass and its diagnostics record's tracefree
+    energy and stationarity residual; NumericsError if one is not finite."""
     if not event.triggered:
         raise ValueError("cannot rescale an untriggered event")
     snap_step = event.source_step
@@ -103,23 +103,27 @@ def rescale_frame(trajectory: Trajectory, event: ConcentrationEvent) -> BlowupFr
     frame_mesh = rescale(
         trajectory.snapshots[snap_step], np.asarray(event.center), space_factor
     )
+    nonfinite = f"non-finite blowup frame of step {snap_step}"
     with np.errstate(all="ignore"):  # a tiny r overflows: checked below
         state = FlowState(frame_mesh)
-        tracefree = integrate(state.curvature.Ao_sq, state.mass)
-        raw, normalized = stationarity_residual(state)
+        try:
+            record = diagnostics(state)
+        except NumericsError as exc:
+            raise NumericsError(nonfinite) from exc
         inside = np.sqrt(_sq_norm(frame_mesh.vertices.T)) <= 1.0
         ball = float(np.sum((state.curvature.A_sq * state.mass)[inside]))
-    if not np.isfinite([tracefree, raw, normalized, ball]).all():
-        raise NumericsError(f"non-finite blowup frame of step {snap_step}")
+    if not math.isfinite(ball):
+        raise NumericsError(nonfinite)
+    raw = math.sqrt(record.lapH_l2)
     return BlowupFrame(
         mesh=frame_mesh,
         space_factor=space_factor,
         time_factor=space_factor**4,
         time_offset=event.t - snap_time,
         event=event,
-        tracefree_l2=tracefree,
+        tracefree_l2=record.tracefree_l2,
         residual_raw=raw,
-        residual_normalized=normalized,
+        residual_normalized=raw * record.area,
         unit_ball_curvature=ball,
     )
 

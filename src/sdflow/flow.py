@@ -43,7 +43,6 @@ from .mesh import _PREV, TriangleMesh, _dot, face_geometry
 from .geometry import (
     cotan_laplacian,
     curvature_field,
-    enclosed_volume,
     lumped_mass,
     vertex_normals_and_projected_areas,
     volume_cubic,
@@ -296,9 +295,9 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
     one monitors.PairSet per monitor radius across its records."""
     with np.errstate(all="ignore"):
         state = FlowState(mesh=initial)
-        target_volume = enclosed_volume(state.geometry)
         pairs = {}
         records = [monitors.diagnostics(state, config.monitor_radii, pairs=pairs)]
+        target_volume = records[0].volume
         snapshots = {0: initial}
         rejects = 0
         stop = None

@@ -1,12 +1,13 @@
 """Per-step diagnostics and trajectory-level audits.
 
 Everything the flow is supposed to conserve, dissipate, or keep scale
-invariant is computed here: area, enclosed volume, Willmore energy
-(1/4) int H^2, tracefree curvature energy int |A^o|^2, the dissipation
-integrals int |grad H|^2 and int |lap H|^2, the curvature concentration
-eta(r), the isoperimetric sphericity, and the two 8*pi gates.  Each
-trajectory audit returns the dict that `sdflow analyze --json` prints,
-audit_report collects them, and summary.txt prints a line for each.
+invariant is computed here, each state integral by diagnostics alone:
+area, enclosed volume, Willmore energy (1/4) int H^2, tracefree energy
+int |A^o|^2, the dissipation integrals int |grad H|^2 and int |lap H|^2
+(the root of the last is the stationarity residual), concentration
+eta(r), sphericity and the two 8*pi gates.  Each trajectory audit returns
+the dict that `sdflow analyze --json` prints, audit_report collects
+them, and summary.txt prints a line for each.
 """
 
 from __future__ import annotations
@@ -272,13 +273,6 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     return record
 
 
-def stationarity_residual(state):
-    """sqrt(int |lap H|^2) raw and normalized by area (dimensionless)."""
-    lap_h = integrate(state.curvature.lapH**2, state.mass)
-    raw = math.sqrt(lap_h)
-    return raw, raw * state.geometry.total_area
-
-
 def _slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) -> float:
     dt = after.t - before.t
     return 1e-8 * abs(value) + dt * dt * before.lapH_l2
@@ -389,6 +383,8 @@ def fit_decay(records, window=None) -> dict:
         if len(below) == 0:
             raise ValueError("no post-transient tail: energy never halved")
         above = np.nonzero(es > es[0] / 32.0)[0]
+        if len(above) == 0:
+            raise ValueError("initial energy not positive and finite")
         sel = slice(below[0], above[-1] + 1)
     else:
         sel = np.nonzero((ts >= window[0]) & (ts <= window[1]))[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,15 @@ def test_rescale_frame_dumbbell(dumbbell_run):
     assert abs(rec.willmore - src.willmore) < 1e-10 * src.willmore
     assert abs(rec.sphericity - src.sphericity) < 1e-10
     assert rec.max_abs_A == pytest.approx(src.max_abs_A * ev.r, rel=1e-10)
+
+
+def test_rescale_frame_values_are_its_diagnostics_record(dumbbell_run):
+    for ev in detect(dumbbell_run, [0.4, 0.2, 0.1], EPS1):
+        frame = rescale_frame(dumbbell_run, ev)
+        rec = diagnostics(FlowState(frame.mesh))
+        assert frame.tracefree_l2 == rec.tracefree_l2
+        assert frame.residual_raw == math.sqrt(rec.lapH_l2)
+        assert frame.residual_normalized == math.sqrt(rec.lapH_l2) * rec.area
 
 
 def test_rescale_frame_runs_no_concentration(dumbbell_run, monkeypatch):

@@ -979,6 +979,25 @@ def test_analyze_fit_window_past_the_run_is_unavailable(tmp_path, capsys):
     assert payload["decay_fit"] == {"unavailable": "empty fit window"}
 
 
+@pytest.mark.parametrize(
+    "tracefree",
+    [
+        np.concatenate(([math.inf], np.exp(-np.arange(1, 40) * 0.1))),
+        -1.0 - 0.1 * np.arange(40),
+    ],
+    ids=["inf_first", "negative"],
+)
+def test_analyze_initial_energy_not_positive_finite_is_unavailable(tmp_path, capsys, tracefree):
+    reason = "initial energy not positive and finite"
+    run_dir = synthetic_csv(tmp_path, tracefree)
+    assert main(["analyze", str(run_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert f"\ndecay_fit: unavailable ({reason})\n" in out and err == ""
+    assert main(["analyze", str(run_dir), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["decay_fit"] == {"unavailable": reason} and err == ""
+
+
 @pytest.mark.parametrize("window", ["0.01:0.05", "0:inf"])
 def test_analyze_fit_window_is_fit_decays_window(tmp_path, capsys, window):
     ts = np.arange(60) * 0.002

@@ -37,7 +37,6 @@ from sdflow.monitors import (
     concentration,
     diagnostics,
     fit_decay,
-    stationarity_residual,
 )
 
 
@@ -747,26 +746,19 @@ def test_fit_decay_conv_run(conv_run):
     assert fit["r_squared"] > 0.95
 
 
-def test_stationarity_residual_refinement():
-    raws = []
-    for s in (2, 3, 4, 5):
-        raw, _ = stationarity_residual(FlowState(make_icosphere(1.0, s)))
-        raws.append(raw)
-    assert all(a > b for a, b in zip(raws, raws[1:]))
-
-
-def test_stationarity_residual_scale_invariant_normalization():
+def test_diagnostics_area_normalized_residual_scale_invariant():
+    # sqrt(int |lap H|^2) scales as lambda^-2 and the area as lambda^2
     mesh = make_perturbed_sphere(1.0, [(2, 0, 0.1)], subdivisions=3)
-    _, n1 = stationarity_residual(FlowState(mesh))
-    _, n2 = stationarity_residual(FlowState(rescale(mesh, (0, 0, 0), 5.0)))
+    recs = [diagnostics(FlowState(m)) for m in (mesh, rescale(mesh, (0, 0, 0), 5.0))]
+    n1, n2 = (math.sqrt(rec.lapH_l2) * rec.area for rec in recs)
     assert abs(n1 - n2) / n1 < 1e-9
 
 
-def test_stationarity_residual_dumbbell_far_from_stationary():
-    sphere_raw, _ = stationarity_residual(FlowState(make_icosphere(1.0, 4)))
+def test_diagnostics_dumbbell_far_from_stationary():
+    sphere = diagnostics(FlowState(make_icosphere(1.0, 4)))
     # comparable vertex count (4610 vs 2562) but a far-from-equilibrium shape
-    dumb_raw, _ = stationarity_residual(FlowState(make_dumbbell(1.0, 0.15, 2.0)))
-    assert dumb_raw / sphere_raw > 10.0
+    dumb = diagnostics(FlowState(make_dumbbell(1.0, 0.15, 2.0)))
+    assert math.sqrt(dumb.lapH_l2) / math.sqrt(sphere.lapH_l2) > 10.0
 
 
 def test_diagnostics_nonfinite_aborts():

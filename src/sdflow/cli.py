@@ -116,9 +116,11 @@ def cmd_run(args) -> int:
         cfg = runio.load_config(args.config)
     except (OSError, runio.ConfigError) as exc:
         raise runio.ConfigError(f"bad config: {exc}") from exc
+    out_dir = args.out or cfg.out_dir
+    runio.check_out_dir(out_dir)
     trajectory = flow.run(cfg.build_initial(), cfg)
     summary = _summarize(trajectory)
-    runio.write_run_dir(args.out or cfg.out_dir, trajectory, summary)
+    runio.write_run_dir(out_dir, trajectory, summary)
     print(summary, end="")
     if trajectory.stop_reason == flow.DIVERGED:
         return EXIT_DIVERGED

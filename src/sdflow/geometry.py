@@ -103,21 +103,16 @@ def vertex_normals_and_projected_areas(fg: FaceGeometry):
     return acc / nrm, nrm / 3.0
 
 
-def angle_defects(fg: FaceGeometry) -> np.ndarray:
-    """2*pi minus the sum of incident triangle angles, per vertex."""
-    # subtracting from 2*pi one angle at a time rounds differently from
-    # subtracting the angle sum, so this stays a scatter, not a corner_sum
-    defect = np.full(fg.mesh.num_vertices, 2.0 * np.pi)
-    np.subtract.at(defect, fg.mesh.topology.corner_index.ravel(), fg.angles.ravel())
-    return defect
-
-
 def curvature_field(fg: FaceGeometry, mass: np.ndarray, lap: sparse.csr_matrix) -> CurvatureField:
     nu, m_proj = vertex_normals_and_projected_areas(fg)
     # each column of lap @ (n, 3) is bit for bit the matvec of its row
     mean_curv_vec = (lap @ fg.mesh.vertices).T / mass
     H = _dot(mean_curv_vec, nu)
-    K = angle_defects(fg) / mass
+    # K is the angle defect over the mass; 2*pi minus one angle at a time
+    # rounds differently from minus their corner_sum, so it stays a scatter
+    defect = np.full(fg.mesh.num_vertices, 2.0 * np.pi)
+    np.subtract.at(defect, fg.mesh.topology.corner_index.ravel(), fg.angles.ravel())
+    K = defect / mass
     # dimension-2 identities; discretization noise in H^2/2 - 2K is clamped
     # at zero so the tracefree energy stays a nonnegative Lyapunov candidate,
     # and |A|^2 is rebuilt from the clamped value to keep Ao_sq = A_sq - H^2/2
@@ -137,14 +132,6 @@ def integrate(field: np.ndarray, mass: np.ndarray) -> float:
     if field.shape != mass.shape:
         raise ValueError("field length must match vertex count")
     return float(np.sum(field * mass))
-
-
-def dirichlet_energy(field: np.ndarray, lap: sparse.csr_matrix) -> float:
-    """u' L u, the discrete integral of |grad u|^2; nonnegative."""
-    field = np.asarray(field)
-    if field.shape[0] != lap.shape[0]:
-        raise ValueError("field length must match vertex count")
-    return float(field @ (lap @ field))
 
 
 def enclosed_volume(fg: FaceGeometry) -> float:

@@ -296,8 +296,8 @@ def face_geometry(mesh: TriangleMesh) -> FaceGeometry:
 
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Topology and quality report; failures are reported, not raised."""
-    # imported here: of the commands, only `sdflow gen` validates, and a
-    # run need not load csgraph (about 1 MB)
+    # imported here: only `sdflow gen` and a run from a mesh file validate,
+    # and a run from a generator need not load csgraph (about 1 MB)
     from scipy.sparse.csgraph import connected_components
 
     topo = mesh.topology

@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .geometry import dirichlet_energy, enclosed_volume, integrate
+from .geometry import enclosed_volume, integrate
 from .mesh import _sq_norm
 
 EIGHT_PI = 8.0 * math.pi
@@ -233,10 +233,6 @@ def concentration(state, r: float, pairs: dict | None = None):
     return float(sums[best]), pts[candidates[best]].copy()
 
 
-def sphericity_of(area: float, volume: float) -> float:
-    return float((36.0 * math.pi) ** (1.0 / 3.0) * volume ** (2.0 / 3.0) / area)
-
-
 def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord:
     """Assemble one record from a flow state; raises NumericsError on any
     non-finite value so a run aborts at the offending step.  eta holds one
@@ -246,7 +242,7 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
     mass, curv = state.mass, state.curvature
     area = state.geometry.total_area
     volume = enclosed_volume(state.geometry)
-    if area <= 0 or volume <= 0:  # sphericity_of needs both positive
+    if area <= 0 or volume <= 0:  # sphericity needs both positive
         raise NumericsError(f"area or volume not positive at step {state.step}")
     willmore = 0.25 * integrate(curv.H**2, mass)
     tracefree = integrate(curv.Ao_sq, mass)
@@ -257,12 +253,12 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         volume=volume,
         willmore=willmore,
         tracefree_l2=tracefree,
-        gradH_l2=dirichlet_energy(curv.H, state.lap),
+        gradH_l2=float(curv.H @ (state.lap @ curv.H)),
         lapH_l2=integrate(curv.lapH**2, mass),
         max_abs_A=float(np.sqrt(curv.A_sq.max())),
         h_min=state.geometry.h_min,
         quality=state.geometry.quality,
-        sphericity=sphericity_of(area, volume),
+        sphericity=float((36.0 * math.pi) ** (1.0 / 3.0) * volume ** (2.0 / 3.0) / area),
         li_yau_ok=bool(willmore < EIGHT_PI),
         smallness_ok=bool(tracefree < EIGHT_PI),
         eta=tuple(concentration(state, float(r), pairs=pairs)[0] for r in radii),
@@ -279,22 +275,22 @@ def _slack(before: DiagnosticsRecord, after: DiagnosticsRecord, value: float) ->
 
 
 def audit_monotone(records, quantity: str) -> dict:
-    """Count the steps where the quantity increased by more than _slack:
-    {passed, violations (the count), max_violation (the largest excess
-    over the slack)}, and first_violating_step when there is one."""
+    """Count the steps where the quantity rose by more than _slack or a nan
+    leaves that undecided: {passed, violations, max_violation (the largest
+    excess, nan if one is)}, and first_violating_step when there is one."""
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least two records")
     if quantity not in (AREA, TRACEFREE_L2, WILLMORE):
         raise ValueError(f"unknown audit quantity: {quantity}")
-    steps = []
-    max_violation = 0.0
+    steps, excesses = [], []
     for before, after in zip(records, records[1:]):
         q0 = getattr(before, quantity)
         excess = getattr(after, quantity) - q0 - _slack(before, after, q0)
-        if excess > 0:
+        if not excess <= 0:
             steps.append(after.step)
-            max_violation = max(max_violation, excess)
+            excesses.append(excess)
+    max_violation = float(np.max(excesses, initial=0.0))
     audit = {"passed": not steps, "violations": len(steps), "max_violation": max_violation}
     if steps:
         audit["first_violating_step"] = steps[0]
@@ -331,10 +327,10 @@ def _require_increasing_times(dts) -> None:
 def audit_dissipation(records, which: str) -> dict:
     """AREA_RATE checks dArea/dt against -int |grad H|^2: {passed,
     median_rel_error, samples}.  TRACEFREE_RATE checks dE/dt <= -(1/8)
-    int |lap H|^2: {passed, violations, best_constant, samples}, the steps
-    that break the bound and the largest c with dE/dt <= -c int |lap H|^2
-    (nan when no step was sampled).  samples counts the steps that were
-    not vacuous.  The records need comparable, increasing times."""
+    int |lap H|^2: {passed, violations, best_constant, samples}: the steps
+    that break the bound or that a nan leaves undecided, and the largest
+    number c with dE/dt <= -c int |lap H|^2 (nan if none).  samples counts
+    the steps that were not vacuous.  Record times must increase, comparably."""
     records = list(records)
     if len(records) < 10:
         raise ValueError("need a window of at least 10 records")
@@ -352,8 +348,9 @@ def audit_dissipation(records, which: str) -> dict:
     if which == TRACEFREE_RATE:
         floor = _RATE_FLOOR * max(records[0].tracefree_l2, 1.0)
         steps = list(_rate_steps(records, TRACEFREE_L2, "lapH_l2", 0.125, lambda r: floor))
-        violations = sum(rate > -0.125 * rhs + floor_rate for rate, rhs, floor_rate in steps)
-        best = min((-rate / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps), default=math.inf)
+        violations = sum(not rate <= -0.125 * rhs + floor_rate for rate, rhs, floor_rate in steps)
+        constants = [-rate / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps]
+        best = np.fmin.reduce(constants, initial=math.inf)  # fmin skips a nan
         return {
             "passed": violations == 0,
             "violations": violations,

@@ -22,6 +22,7 @@ earlier blowup's frames.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from dataclasses import dataclass
@@ -87,6 +88,8 @@ class RunConfig(SolverConfig):
             raise ValueError(f"unknown generator: {self.kind}")
         if not self.eps1 >= 0:
             raise ValueError("eps1 must be nonnegative")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
         # a config line ends at a line break and a `#`, and its value is stripped
         for name in ("mesh_path", "out_dir"):
             value = getattr(self, name)
@@ -350,6 +353,16 @@ def _remove_matching(directory, *patterns) -> None:
     for name in os.listdir(directory):
         if any(p.match(name) for p in patterns):
             os.remove(os.path.join(directory, name))
+
+
+def check_out_dir(out_dir) -> None:
+    """Refuse, before a run and creating nothing, an out_dir that is or lies
+    under a file that is not a directory: write_run_dir could not make it."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def write_run_dir(out_dir, trajectory: Trajectory, summary: str) -> None:

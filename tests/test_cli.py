@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DUMBBELL_CFG, EXPERIMENTS, MINI_SEMI_CFG, RETIRED_KEYS, SPHERE_CFG
+from sdflow import flow
 from sdflow.cli import _record_lines, main
 from sdflow.generators import make_dumbbell, make_icosphere, make_perturbed_sphere
 from sdflow.mesh import TriangleMesh, load_mesh_path, save_off
@@ -216,9 +217,13 @@ def test_run_determinism_byte_identical(tmp_path):
     cfg_path, out_dir = run_config(tmp_path, MINI_SEMI_CFG, "mini")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
-    csv_a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
-    assert csv_a == csv_b
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b")) == [
+        "config.cfg", "diagnostics.csv",
+        "step_00000000.off", "step_00000005.off", "step_00000010.off", "summary.txt",
+    ]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_run_bad_config_exit_2(tmp_path, capsys):
@@ -559,6 +564,33 @@ def test_run_unwritable_out_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sdflow: error:") and str(blocker) in captured.err
+    assert blocker.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [("file", False), ("file", True), ("under_a_file", False), ("under_a_file", True),
+     ("empty", False)],
+    ids=["file", "file_by_flag", "under_a_file", "under_a_file_by_flag", "empty"],
+)
+def test_run_unusable_out_exit_2_before_any_step(tmp_path, capsys, monkeypatch, case, flag):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(flow, "run", no_flow)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out_dir = {"file": blocker, "under_a_file": blocker / "sub", "empty": ""}[case]
+    template = "initial.kind = icosphere\ninitial.subdiv = 1\noutput.dir = {out}\n"
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(template.format(out=tmp_path / "unused" if flag else out_dir))
+    # the message names the file in the way
+    message = f"[Errno 20] Not a directory: '{blocker}'"
+    if case == "empty":
+        message = "bad config: out_dir must not be empty"
+    assert main(["run", str(cfg_path), *(["--out", str(out_dir)] if flag else [])]) == 2
+    assert capsys.readouterr() == ("", f"sdflow: error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "tiny.cfg"]
     assert blocker.read_text() == "a file\n"
 
 
@@ -1020,6 +1052,33 @@ def test_analyze_reversed_area_fails_with_step(tmp_path, capsys):
     assert main(["analyze", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "audit_area: fail violations=29 first_violating_step=1" in out
+
+
+@pytest.mark.parametrize("row", [11, 20])
+def test_analyze_nan_energy_fails_the_tracefree_audits(tmp_path, capsys, row):
+    # a nan decides no comparison: the two steps next to it count as
+    # violations, and best_constant is taken over the other steps, so it
+    # does not depend on the row (the first step of the rate window at 11)
+    ts, tracefree = np.arange(40) * 0.05, np.exp(-0.2 * np.arange(40))
+    tracefree[row] = math.nan
+    run_dir = synthetic_csv(tmp_path, tracefree)
+    # lapH_l2 is 0, so each step's constant is its decay rate over the 1e-10
+    # floor, least at the last step
+    best = -(tracefree[39] - tracefree[38]) / (ts[39] - ts[38]) / 1e-10
+    assert main(["analyze", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert f"\naudit_tracefree_l2: fail violations=2 first_violating_step={row}\n" in out
+    assert f"\naudit_tracefree_rate: fail violations=2 best_constant={best:.6g}\n" in out
+    assert main(["analyze", str(run_dir), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["monotonicity"]["tracefree_l2"] == {
+        "passed": False, "violations": 2, "max_violation": None, "first_violating_step": row,
+    }
+    rate = payload["dissipation"]["tracefree_rate"]
+    assert rate == {
+        "passed": False, "violations": 2, "best_constant": rate["best_constant"], "samples": 29,
+    }
+    assert rate["best_constant"] == pytest.approx(best, rel=1e-12)
 
 
 def reject_constant(name):

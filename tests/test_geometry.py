@@ -14,10 +14,8 @@ from sdflow.generators import (
     make_torus,
 )
 from sdflow.geometry import (
-    angle_defects,
     cotan_laplacian,
     curvature_field,
-    dirichlet_energy,
     enclosed_volume,
     integrate,
     lumped_mass,
@@ -221,8 +219,8 @@ def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     got_normals, got_projected = vertex_normals_and_projected_areas(fg)
     assert np.array_equal(got_normals.T, normals)
     assert np.array_equal(got_projected, projected)
-    assert np.array_equal(angle_defects(fg), defect)
     got = cotan_laplacian(fg)
+    assert np.array_equal(curvature_field(fg, m, got).K, defect / m)
     assert got.format == "csr" and got.shape == lap.shape
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
@@ -470,30 +468,29 @@ def test_integrate_total_curvature_sphere():
     assert integrate(cf.A_sq, mass) == pytest.approx(8 * math.pi, rel=0.03)
 
 
-def test_dirichlet_energy_properties():
+def dirichlet(u, lap):
+    """u' L u, the discrete integral of |grad u|^2 that diagnostics records
+    as gradH_l2 for u = H."""
+    return float(u @ (lap @ u))
+
+
+def test_dirichlet_form_properties():
     mesh = make_icosphere(1.0, 3)
     lap = cotan_laplacian(face_geometry(mesh))
     u = mesh.vertices[:, 2] ** 2
     const = np.full(mesh.num_vertices, 2.2)
-    assert abs(dirichlet_energy(const, lap)) < 1e-12
-    assert dirichlet_energy(u, lap) >= 0
-    assert dirichlet_energy(u, lap) == pytest.approx(
-        dirichlet_energy(u + 5.0, lap), abs=1e-12 * max(dirichlet_energy(u, lap), 1)
+    assert abs(dirichlet(const, lap)) < 1e-12
+    assert dirichlet(u, lap) >= 0
+    assert dirichlet(u, lap) == pytest.approx(
+        dirichlet(u + 5.0, lap), abs=1e-12 * max(dirichlet(u, lap), 1)
     )
 
 
-def test_dirichlet_energy_rejects_a_field_of_another_length():
-    lap = cotan_laplacian(face_geometry(make_icosphere(1.0, 1)))
-    with pytest.raises(ValueError) as got:
-        dirichlet_energy(np.zeros(3), lap)
-    assert str(got.value) == "field length must match vertex count"
-
-
-def test_dirichlet_energy_of_H_decreases_under_refinement():
+def test_dirichlet_form_of_H_decreases_under_refinement():
     values = []
     for s in (2, 3, 4, 5):
         mesh, mass, cf = sphere_curvature(s)
-        values.append(dirichlet_energy(cf.H, cotan_laplacian(face_geometry(mesh))))
+        values.append(dirichlet(cf.H, cotan_laplacian(face_geometry(mesh))))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -566,7 +563,7 @@ def test_scaling_covariance_suite():
         assert np.array_equal(c2.K, c1.K / lam**2)
         assert enclosed_volume(fg2) == lam**3 * enclosed_volume(fg1)
         assert integrate(c2.Ao_sq, m2) == integrate(c1.Ao_sq, m1)
-        assert dirichlet_energy(c2.H, l2) == dirichlet_energy(c1.H, l1) / lam**2
+        assert dirichlet(c2.H, l2) == dirichlet(c1.H, l1) / lam**2
 
 
 @settings(max_examples=15, deadline=None)

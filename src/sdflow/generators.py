@@ -64,91 +64,31 @@ def make_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
     return TriangleMesh(verts * radius, faces)
 
 
-# _lgam and _lpmv do the float operations of scipy 1.17.1's gammaln (cephes
-# lgam) and lpmv (specfun LPMV) in the same order, so their results are the
-# same bits without importing scipy.special.
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-
-
-def _lgam(n: int) -> float:
-    """log Gamma(n) for an integer n >= 1."""
-    x = float(n)
-    if x < 13.0:
-        z = 1.0
-        for k in range(n - 1, 1, -1):
-            z *= k
-        return math.log(z)
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    s = _LGAM_A[0]
-    for a in _LGAM_A[1:]:
-        s = s * p + a
-    return q + s / x
-
-
-def _lpmv_series(m: int, l: int, x: np.ndarray) -> np.ndarray:
-    """P_l^m(x), Condon-Shortley phase included, from its finite series."""
-    v = float(l)
-    c0 = 1.0
-    if m:
-        rg = v * (v + m)
-        for j in range(1, m):
-            rg *= v * v - j * j
-        xq = np.sqrt(1.0 - x * x)
-        r0 = 1.0
-        for j in range(1, m + 1):
-            r0 = 0.5 * r0 * xq / j
-        c0 = r0 * rg
-    pmv = np.ones_like(x)
-    r = 1.0
-    for k in range(1, l - m + 1):
-        r = 0.5 * r * (-l + m + k - 1.0) * (l + m + k) / (k * (k + m)) * (1.0 + x)
-        pmv += r
-    return (-1.0) ** l * c0 * pmv
-
-
-def _lpmv(m: int, l: int, x: np.ndarray) -> np.ndarray:
-    """P_l^m(x) for 0 <= m <= l: the series up to degree 2 or m + 1, above
-    that the upward recurrence in the degree from P_m^m and P_{m+1}^m."""
-    if l <= m + 1 or l <= 2:
-        return _lpmv_series(m, l, x)
-    p0 = _lpmv_series(m, m, x)
-    p1 = _lpmv_series(m, m + 1, x)
-    for j in range(m + 2, l + 1):
-        p0, p1 = p1, ((2 * j - 1.0) * x * p1 - (j - 1.0 + m) * p0) / (j - m)
-    return p1
-
-
 def real_sph_harm(l: int, m: int, dirs: np.ndarray) -> np.ndarray:
-    """Real spherical harmonic Y_l^m at unit vectors, unit L2 norm on S2."""
+    """Real spherical harmonic Y_l^m at unit vectors, unit L2 norm on S2,
+    Condon-Shortley phase included.
+
+    Only + - * / act on the coordinates, so every CPU rounds alike.  With
+    rho^2 = x^2 + y^2, rho^|m| (cos |m|phi + i sin |m|phi) = (x + i y)^|m|,
+    and P_l^|m|(z) / ((-1)^|m| (2|m|-1)!! rho^|m|) is a polynomial in z that
+    starts at 1 for l = |m| and rises in l by the Legendre recurrence.
+    """
     if not (isinstance(l, (int, np.integer)) and isinstance(m, (int, np.integer))):
         raise ValueError("l and m must be integers")
     if l < 0 or abs(m) > l:
         raise ValueError("need l >= 0 and |m| <= l")
-    dirs = np.asarray(dirs, dtype=np.float64)
-    ct = np.clip(dirs[..., 2], -1.0, 1.0)
-    phi = np.arctan2(dirs[..., 1], dirs[..., 0])
+    x, y, z = np.moveaxis(np.asarray(dirs, dtype=np.float64), -1, 0)
     l, ma = int(l), abs(int(m))
-    norm = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.exp(_lgam(l - ma + 1) - _lgam(l + ma + 1))
-    )
-    p = _lpmv(ma, l, ct)
-    if m > 0:
-        return math.sqrt(2.0) * norm * p * np.cos(ma * phi)
-    if m < 0:
-        return math.sqrt(2.0) * norm * p * np.sin(ma * phi)
-    return norm * p
+    c, s = np.ones_like(x), np.zeros_like(x)
+    for _ in range(ma):
+        c, s = x * c - y * s, x * s + y * c
+    p0, p = 0.0, np.ones_like(z)
+    for j in range(ma + 1, l + 1):
+        p0, p = p, ((2 * j - 1) * z * p - (j + ma - 1) * p0) / (j - ma)
+    odd = math.prod(range(2 * ma - 1, 0, -2))  # (2|m| - 1)!!
+    ratio = math.factorial(l - ma) * odd * odd / math.factorial(l + ma)
+    norm = (-1) ** ma * math.sqrt((2 if m else 1) * (2 * l + 1) / (4.0 * math.pi) * ratio)
+    return norm * p * (c if m > 0 else s if m < 0 else 1.0)
 
 
 def make_perturbed_sphere(
@@ -177,6 +117,9 @@ def make_perturbed_sphere(
     offset = np.zeros(base.num_vertices)
     for (l, m, _), a in zip(modes, amps):
         offset += a * real_sph_harm(l, m, dirs)
+    # with every radius positive each face keeps the icosphere's orientation
+    if not (radius + offset > 0).all():
+        raise ValueError("the modes push a vertex through the center")
     scale = (radius + offset) / radius
     return TriangleMesh(base.vertices * scale[:, None], base.faces)
 

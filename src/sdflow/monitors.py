@@ -298,6 +298,7 @@ def audit_monotone(records, quantity: str) -> dict:
 
 
 _RATE_FLOOR = 1e-10
+_NO_SAMPLE = "no step above the vacuity floor"
 
 
 def _rate_steps(records, quantity: str, integral: str, weight: float, floor):
@@ -330,7 +331,8 @@ def audit_dissipation(records, which: str) -> dict:
     int |lap H|^2: {passed, violations, best_constant, samples}: the steps
     that break the bound or that a nan leaves undecided, and the largest
     number c with dE/dt <= -c int |lap H|^2 (nan if none).  samples counts
-    the steps that were not vacuous.  Record times must increase, comparably."""
+    the steps that were not vacuous; a window without one has no evidence
+    and is refused.  Record times must increase, comparably."""
     records = list(records)
     if len(records) < 10:
         raise ValueError("need a window of at least 10 records")
@@ -343,11 +345,15 @@ def audit_dissipation(records, which: str) -> dict:
     if which == AREA_RATE:
         steps = _rate_steps(records, AREA, "gradH_l2", 1.0, lambda r: _RATE_FLOOR * r.area)
         errs = [abs(rate + rhs) / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps]
-        med = float(np.median(errs)) if errs else 0.0
+        if not errs:
+            raise ValueError(_NO_SAMPLE)
+        med = float(np.median(errs))
         return {"passed": med < 0.15, "median_rel_error": med, "samples": len(errs)}
     if which == TRACEFREE_RATE:
         floor = _RATE_FLOOR * max(records[0].tracefree_l2, 1.0)
         steps = list(_rate_steps(records, TRACEFREE_L2, "lapH_l2", 0.125, lambda r: floor))
+        if not steps:
+            raise ValueError(_NO_SAMPLE)
         violations = sum(not rate <= -0.125 * rhs + floor_rate for rate, rhs, floor_rate in steps)
         constants = [-rate / max(rhs, _RATE_FLOOR) for rate, rhs, _ in steps]
         best = np.fmin.reduce(constants, initial=math.inf)  # fmin skips a nan
@@ -391,8 +397,8 @@ def fit_decay(records, window=None) -> dict:
     ts, es = ts[sel], es[sel]
     if len(ts) < FIT_MIN_SAMPLES:
         raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples in the window")
-    if (es <= 0).any():
-        raise ValueError("nonpositive energy in fit window")
+    if not (np.isfinite(es).all() and (es > 0).all()):
+        raise ValueError("energy not positive and finite in fit window")
     _require_increasing_times(np.diff(ts))
     y = np.log(es)
     slope, intercept = np.polyfit(ts, y, 1)

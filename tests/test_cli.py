@@ -116,6 +116,23 @@ def test_gen_malformed_mode_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# every |amp| < radius/2, yet the poles of -0.49 Y_40^0 lie at radius -0.24:
+# faces turned inward, on which run would stop at curvature_ceiling with
+# exit 3, the exit of a real pinch
+def test_gen_and_run_mode_through_the_center_exit_2(tmp_path, capsys):
+    message = "sdflow: error: the modes push a vertex through the center\n"
+    out = tmp_path / "p.off"
+    gen = ["gen", "perturbed_sphere", "--subdiv", "2", "--mode", "40,0,-0.49", "-o", str(out)]
+    assert main(gen) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    initial = "initial.kind = perturbed_sphere\ninitial.subdiv = 2\ninitial.modes = 40,0,-0.49\n"
+    cfg_path, out_dir = run_config(tmp_path, initial, "through")
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out_dir.exists()
+
+
 def test_gen_unwritable_output_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.off"
     assert main(["gen", "icosphere", "--subdiv", "1", "-o", str(out)]) == 2
@@ -1021,6 +1038,21 @@ def test_analyze_fit_window_past_the_run_is_unavailable(tmp_path, capsys):
 )
 def test_analyze_initial_energy_not_positive_finite_is_unavailable(tmp_path, capsys, tracefree):
     reason = "initial energy not positive and finite"
+    run_dir = synthetic_csv(tmp_path, tracefree)
+    assert main(["analyze", str(run_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert f"\ndecay_fit: unavailable ({reason})\n" in out and err == ""
+    assert main(["analyze", str(run_dir), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["decay_fit"] == {"unavailable": reason} and err == ""
+
+
+# np.log and np.polyfit would carry the energy through to lambda=nan
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_analyze_nonfinite_energy_in_the_fit_window_is_unavailable(tmp_path, capsys, bad):
+    reason = "energy not positive and finite in fit window"
+    tracefree = np.exp(-0.2 * np.arange(40))
+    tracefree[11] = bad  # inside the automatic window, rows 4 to 17
     run_dir = synthetic_csv(tmp_path, tracefree)
     assert main(["analyze", str(run_dir)]) == 0
     out, err = capsys.readouterr()

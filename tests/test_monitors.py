@@ -34,6 +34,7 @@ from sdflow.monitors import (
     DiagnosticsRecord,
     audit_dissipation,
     audit_monotone,
+    audit_report,
     concentration,
     diagnostics,
     fit_decay,
@@ -629,11 +630,13 @@ def test_audit_dissipation_halved_dt_not_worse(headline_run, headline_run_half_d
     assert half["median_rel_error"] <= full["median_rel_error"] + 1e-12
 
 
+# a round sphere does not move: every step of its window is vacuous, so
+# neither rate has a sample to judge
 def test_audit_dissipation_sphere_vacuous(sphere_run):
-    rep = audit_dissipation(sphere_run.records[10:], AREA_RATE)
-    assert rep["passed"]
-    rep2 = audit_dissipation(sphere_run.records[10:], TRACEFREE_RATE)
-    assert rep2["passed"] and rep2["violations"] == 0
+    for which in (AREA_RATE, TRACEFREE_RATE):
+        with pytest.raises(ValueError) as got:
+            audit_dissipation(sphere_run.records[10:], which)
+        assert str(got.value) == "no step above the vacuity floor"
 
 
 def test_audit_dissipation_rejects_mixed_dt():
@@ -656,13 +659,13 @@ def test_audit_dissipation_returns_only_what_it_measured():
 
 
 def test_audit_dissipation_without_a_sample():
-    # constant quantities and zero integrals: every step is vacuous
+    # constant quantities and zero integrals: every step is vacuous, and a
+    # gate with no sample cannot fail, so it is refused rather than passed
     recs = synthetic_records(np.linspace(0.0, 1.0, 20))
-    area = audit_dissipation(recs, AREA_RATE)
-    assert area == {"passed": True, "median_rel_error": 0.0, "samples": 0}
-    tracefree = audit_dissipation(recs, TRACEFREE_RATE)
-    assert math.isnan(tracefree.pop("best_constant"))
-    assert tracefree == {"passed": True, "violations": 0, "samples": 0}
+    assert audit_report(recs)["dissipation"] == {
+        AREA_RATE: {"unavailable": "no step above the vacuity floor"},
+        TRACEFREE_RATE: {"unavailable": "no step above the vacuity floor"},
+    }
 
 
 @pytest.mark.parametrize(

@@ -194,8 +194,8 @@ def test_scipy_special_imports_finds_each_form():
     assert scipy_special_imports(source) == ["line 1", "line 3", "line 4", "line 5"]
 
 
-# generators.real_sph_harm does scipy.special's arithmetic itself
-# (test_generators.py checks it bit for bit), so a perturbed-sphere set-up
+# generators.real_sph_harm needs no special function (test_generators.py
+# checks it against scipy.special to 1e-13), so a perturbed-sphere set-up
 # loads only numpy and scipy.sparse
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_no_module_imports_scipy_special(path):

@@ -136,8 +136,8 @@ class SolverConfig:
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         radii = tuple(float(r) for r in self.monitor_radii)
-        if not all(r > 0 for r in radii):
-            raise ValueError("monitor radii must be positive")
+        if not all(0 < r < np.inf for r in radii):
+            raise ValueError("monitor radii must be positive and finite")
         if len(set(radii)) != len(radii):
             raise ValueError("monitor radii must be distinct")
         object.__setattr__(self, "monitor_radii", radii)

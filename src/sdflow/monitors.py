@@ -7,7 +7,8 @@ int |A^o|^2, the dissipation integrals int |grad H|^2 and int |lap H|^2
 (the root of the last is the stationarity residual), concentration
 eta(r), sphericity and the two 8*pi gates.  Each trajectory audit returns
 the dict that `sdflow analyze --json` prints, audit_report collects
-them, and summary.txt prints a line for each.
+them, and summary.txt prints a line for each.  Every sum is a numpy
+reduction, never a BLAS dot or LAPACK solve, whose kernels follow the CPU.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ class PairSet:
     than delta from its anchor, the triangle inequality puts every vertex
     now within r of v in row v.  `w0`, `bound` and `admitted` are the last
     exact row-sum pass of concentration over this set: its weights, its
-    widened row sums and how many candidates they admitted (None until then)."""
+    widened row sums and how many candidates they admitted (zeros until then)."""
 
     anchor: np.ndarray  # a mesh's read-only vertex array
     indptr: np.ndarray  # int32
     nbrs: np.ndarray  # int32
-    w0: np.ndarray | None = None
-    bound: np.ndarray | None = None
+    w0: np.ndarray
+    bound: np.ndarray
     admitted: int = 0
 
 
@@ -103,7 +104,7 @@ def _query_pair_set(pts, radius, tree):
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n).astype(np.int32)
     keys %= n
-    return PairSet(anchor=pts, indptr=indptr, nbrs=keys.astype(np.int32, copy=False))
+    return PairSet(pts, indptr, keys.astype(np.int32, copy=False), np.zeros(n), np.zeros(n))
 
 
 def _balls(pts, r, entry, centers):
@@ -171,13 +172,13 @@ def concentration(state, r: float, pairs: dict | None = None):
     Gamma = 4 (n + 1) eps, n the vertex count, which bounds every ball.
 
     The PairSet keeps the weights w0 and the bounds B0 of its last exact
-    row-sum pass.  A later call with weights w bounds ball i by
-    B_i = (B0_i + len_i g) (1 + Gamma), len_i the row length and
+    row-sum pass, zeros before the first.  A call with weights w bounds
+    ball i by B_i = (B0_i + len_i g) (1 + Gamma), len_i the row length and
     g = max(0, max_j (w_j - w0_j)) the largest weight increase: a row of
     len_i nonnegative terms gains at most len_i g, and the second
     (1 + Gamma) covers the rounding of g and of each operation.  The row
-    sums run again only when the PairSet is new, or when the carried
-    bounds admit more candidates than its last exact pass did.
+    sums run again only when B admits more candidates than that pass did,
+    which a new PairSet's B always does: it admits argmax B, against 0.
 
     The candidates' balls are read from their rows (see _balls), summed
     exactly in ascending vertex order (see _ball_sums), and the first
@@ -221,10 +222,9 @@ def concentration(state, r: float, pairs: dict | None = None):
         (s_a,) = ball_sums([np.argmax(bound)])
         return np.flatnonzero(bound >= s_a)
 
-    if entry.w0 is not None:
-        rise = max(0.0, float(np.max(w - entry.w0)))
-        candidates = admitted((entry.bound + np.diff(entry.indptr) * rise) * (1.0 + gamma))
-    if entry.w0 is None or len(candidates) > entry.admitted:
+    rise = max(0.0, float(np.max(w - entry.w0)))
+    candidates = admitted((entry.bound + np.diff(entry.indptr) * rise) * (1.0 + gamma))
+    if len(candidates) > entry.admitted:
         entry.w0, entry.bound = w, _row_sums(w, entry) * (1.0 + gamma)
         candidates = admitted(entry.bound)
         entry.admitted = len(candidates)
@@ -253,7 +253,7 @@ def diagnostics(state, radii=(), pairs: dict | None = None) -> DiagnosticsRecord
         volume=volume,
         willmore=willmore,
         tracefree_l2=tracefree,
-        gradH_l2=float(curv.H @ (state.lap @ curv.H)),
+        gradH_l2=float(np.sum(curv.H * (state.lap @ curv.H))),
         lapH_l2=integrate(curv.lapH**2, mass),
         max_abs_A=float(np.sqrt(curv.A_sq.max())),
         h_min=state.geometry.h_min,
@@ -367,9 +367,9 @@ def audit_dissipation(records, which: str) -> dict:
 
 
 def fit_decay(records, window=None) -> dict:
-    """Least-squares line through ln(tracefree_l2) vs t on the tail window:
-    {lambda (minus half the slope), r_squared, samples, t0, t1}, t0 and t1
-    the first and last fitted times.
+    """Least-squares line through ln(tracefree_l2) vs t on the tail window,
+    in closed form from np.sums over the centred t and ln E: {lambda (minus
+    half the slope), r_squared, samples, t0, t1 (the first and last times)}.
 
     window=None starts where the energy first falls below half its initial
     value (post-transient tail) and ends where it last exceeds 1/32 of the
@@ -400,14 +400,12 @@ def fit_decay(records, window=None) -> dict:
     if not (np.isfinite(es).all() and (es > 0).all()):
         raise ValueError("energy not positive and finite in fit window")
     _require_increasing_times(np.diff(ts))
-    y = np.log(es)
-    slope, intercept = np.polyfit(ts, y, 1)
-    resid = y - (slope * ts + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_sq = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    tc, yc = (v - v.mean() for v in (ts, np.log(es)))
+    slope = float(np.sum(tc * yc)) / float(np.sum(tc * tc))
+    ss_res, ss_tot = float(np.sum((yc - slope * tc) ** 2)), float(np.sum(yc * yc))
     return {
-        "lambda": float(-slope / 2.0),
-        "r_squared": r_sq,
+        "lambda": -slope / 2.0,
+        "r_squared": 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot,
         "samples": len(ts),
         "t0": float(ts[0]),
         "t1": float(ts[-1]),

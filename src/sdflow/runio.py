@@ -88,6 +88,8 @@ class RunConfig(SolverConfig):
             raise ValueError(f"unknown generator: {self.kind}")
         if not self.eps1 >= 0:
             raise ValueError("eps1 must be nonnegative")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.out_dir:
             raise ValueError("out_dir must not be empty")
         # a config line ends at a line break and a `#`, and its value is stripped

@@ -116,6 +116,13 @@ def test_gen_malformed_mode_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "p.off"
+    assert main(["gen", "perturbed_sphere", "--seed", "-3", "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "sdflow: error: seed must be nonnegative\n")
+    assert not out.exists()
+
+
 # every |amp| < radius/2, yet the poles of -0.49 Y_40^0 lie at radius -0.24:
 # faces turned inward, on which run would stop at curvature_ceiling with
 # exit 3, the exit of a real pinch
@@ -257,8 +264,10 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
         ("initial.kind = mesh\n", "initial.kind = mesh requires initial.path"),
         ("solver.dt_policy = adaptive\n", "bad config: unknown dt policy: adaptive"),
         ("solver.snapshot_every = 0\n", "bad config: snapshot_every must be >= 1"),
+        ("monitor.radii = inf,0.5\n", "bad config: monitor radii must be positive and finite"),
+        ("initial.seed = -1\n", "bad config: seed must be nonnegative"),
     ],
-    ids=["no_equals", "mesh_without_path", "dt_policy", "snapshot_every"],
+    ids=["no_equals", "mesh_without_path", "dt_policy", "snapshot_every", "radius_inf", "seed"],
 )
 def test_run_config_error_message_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -795,10 +804,11 @@ def test_blowup_without_the_event_snapshot_exit_2(tmp_path, capsys):
     [
         (["--radii", "abc"], "could not convert string to float: 'abc'"),
         (["--radii", "0.2,0.2"], "monitor radii must be distinct"),
+        (["--radii", "inf"], "monitor radii must be positive and finite"),
         (["--eps1", "nan"], "eps1 must be nonnegative"),
         (["--eps1", "-1"], "eps1 must be nonnegative"),
     ],
-    ids=["radii_abc", "radii_repeated", "eps1_nan", "eps1_negative"],
+    ids=["radii_abc", "radii_repeated", "radii_inf", "eps1_nan", "eps1_negative"],
 )
 def test_blowup_bad_flag_exit_2(dumbbell_cli_run, tmp_path, capsys, flag, message, recorded):
     if recorded:
@@ -1047,7 +1057,7 @@ def test_analyze_initial_energy_not_positive_finite_is_unavailable(tmp_path, cap
     assert json.loads(out)["decay_fit"] == {"unavailable": reason} and err == ""
 
 
-# np.log and np.polyfit would carry the energy through to lambda=nan
+# np.log and the fit's sums would carry the energy through to lambda=nan
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_analyze_nonfinite_energy_in_the_fit_window_is_unavailable(tmp_path, capsys, bad):
     reason = "energy not positive and finite in fit window"
@@ -1214,14 +1224,117 @@ def test_analyze_records_at_one_time_exit_0(tmp_path, capsys):
     assert "audit_tracefree_rate: unavailable (record times must increase)" in out
 
 
-# the fit is refused before np.polyfit, whose LAPACK call would print to the
-# process's stderr (capfd reads the file descriptors)
+# the fit is refused before its slope divides by a zero spread of times;
+# nothing reaches the process's stderr (capfd reads the file descriptors)
 def test_analyze_fit_over_records_at_one_time_exit_0(tmp_path, capfd):
     run_dir = synthetic_csv(tmp_path, np.exp(-0.2 * np.arange(40)), dt=0.0)
     assert main(["analyze", str(run_dir)]) == 0
     out, err = capfd.readouterr()
     assert "decay_fit: unavailable (record times must increase)" in out.splitlines()
     assert err == ""
+
+
+def noisy_decays(tmp_path):
+    """48 fixed tracefree series of 40 records, e^{-2 lambda t} at
+    dt = 0.05 times a 1 % noise, lambda from 0.3 to 2.18, each with
+    synthetic_csv's run directory under tmp_path: [(series, run_dir)]."""
+    rng = np.random.default_rng(0)
+    t = 0.05 * np.arange(40)
+    decays = []
+    for k in range(48):
+        series = np.exp(-2 * (0.3 + 0.04 * k) * t) * (1 + 0.01 * rng.standard_normal(40))
+        (tmp_path / f"decay{k}").mkdir()
+        decays.append((series, synthetic_csv(tmp_path / f"decay{k}", series)))
+    return decays
+
+
+# runs the config argv[1] into argv[2], its report on stderr, then prints
+# analyze --json of each later argument
+KERNEL_CHILD = """
+import contextlib
+import sys
+from sdflow.cli import main
+
+cfg, out, *decays = sys.argv[1:]
+with contextlib.redirect_stdout(sys.stderr):
+    assert main(["run", cfg, "--out", out]) == 0
+for run_dir in decays:
+    assert main(["analyze", "--json", run_dir]) == 0
+"""
+
+KERNEL_CFG = """\
+initial.kind = perturbed_sphere
+initial.subdiv = 2
+initial.modes = 2,0,0.1
+solver.scheme = explicit
+solver.cfl_sigma = 0.005
+solver.max_steps = 10
+solver.snapshot_every = 5
+"""
+
+
+@pytest.fixture(scope="module")
+def openblas_kernel_outputs(tmp_path_factory):
+    """KERNEL_CHILD's run directory and stdout for the KERNEL_CFG run and
+    the noisy_decays CSVs, with OPENBLAS_CORETYPE unset, Haswell and
+    Nehalem: {setting: (run_dir, stdout)}, "" for unset."""
+    tmp_path = tmp_path_factory.mktemp("openblas_kernels")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(KERNEL_CFG)
+    decays = [str(run_dir) for _, run_dir in noisy_decays(tmp_path)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = {}
+    for coretype in ("", "Haswell", "Nehalem"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run_dir = tmp_path / f"run_{coretype or 'default'}"
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD, str(cfg), str(run_dir), *decays],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[coretype] = run_dir, proc.stdout
+    return outputs
+
+
+# OpenBLAS picks its kernels by CPU, and they sum a dot product in different
+# orders; monitors sums with numpy's own reductions only, so the record and
+# the decay fit do not depend on the kernel.  OPENBLAS_CORETYPE makes a
+# child take the named kernels on an x86-64 CPU that has their instructions
+# (Haswell's need AVX2).
+def test_explicit_run_bytes_do_not_depend_on_the_openblas_kernel(openblas_kernel_outputs):
+    (default, _), *others = openblas_kernel_outputs.values()
+    names = sorted(os.listdir(default))
+    assert "diagnostics.csv" in names and "step_00000010.off" in names
+    for run_dir, _ in others:
+        assert sorted(os.listdir(run_dir)) == names
+        for name in names:
+            assert (run_dir / name).read_bytes() == (default / name).read_bytes(), name
+
+
+def test_analyze_json_does_not_depend_on_the_openblas_kernel(openblas_kernel_outputs):
+    (_, default), *others = openblas_kernel_outputs.values()
+    fits, at, decoder = [], 0, json.JSONDecoder()
+    while at < len(default):
+        report, at = decoder.raw_decode(default, at)
+        fits.append(report["decay_fit"])
+        at += 1  # the newline after each report
+    assert len(fits) == 48 and all("lambda" in fit for fit in fits)
+    for _, out in others:
+        assert out == default
+
+
+# the closed-form fit is polyfit's least-squares line, up to rounding
+def test_decay_fit_lambda_matches_polyfit(tmp_path):
+    t = 0.05 * np.arange(40)
+    for tracefree, run_dir in noisy_decays(tmp_path):
+        fit = fit_decay(load_run_records(run_dir).records)
+        window = (t >= fit["t0"]) & (t <= fit["t1"])
+        slope = np.polyfit(t[window], np.log(tracefree[window]), 1)[0]
+        assert fit["samples"] == window.sum()
+        assert abs(fit["lambda"] + slope / 2) <= 1e-12 * abs(slope / 2)
 
 
 # one audit dict of each kind that audit_report collects, for every audit

@@ -689,7 +689,7 @@ def test_audit_dissipation_without_a_sample():
             lambda: audit_dissipation(synthetic_records(np.full(12, 0.5)), TRACEFREE_RATE),
             "record times must increase",
         ),
-        # a halving energy at one time: np.polyfit would fail in LAPACK
+        # a halving energy at one time: the slope would divide by zero
         (
             lambda: fit_decay(synthetic_records(np.zeros(40), tracefree=np.exp(-0.2 * np.arange(40)))),
             "record times must increase",

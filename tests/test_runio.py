@@ -187,7 +187,7 @@ def test_retired_key_at_another_value_is_rejected(key, value):
         parse_config(text)
 
 
-@pytest.mark.parametrize("radii", ["0.2,0.2", "0.4,-0.5", "0", "nan"])
+@pytest.mark.parametrize("radii", ["0.2,0.2", "0.4,-0.5", "0", "nan", "inf,0.5"])
 def test_config_rejects_bad_monitor_radii(radii):
     with pytest.raises(ConfigError, match="monitor radii must be"):
         parse_config(f"monitor.radii = {radii}\n")

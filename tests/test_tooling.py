@@ -5,8 +5,9 @@ runs itself, with no linter installed: no module of the package keeps an
 import it does not use, every module sums its length-3 vectors in
 mesh's fixed orders, only mesh.py reads the transposed faces,
 only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
-no module imports scipy.special or uses a private scipy name, and only
-mesh.py formats OFF face lines or calls np.loadtxt."""
+no module imports scipy.special or uses a private scipy name, only
+mesh.py formats OFF face lines or calls np.loadtxt, and monitors.py names
+no numpy function that BLAS or LAPACK computes."""
 
 import ast
 import glob
@@ -278,3 +279,48 @@ def test_only_mesh_formats_and_parses_off(path):
 def test_only_mesh_compares_faces(path):
     with open(path, encoding="utf-8") as fh:
         assert "np.array_equal(" not in fh.read()
+
+
+# the numpy names whose arithmetic is BLAS's or LAPACK's; np.linalg stands for
+# every function under it
+BLAS_BACKED = ("np.dot", "np.vdot", "np.inner", "np.matmul", "np.einsum", "np.polyfit", "np.linalg")
+
+
+def blas_backed_names(source: str) -> list:
+    """The BLAS_BACKED names that `source` reads, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in BLAS_BACKED:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_blas_backed_names_finds_each_form():
+    source = (
+        "a = np.dot(u, v)\n"
+        "b = np.linalg.norm(u) + np.linalg.lstsq(m, u)[0]\n"
+        "fit = np.polyfit\n"
+        "c = np.sum(u * v) + np.add.reduceat(u, i)\n"
+        "d = np.einsum('i,i', u, v) + np.inner(u, v) + np.vdot(u, v) + np.matmul(m, u)\n"
+    )
+    assert sorted(blas_backed_names(source)) == [
+        "line 1: np.dot",
+        "line 2: np.linalg",
+        "line 2: np.linalg",
+        "line 3: np.polyfit",
+        "line 5: np.einsum",
+        "line 5: np.inner",
+        "line 5: np.matmul",
+        "line 5: np.vdot",
+    ]
+
+
+# OpenBLAS picks a dot's or a solve's kernel, and with it the order of its
+# sums, by CPU, so monitors sums with numpy's own reductions: then every
+# value it reports is the same on every x86-64 CPU.  This lint sees only
+# names: `a @ b` is BLAS for two dense arrays and scipy's own loop for a
+# sparse one, which syntax cannot tell apart, so the OPENBLAS_CORETYPE
+# tests of test_cli.py are the guard on what monitors computes.
+def test_monitors_names_no_blas_backed_function():
+    with open(os.path.join(ROOT, "src", "sdflow", "monitors.py"), encoding="utf-8") as fh:
+        assert blas_backed_names(fh.read()) == []

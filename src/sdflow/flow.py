@@ -4,7 +4,7 @@ Two steppers:
   * explicit: forward Euler on the exact normal velocity (lap H) nu;
     faithful to the flow law, used for verification runs
   * semi_implicit: linearly implicit vector bilaplacian step
-    (M + dt L M^{-1} L) x_new = M x_old per coordinate, the production
+    A x_new = M x_old per coordinate, A = M + dt L M^{-1} L, the production
     stepper; it discretizes the position bilaplacian, whose normal velocity
     is lap H - H|A|^2, not the lap H of the flow law
 
@@ -21,9 +21,16 @@ stops the run as diverged, except in the initial record: that one propagates.
 A run silences numpy's floating-point warnings: every non-finite value they
 would announce is caught as a broken step, a NumericsError or a divergence.
 Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
-The semi-implicit step's linear solves run `cg`, the conjugate-gradient loop
-of scipy.sparse.linalg.cg kept in this module with scipy's arithmetic, so a
-run does not import scipy.sparse.linalg (and with it scipy.linalg); `cg`
+
+The semi-implicit step never assembles A.  L is symmetric and M diagonal
+and positive, so with s = sqrt(dt) the complex-symmetric C = M + i s L
+factors A as C M^{-1} conj(C), and Re C^{-1} = C^{-1} M conj(C)^{-1} =
+A^{-1}: x_new = Re y for C y = M x_old, a system on L's own sparsity pattern
+whose spectrum spreads like the square root of A's.  `cg`, the
+conjugate-gradient loop of scipy.sparse.linalg.cg kept in this module with
+scipy's arithmetic (so a run does not import scipy.sparse.linalg, and with
+it scipy.linalg), solves it: its np.dot does not conjugate, which on
+complex-symmetric input makes the loop COCG, conjugate orthogonal CG.  `cg`
 returns its iteration count, which the step reports as linear_iters.
 
 SolverConfig holds the solver and monitor settings.  The run config
@@ -66,8 +73,10 @@ CURVATURE_CEILING = "curvature_ceiling"
 SINGULARITY_STOPS = frozenset({QUALITY_FLOOR, CURVATURE_CEILING})
 QUALITY_MIN = 0.02
 CURVATURE_SCALE_MAX = 2.0
-# relative residual at which step_semi_implicit's CG solves stop
+# relative residual |A x - b| / |b| that step_semi_implicit's solves reach,
+# in at most CG_ROUNDS calls of cg per coordinate
 CG_RTOL = 1e-10
+CG_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepOutcome:
     accepted: bool
-    linear_iters: int = 0  # CG iterations over the three coordinate solves
+    linear_iters: int = 0  # cg iterations over every round of the three coordinate solves
 
 
 @dataclass
@@ -193,14 +202,16 @@ def step_explicit(state: FlowState, dt: float):
 
 
 def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
-    """Solve A x = b for a symmetric positive definite CSR matrix A by
-    conjugate gradients, preconditioned by the vector M (z = M * r), to
-    |r| < rtol |b|.  This is the loop of scipy.sparse.linalg.cg (scipy
-    1.17.1) with atol = 0 and M = diags(M), operation for operation, so x
-    and the callback calls are scipy's bit for bit.  Returns (x,
-    iterations): fewer than maxiter iterations means convergence, scipy's
-    info == 0 (for maxiter >= 1).  callback(x) runs after each iteration;
-    x0 is not modified."""
+    """Solve A x = b by conjugate gradients, preconditioned by the vector M
+    (z = M * r), to |r| < rtol |b|.  This is the loop of
+    scipy.sparse.linalg.cg (scipy 1.17.1) with atol = 0 and M = diags(M),
+    operation for operation: on a real symmetric positive definite CSR
+    matrix A, x and the callback calls are scipy's bit for bit.  Its inner
+    products are np.dot, which does not conjugate, so on a complex symmetric
+    A (with a complex x0) the loop is COCG.  Returns (x, iterations): fewer
+    than maxiter iterations means convergence, scipy's info == 0 (for
+    maxiter >= 1).  callback(x) runs after each iteration; x0 is not
+    modified."""
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
@@ -228,27 +239,39 @@ def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
 
 
 def step_semi_implicit(state: FlowState, dt: float):
-    """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate by
-    Jacobi-preconditioned CG (`cg`, scipy's loop in this module) to relative
-    residual CG_RTOL (10 iterations per vertex at most), L frozen at x_old."""
+    """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate, L frozen at
+    x_old, as x_new = Re y with (M + i sqrt(dt) L) y = M x_old (the module
+    docstring derives it): Jacobi-preconditioned COCG (`cg`) from y = x_old,
+    at most 10 iterations per vertex a round.  A round that leaves
+    |A x_new - M x_old| above CG_RTOL |M x_old|, evaluated as
+    M x + dt L (M^{-1} L x) without assembling A, is followed by another
+    from its y with a ten times smaller rtol; a round that reaches maxiter,
+    or a miss after CG_ROUNDS rounds, rejects the step."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass
     L = state.lap
-    A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
-    inv_diag = 1.0 / A.diagonal()
+    C = (sparse.diags(m) + (1j * np.sqrt(dt)) * L).tocsr()
+    inv_diag = 1.0 / C.diagonal()
     x_old = state.mesh.vertices
     new_vertices = np.empty_like(x_old)
     maxiter = 10 * len(m)
     iters = 0
     for k in range(3):
-        sol, k_iters = cg(
-            A, m * x_old[:, k], x_old[:, k], rtol=CG_RTOL, maxiter=maxiter, M=inv_diag
-        )
-        iters += k_iters
-        if k_iters >= maxiter:
+        b = m * x_old[:, k]
+        tol = CG_RTOL * np.linalg.norm(b)
+        y = x_old[:, k].astype(complex)
+        for r in range(CG_ROUNDS):
+            y, k_iters = cg(C, b, y, rtol=CG_RTOL / 10**r, maxiter=maxiter, M=inv_diag)
+            iters += k_iters
+            if k_iters >= maxiter:
+                return state, StepOutcome(False)
+            x = y.real
+            if np.linalg.norm(m * x + dt * (L @ ((L @ x) / m)) - b) <= tol:
+                break
+        else:
             return state, StepOutcome(False)
-        new_vertices[:, k] = sol
+        new_vertices[:, k] = x
     return _accept(state, new_vertices, dt, iters)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import cg as scipy_cg
+from scipy.sparse.linalg import spsolve
 
 from sdflow import flow
 from sdflow.flow import (
@@ -213,22 +214,33 @@ def test_semi_implicit_preserves_axial_symmetry():
     assert np.abs(v[:, :, 0] - v[:, :, 0].mean(axis=1, keepdims=True)).max() < 1e-8
 
 
+IMPLICIT_SPHERE_DT = 4.5e-4
+
+
+def implicit_sphere_state():
+    """The initial state of the implicit_sphere benchmark workload (s4, mode
+    2,0,0.3, seed 3), which steps at dt IMPLICIT_SPHERE_DT."""
+    return FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.3)], seed=3, subdivisions=4))
+
+
+def bilaplacian_system(state, dt):
+    """The assembled real SPD A = M + dt L M^{-1} L of a semi-implicit step
+    from `state`, and its right-hand sides M x_old, one column a coordinate."""
+    m, L = state.mass, state.lap
+    A = (sparse.diags(m) + dt * (L @ sparse.diags(1.0 / m) @ L)).tocsr()
+    return A, m[:, None] * state.mesh.vertices
+
+
 def implicit_sphere_solves():
-    """The three (A, b, x0, kwargs) that step_semi_implicit passes to
-    flow.cg on the first step of the implicit_sphere benchmark workload
-    (s4, mode 2,0,0.3, seed 3, dt 4.5e-4)."""
-    state = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.3)], seed=3, subdivisions=4))
-    calls = []
-    real_cg = flow.cg
-
-    def recording_cg(A, b, x0, **kwargs):
-        calls.append((A, b, x0, kwargs))
-        return real_cg(A, b, x0, **kwargs)
-
-    with mock.patch.object(flow, "cg", recording_cg):
-        _, outcome = step_semi_implicit(state, 4.5e-4)
-    assert outcome.accepted and len(calls) == 3
-    return calls
+    """The three real SPD systems (A, b, x0, kwargs) of the first step of the
+    implicit_sphere workload: A assembled, b = M x_old and x0 = x_old per
+    coordinate, and cg's settings as step_semi_implicit chooses them, the
+    Jacobi preconditioner on A's diagonal."""
+    state = implicit_sphere_state()
+    A, rhs = bilaplacian_system(state, IMPLICIT_SPHERE_DT)
+    kwargs = dict(rtol=flow.CG_RTOL, maxiter=10 * state.mesh.num_vertices, M=1.0 / A.diagonal())
+    x_old = state.mesh.vertices
+    return [(A, rhs[:, k], x_old[:, k], kwargs) for k in range(3)]
 
 
 def assert_cg_matches_scipy(A, b, x0, rtol, maxiter, M):
@@ -274,6 +286,116 @@ def test_cg_matches_scipy_when_maxiter_runs_out():
     A, b, x0, kw = implicit_sphere_solves()[0]
     info, iters = assert_cg_matches_scipy(A, b, x0, kw["rtol"], 5, kw["M"])
     assert (info, iters) == (5, 5)
+
+
+def recorded_cg_calls(step, state, dt):
+    """step(state, dt) with flow.cg recording each call as (A, b, x0,
+    kwargs, x, iterations); returns the step's result and the calls."""
+    calls = []
+    real_cg = flow.cg
+
+    def recording_cg(A, b, x0, **kwargs):
+        x, iterations = real_cg(A, b, x0, **kwargs)
+        calls.append((A, b, x0, kwargs, x, iterations))
+        return x, iterations
+
+    with mock.patch.object(flow, "cg", recording_cg):
+        result = step(state, dt)
+    return result, calls
+
+
+def test_cocg_rounds_meet_the_real_residual_bound():
+    # each coordinate's last round on the complex-shifted C = M + i sqrt(dt) L
+    # gives an x = Re y with |A x - b| < CG_RTOL |b| on the assembled A
+    state = implicit_sphere_state()
+    dt = IMPLICIT_SPHERE_DT
+    (new_state, outcome), calls = recorded_cg_calls(step_semi_implicit, state, dt)
+    assert outcome.accepted
+    assert outcome.linear_iters == sum(call[5] for call in calls)
+    A, rhs = bilaplacian_system(state, dt)
+    m, L = state.mass, state.lap
+    want_C = sparse.diags(m) + (1j * math.sqrt(dt)) * L
+    rounds = [[call for call in calls if np.array_equal(call[1], rhs[:, k])] for k in range(3)]
+    assert sum(map(len, rounds)) == len(calls) > 3  # some coordinate took a second round
+    for k, coordinate in enumerate(rounds):
+        assert 1 <= len(coordinate) <= flow.CG_ROUNDS
+        C, b, y0, kw = coordinate[0][:4]
+        assert C.dtype == complex and C.nnz == L.nnz and abs(C - want_C).max() == 0
+        assert np.array_equal(y0, state.mesh.vertices[:, k].astype(complex))
+        assert np.array_equal(kw["M"], 1.0 / C.diagonal())
+        for r, call in enumerate(coordinate):
+            assert call[3]["rtol"] == flow.CG_RTOL / 10**r
+            assert call[5] < call[3]["maxiter"] == 10 * state.mesh.num_vertices
+        for before, after in zip(coordinate, coordinate[1:]):
+            assert after[2] is before[4]  # a round restarts from the last y
+        x = coordinate[-1][4].real
+        assert np.array_equal(new_state.mesh.vertices[:, k], x)
+        assert np.linalg.norm(A @ x - b) < flow.CG_RTOL * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize(
+    "make_state, dt",
+    [
+        pytest.param(implicit_sphere_state, lambda _: IMPLICIT_SPHERE_DT, id="implicit_sphere"),
+        pytest.param(
+            lambda: FlowState(make_dumbbell(1.0, 0.15, 2.0)),  # the default dumbbell
+            lambda st: 0.1 * st.geometry.h_min**2,
+            id="dumbbell",
+        ),
+    ],
+)
+def test_semi_implicit_step_matches_a_direct_solve(make_state, dt):
+    state = make_state()
+    dt = dt(state)
+    new_state, outcome = step_semi_implicit(state, dt)
+    assert outcome.accepted
+    A, rhs = bilaplacian_system(state, dt)
+    x = new_state.mesh.vertices
+    want = spsolve(A.tocsc(), rhs)
+    assert np.abs(x - want).max() < 1e-9
+    for k in range(3):
+        assert np.linalg.norm(A @ x[:, k] - rhs[:, k]) < flow.CG_RTOL * np.linalg.norm(rhs[:, k])
+
+
+def test_semi_implicit_step_rejects_when_the_rounds_run_out(monkeypatch):
+    # a cg that claims convergence without moving leaves |A x - b| at
+    # dt |L M^{-1} L x_old|; after CG_ROUNDS rounds the step is rejected
+    calls = []
+
+    def stuck_cg(A, b, x0, *, rtol, **kwargs):
+        calls.append(rtol)
+        return x0.copy(), 1
+
+    monkeypatch.setattr(flow, "cg", stuck_cg)
+    state = FlowState(make_perturbed_sphere(1.0, [(2, 0, 0.2)], subdivisions=2))
+    new_state, outcome = step_semi_implicit(state, 0.002)
+    assert not outcome.accepted
+    assert new_state is state
+    assert calls == [flow.CG_RTOL / 10**r for r in range(flow.CG_ROUNDS)]
+
+
+def test_run_rejects_steps_whose_tolerance_doubles_cannot_reach(monkeypatch):
+    # cg's recurrence residual falls below what doubles can reach, but the
+    # true residual cannot follow: each step is rejected after at most
+    # CG_ROUNDS rounds, and the third rejection in a row is a divergence
+    monkeypatch.setattr(flow, "CG_RTOL", 1e-30)
+    dts = []
+    real_step = flow.step_semi_implicit
+
+    def recording_step(state, dt):
+        dts.append(dt)
+        return real_step(state, dt)
+
+    monkeypatch.setattr(flow, "step_semi_implicit", recording_step)
+    cfg = SolverConfig(scheme=SEMI_IMPLICIT, dt_policy=FIXED, dt=0.002, max_steps=2)
+    mesh = make_perturbed_sphere(1.0, [(2, 0, 0.2)], subdivisions=2)
+    (_, outcome), calls = recorded_cg_calls(real_step, FlowState(mesh), 0.002)
+    assert not outcome.accepted
+    assert 1 <= len(calls) <= flow.CG_ROUNDS
+    traj = run(mesh, cfg)
+    assert traj.stop_reason == DIVERGED
+    assert dts == [0.002, 0.001, 0.0005]
+    assert [rec.t for rec in traj.records] == [0.0]
 
 
 def test_rejected_step_keeps_state():

@@ -6,8 +6,9 @@ import it does not use, every module sums its length-3 vectors in
 mesh's fixed orders, only mesh.py reads the transposed faces,
 only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
 no module imports scipy.special or uses a private scipy name, only
-mesh.py formats OFF face lines or calls np.loadtxt, and monitors.py names
-no numpy function that BLAS or LAPACK computes."""
+mesh.py formats OFF face lines or calls np.loadtxt, monitors.py names
+no numpy function that BLAS or LAPACK computes, and flow.cg's inner
+products do not conjugate."""
 
 import ast
 import glob
@@ -324,3 +325,53 @@ def test_blas_backed_names_finds_each_form():
 def test_monitors_names_no_blas_backed_function():
     with open(os.path.join(ROOT, "src", "sdflow", "monitors.py"), encoding="utf-8") as fh:
         assert blas_backed_names(fh.read()) == []
+
+
+CONJUGATING = ("np.vdot", "np.conj", "np.conjugate", "conj", "conjugate")
+
+
+def cg_products(source: str) -> tuple:
+    """The np.dot calls in the body of `source`'s function cg, and the
+    conjugating names it reads (np.vdot, np.conj, np.conjugate, a .conj or
+    .conjugate method)."""
+    func = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "cg"
+    )
+    dots, conjugating = [], []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.dot":
+            dots.append(f"line {node.lineno}: np.dot")
+        if isinstance(node, ast.Attribute):
+            name = ast.unparse(node)
+            if name in CONJUGATING or node.attr in CONJUGATING:
+                conjugating.append(f"line {node.lineno}: {name}")
+    return dots, conjugating
+
+
+def test_cg_products_finds_each_form():
+    source = (
+        "def other(r):\n"
+        "    return np.vdot(r, r)\n"
+        "def cg(r, z):\n"
+        "    a = np.dot(r, z)\n"
+        "    b = np.vdot(r, z) + np.conj(r) @ z + np.conjugate(r) @ z\n"
+        "    return a + r.conj() @ z + r.conjugate() @ z\n"
+    )
+    dots, conjugating = cg_products(source)
+    assert dots == ["line 4: np.dot"]
+    assert sorted(conjugating) == [
+        "line 5: np.conj",
+        "line 5: np.conjugate",
+        "line 5: np.vdot",
+        "line 6: r.conj",
+        "line 6: r.conjugate",
+    ]
+
+
+# step_semi_implicit solves the complex symmetric M + i sqrt(dt) L with
+# flow.cg: the loop is COCG only while its inner products do not conjugate
+def test_flow_cg_takes_unconjugated_products():
+    with open(os.path.join(ROOT, "src", "sdflow", "flow.py"), encoding="utf-8") as fh:
+        dots, conjugating = cg_products(fh.read())
+    assert len(dots) == 2 and conjugating == []

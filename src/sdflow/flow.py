@@ -14,10 +14,11 @@ dt -> lambda^4 dt.
 Each FlowState makes one FaceGeometry pass; mass, L and curvature derive
 from it.  A stepper returns the next state and a StepOutcome (accepted, CG
 iterations).  A step is rejected, the state kept, when a vertex goes
-non-finite, a face degenerates or a face normal reverses; each retry halves
-dt, and three rejects in a row stop the run, as does a face quality below
-QUALITY_MIN or a curvature scale above CURVATURE_SCALE_MAX.  A NumericsError
-stops the run as diverged, except in the initial record: that one propagates.
+non-finite, a face degenerates, a face normal reverses or correct_volume
+raises a NumericsError; each retry halves dt, and three rejects in a row
+stop the run, as does a face quality below QUALITY_MIN or a curvature scale
+above CURVATURE_SCALE_MAX.  A NumericsError from the diagnostics stops the
+run as diverged, except in the initial record: that one propagates.
 A run silences numpy's floating-point warnings: every non-finite value they
 would announce is caught as a broken step, a NumericsError or a divergence.
 Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
@@ -26,12 +27,10 @@ The semi-implicit step never assembles A.  L is symmetric and M diagonal
 and positive, so with s = sqrt(dt) the complex-symmetric C = M + i s L
 factors A as C M^{-1} conj(C), and Re C^{-1} = C^{-1} M conj(C)^{-1} =
 A^{-1}: x_new = Re y for C y = M x_old, a system on L's own sparsity pattern
-whose spectrum spreads like the square root of A's.  `cg`, the
-conjugate-gradient loop of scipy.sparse.linalg.cg kept in this module with
-scipy's arithmetic (so a run does not import scipy.sparse.linalg, and with
-it scipy.linalg), solves it: its np.dot does not conjugate, which on
-complex-symmetric input makes the loop COCG, conjugate orthogonal CG.  `cg`
-returns its iteration count, which the step reports as linear_iters.
+whose spectrum spreads like the square root of A's.  `cg` solves it by
+COCG, conjugate orthogonal CG (van der Vorst and Melissen, IEEE Trans.
+Magn. 26 (1990) 706), without importing scipy.sparse.linalg (and with it
+scipy.linalg), and returns its iteration count, the step's linear_iters.
 
 SolverConfig holds the solver and monitor settings.  The run config
 (runio.RunConfig) extends it with the initial data and the output settings,
@@ -202,22 +201,19 @@ def step_explicit(state: FlowState, dt: float):
 
 
 def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
-    """Solve A x = b by conjugate gradients, preconditioned by the vector M
-    (z = M * r), to |r| < rtol |b|.  This is the loop of
-    scipy.sparse.linalg.cg (scipy 1.17.1) with atol = 0 and M = diags(M),
-    operation for operation: on a real symmetric positive definite CSR
-    matrix A, x and the callback calls are scipy's bit for bit.  Its inner
-    products are np.dot, which does not conjugate, so on a complex symmetric
-    A (with a complex x0) the loop is COCG.  Returns (x, iterations): fewer
-    than maxiter iterations means convergence, scipy's info == 0 (for
-    maxiter >= 1).  callback(x) runs after each iteration; x0 is not
-    modified."""
+    """Solve the complex symmetric system A x = b (A sparse, A.T == A) by
+    COCG preconditioned by the vector M (z = M * r), from the complex x0, to
+    a recurrence residual |r| < rtol |b|; the caller checks the true residual
+    of the system it needs.  The inner products are np.dot, which does not
+    conjugate.  Returns (x, iterations): fewer than maxiter iterations means
+    convergence, and b = 0 returns (b, 0).  callback(x) runs once per
+    iteration; x0 is not modified."""
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
     atol = rtol * bnrm2
     x = x0.copy()
-    r = b - A @ x if x.any() else b.copy()
+    r = b - A @ x
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, iteration
@@ -336,6 +332,11 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
                 state_new, outcome = step_explicit(state, dt)
             else:
                 state_new, outcome = step_semi_implicit(state, dt)
+            if outcome.accepted and config.volume_correction:
+                try:
+                    state_new = correct_volume(state_new, target_volume)
+                except monitors.NumericsError:
+                    outcome = StepOutcome(False)
             if not outcome.accepted:
                 rejects += 1
                 if rejects >= 3:
@@ -344,8 +345,6 @@ def run(initial: TriangleMesh, config: SolverConfig) -> Trajectory:
                 continue
             rejects = 0
             try:
-                if config.volume_correction:
-                    state_new = correct_volume(state_new, target_volume)
                 rec = monitors.diagnostics(state_new, config.monitor_radii, pairs=pairs)
             except monitors.NumericsError:
                 stop = DIVERGED

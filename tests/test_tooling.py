@@ -86,7 +86,7 @@ def test_no_unused_module_level_import(path):
 def numpy_ordered_reductions(source: str) -> list:
     """The np.einsum and np.cross calls of `source`, and its np.linalg.norm
     calls with an axis argument (a 1-D norm is BLAS's dot, which flow.cg
-    keeps so that it matches scipy's cg)."""
+    and step_semi_implicit take for their residual norms)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):

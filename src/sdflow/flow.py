@@ -26,7 +26,7 @@ Volume correction solves the exact cubic V(x + s nu) = V0 by Newton's method.
 The semi-implicit step never assembles A.  L is symmetric and M diagonal
 and positive, so with s = sqrt(dt) the complex-symmetric C = M + i s L
 factors A as C M^{-1} conj(C), and Re C^{-1} = C^{-1} M conj(C)^{-1} =
-A^{-1}: x_new = Re y for C y = M x_old, a system on L's own sparsity pattern
+A^{-1}: x_new = Re y for C y = M x_old, C filled on L's pattern, a system
 whose spectrum spreads like the square root of A's.  `cg` solves it by
 COCG, conjugate orthogonal CG (van der Vorst and Melissen, IEEE Trans.
 Magn. 26 (1990) 706), without importing scipy.sparse.linalg (and with it
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import _PREV, TriangleMesh, _dot, face_geometry
 from .geometry import (
@@ -236,18 +235,19 @@ def cg(A, b, x0, *, rtol, maxiter, M, callback=None):
 
 def step_semi_implicit(state: FlowState, dt: float):
     """Solve (M + dt L M^{-1} L) x_new = M x_old per coordinate, L frozen at
-    x_old, as x_new = Re y with (M + i sqrt(dt) L) y = M x_old (the module
-    docstring derives it): Jacobi-preconditioned COCG (`cg`) from y = x_old,
-    at most 10 iterations per vertex a round.  A round that leaves
-    |A x_new - M x_old| above CG_RTOL |M x_old|, evaluated as
-    M x + dt L (M^{-1} L x) without assembling A, is followed by another
-    from its y with a ten times smaller rtol; a round that reaches maxiter,
-    or a miss after CG_ROUNDS rounds, rejects the step."""
+    x_old, as x_new = Re y with C y = M x_old, C = M + i sqrt(dt) L filled
+    on L's pattern (the module docstring derives it): Jacobi-preconditioned
+    COCG (`cg`) from y = x_old, at most 10 iterations per vertex a round.
+    A round that leaves |A x_new - M x_old| above CG_RTOL |M x_old|,
+    evaluated as M x + dt L (M^{-1} L x) without assembling A, is followed
+    by another from its y with a ten times smaller rtol; a round that
+    reaches maxiter, or a miss after CG_ROUNDS rounds, rejects the step."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     m = state.mass
     L = state.lap
-    C = (sparse.diags(m) + (1j * np.sqrt(dt)) * L).tocsr()
+    C = (1j * np.sqrt(dt)) * L
+    C.data[state.mesh.topology.diagonal] += m[state.mesh.topology.rows]
     inv_diag = 1.0 / C.diagonal()
     x_old = state.mesh.vertices
     new_vertices = np.empty_like(x_old)

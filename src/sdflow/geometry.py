@@ -11,7 +11,8 @@ as (3, F) per-corner arrays in the corner order of the mesh's
 MeshTopology.corner_index; mesh.corner_sum moves them onto the vertices
 in corner order a, b, c, so every sum rounds as a fixed sequence of
 np.add.at passes would.  The lumped mass is a plain (n,) array.
-cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology.
+cotan_laplacian fills L into the CSR pattern of the mesh's MeshTopology,
+exact zeros included; flow fills its C = M + i sqrt(dt) L on it too.
 enclosed_volume and volume_cubic, V(x + s nu) as an exact cubic in s, read
 the pass's coordinate-major corner positions.  Vertex vectors are (3, n)
 x, y, z rows too, and vector sums work on rows with mesh._cross, _dot and
@@ -68,22 +69,17 @@ def cotan_laplacian(fg: FaceGeometry) -> sparse.csr_matrix:
     """Cotangent stiffness matrix L (symmetric PSD, zero row sums):
     off-diagonal -(cot a + cot b)/2 per edge, diagonal minus the row sum.
 
-    L fills the mesh's fixed CSR pattern.  An off-diagonal is 0 + w1 + w2,
-    its contributions in corner order, and a diagonal is -np.add.reduceat
-    over its row's off-diagonals, so L is bit for bit the CSR matrix of a
-    COO -> CSR build minus the diagonal of its row sums; like that
-    difference, L stores no entry that is exactly 0."""
+    L is stored on the topology's pattern, exact zeros included, and shares
+    its index arrays.  An off-diagonal is 0 + w1 + w2, its contributions in
+    corner order, and a diagonal is -np.add.reduceat over its row's
+    off-diagonals, so each entry that a COO -> CSR build minus the diagonal
+    of its row sums stores is bit for bit L's."""
     _require_nondegenerate(fg)
     topo, n = fg.mesh.topology, fg.mesh.num_vertices
     w = -0.5 * fg.cot.ravel()
     data = np.bincount(topo.slots, np.concatenate([w, w]), len(topo.indices))
     data[topo.diagonal] = -np.add.reduceat(data[topo.offdiag], topo.row_starts)
-    lap = sparse.csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
-    if not data.all():
-        # the pattern is shared, so drop the zeros from a copy
-        lap = lap.copy()
-        lap.eliminate_zeros()
-    return lap
+    return sparse.csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
 
 
 def vertex_normals_and_projected_areas(fg: FaceGeometry):

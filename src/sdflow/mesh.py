@@ -100,11 +100,11 @@ class MeshTopology:
     read-only.  corner_index is C-contiguous intp, the index dtype numpy's
     take, bincount and ufunc.at use without a cast; the CSR arrays are int32.
 
-    The CSR pattern of the cotan L holds every edge (both directions) and
-    the diagonal of every vertex on a face, rows and columns sorted.  The
-    6F corner contributions to L are the edge (b, c) opposite corners
-    a, b, c of every face, then the same edges as (c, b), in the order
-    of FaceGeometry.cot.ravel() twice.
+    The CSR pattern, L's and the semi-implicit step's C's on every mesh,
+    holds every edge (both directions) and the diagonal of every vertex on
+    a face, rows and columns sorted.  The 6F corner contributions to L are
+    the edge (b, c) opposite corners a, b, c of every face, then the same
+    edges as (c, b), in the order of FaceGeometry.cot.ravel() twice.
     """
 
     corner_index: np.ndarray  # (3, F) vertex at corners a, b, c: FaceGeometry's rows

@@ -232,8 +232,8 @@ def bilaplacian_system(state, dt):
 
 
 def default_dumbbell_state():
-    """The initial state of the default dumbbell, whose L drops the exact
-    zeros of 28 cotan weights, so its pattern is not MeshTopology's."""
+    """The initial state of the default dumbbell, whose L stores the exact
+    zeros of 28 cotan weights on MeshTopology's pattern."""
     return FlowState(make_dumbbell(1.0, 0.15, 2.0))
 
 
@@ -344,6 +344,21 @@ def test_cocg_rounds_meet_the_real_residual_bound():
         x = coordinate[-1][4].real
         assert np.array_equal(new_state.mesh.vertices[:, k], x)
         assert np.linalg.norm(A @ x - b) < flow.CG_RTOL * np.linalg.norm(b)
+
+
+def test_shifted_operator_is_filled_on_the_topology_pattern():
+    # L of this dumbbell stores 26 exact zeros; C = M + i sqrt(dt) L keeps
+    # them, and every slot of C is the topology's
+    state = FlowState(make_dumbbell(1.0, 0.5, 2.0, n_phi=8, n_rings=16))
+    topology, dt = state.mesh.topology, 0.1 * state.geometry.h_min**2
+    (_, outcome), calls = recorded_cg_calls(step_semi_implicit, state, dt)
+    assert outcome.accepted and len(calls) >= 3
+    want_C = sparse.diags(state.mass) + (1j * math.sqrt(dt)) * state.lap
+    for C, *_ in calls:
+        assert C.nnz == len(topology.indices)
+        assert np.array_equal(C.indices, topology.indices)
+        assert np.array_equal(C.indptr, topology.indptr)
+        assert abs(C - want_C).max() == 0
 
 
 @pytest.mark.parametrize("make_state, dt", FIRST_STEPS)

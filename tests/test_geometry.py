@@ -195,6 +195,27 @@ def reference_operators(fg):
     return m, acc / nrm[:, None], nrm / 3.0, defect, lap, volume
 
 
+def assert_laplacian_matches_reference(got, ref, topology):
+    """got is a CSR matrix on the topology's pattern; every entry that the
+    reference stores is bit for bit got's at the same (row, col), and every
+    other entry of got is exactly 0.  Returns the slots of those others."""
+    assert got.format == "csr" and got.shape == ref.shape
+    assert np.array_equal(got.indptr, topology.indptr)
+    assert np.array_equal(got.indices, topology.indices)
+    n = got.shape[0]
+
+    def keys(a):
+        return np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
+
+    got_keys, ref_keys = keys(got), keys(ref)
+    slots = np.searchsorted(got_keys, ref_keys)
+    assert np.array_equal(got_keys[np.minimum(slots, got.nnz - 1)], ref_keys)
+    assert np.array_equal(got.data[slots], ref.data)
+    others = np.setdiff1d(np.arange(got.nnz), slots)
+    assert (got.data[others] == 0.0).all()
+    return others
+
+
 def open_slab():
     """The top sheet of make_slab alone: a mesh with boundary."""
     slab, sheet = make_slab(n=10), 11**2
@@ -221,9 +242,7 @@ def test_operators_match_per_corner_reference_bitwise(mesh_fn):
     assert np.array_equal(got_projected, projected)
     got = cotan_laplacian(fg)
     assert np.array_equal(curvature_field(fg, m, got).K, defect / m)
-    assert got.format == "csr" and got.shape == lap.shape
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
+    assert_laplacian_matches_reference(got, lap, fg.mesh.topology)
     assert enclosed_volume(fg) == volume
     assert volume_cubic(fg, got_normals)[0] == volume
 
@@ -368,8 +387,34 @@ def test_laplacian_after_a_step_matches_reference_bitwise(mesh_fn):
     assert stepped.mesh.topology is state.mesh.topology
     lap = reference_operators(stepped.geometry)[4]
     got = cotan_laplacian(stepped.geometry)
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, attr), getattr(lap, attr)), attr
+    assert_laplacian_matches_reference(got, lap, stepped.mesh.topology)
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["initial", "stepped"])
+@pytest.mark.parametrize(
+    "mesh_fn, zeros",
+    [
+        (lambda: make_dumbbell(1.0, 0.15, 2.0), 28),
+        (lambda: make_dumbbell(1.0, 0.5, 2.0, n_phi=8, n_rings=16), 26),
+        (lambda: make_torus(1.0, 0.4, 60, 24), 8),
+    ],
+    ids=["dumbbell", "dumbbell_8x16", "torus_60x24"],
+)
+def test_laplacian_is_stored_on_the_topology_pattern(mesh_fn, zeros, stepped):
+    """On meshes where cotan weights cancel to exactly 0 (zeros of them in
+    the initial state, none after a step), a state's L shares the
+    topology's index arrays and stores those zeros."""
+    state = FlowState(mesh_fn())
+    if stepped:
+        state, outcome = step_explicit(state, 1e-3 * state.geometry.h_min**4)
+        assert outcome.accepted
+    topology, lap = state.mesh.topology, state.lap
+    assert lap.nnz == len(topology.indices)
+    assert np.shares_memory(lap.indices, topology.indices)
+    assert np.shares_memory(lap.indptr, topology.indptr)
+    ref = reference_operators(state.geometry)[4]
+    others = assert_laplacian_matches_reference(lap, ref, topology)
+    assert len(others) == (0 if stepped else zeros)
 
 
 @REFERENCE_MESHES

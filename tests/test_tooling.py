@@ -7,8 +7,9 @@ mesh's fixed orders, only mesh.py reads the transposed faces,
 only face_geometry copies vertex vectors from (n, 3) to (3, n) rows,
 no module imports scipy.special or uses a private scipy name, only
 mesh.py formats OFF face lines or calls np.loadtxt, monitors.py names
-no numpy function that BLAS or LAPACK computes, and flow.cg's inner
-products do not conjugate."""
+no numpy function that BLAS or LAPACK computes, flow.cg's inner
+products do not conjugate, and no module builds a sparse pattern of its
+own."""
 
 import ast
 import glob
@@ -375,3 +376,52 @@ def test_flow_cg_takes_unconjugated_products():
     with open(os.path.join(ROOT, "src", "sdflow", "flow.py"), encoding="utf-8") as fh:
         dots, conjugating = cg_products(fh.read())
     assert len(dots) == 2 and conjugating == []
+
+
+PATTERN_BUILDERS = ("diags", "eliminate_zeros", "tocsr", "coo_matrix")
+
+
+def pattern_builders(source: str) -> list:
+    """The PATTERN_BUILDERS names that `source` reads as an attribute
+    (sparse.diags, .eliminate_zeros, .tocsr, sparse.coo_matrix) or imports
+    from a module, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PATTERN_BUILDERS:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name in PATTERN_BUILDERS
+            ]
+    return found
+
+
+def test_pattern_builders_finds_each_form():
+    source = (
+        "C = (sparse.diags(m) + L).tocsr()\n"
+        "lap.eliminate_zeros()\n"
+        "off = sparse.coo_matrix((w, (i, j)), shape=(n, n))\n"
+        "from scipy.sparse import coo_matrix, diags as d, csr_matrix\n"
+        "build = scipy.sparse.coo_matrix\n"
+        "ok = sparse.csr_matrix((data, topo.indices, topo.indptr)).diagonal()\n"
+    )
+    assert sorted(pattern_builders(source)) == [
+        "line 1: (sparse.diags(m) + L).tocsr",
+        "line 1: sparse.diags",
+        "line 2: lap.eliminate_zeros",
+        "line 3: sparse.coo_matrix",
+        "line 4: import coo_matrix",
+        "line 4: import diags",
+        "line 5: scipy.sparse.coo_matrix",
+    ]
+
+
+# one CSR pattern per connectivity: every sparse matrix of the package is
+# built on MeshTopology's index arrays, so none is assembled from triplets
+# or a diagonal, converted to CSR, or stripped of its exact zeros
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_builds_a_sparse_pattern_of_its_own(path):
+    with open(path, encoding="utf-8") as fh:
+        assert pattern_builders(fh.read()) == []
